@@ -26,6 +26,7 @@ from .slices import (
 )
 from .spaces import (
     PolyhedralNormSpace,
+    check_omega,
     dual_ball_vertices,
     load_space,
     make_space_II,
@@ -123,6 +124,14 @@ class ExperimentConfig:
             raise ValueError("prop2 needs r strictly below 1")
         if self.experiment == "prop3" and self.N is not None and self.N < 2:
             raise ValueError("prop3 needs N at least 2")
+        if self.N is not None or self.space_path is None:
+            # Without N a space file may still supply it; replace() re-runs
+            # these checks once it has.
+            for N in _n_grid(self):
+                if self.experiment == "prop2" and self.g not in (None, "random"):
+                    parse_g(self.g, N, None)
+                if self.experiment == "prop3":
+                    check_omega(N, _omega_for(self, N))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -199,6 +208,13 @@ class Report:
         return self.to_json_text() if self.config.format == "json" else self.to_csv_text()
 
 
+def _n_grid(config: ExperimentConfig) -> tuple:
+    """The N values a sweep visits: the configured N or the default grid."""
+    if config.N is not None:
+        return (config.N,)
+    return DEFAULT_PROP3_NS if config.experiment == "prop3" else DEFAULT_N_GRID
+
+
 def _row_base(experiment: str, N: int) -> dict:
     return {"experiment": experiment, "N": N}
 
@@ -250,7 +266,7 @@ THM1_COLUMNS = ("experiment", "N", "epsilon", "r", "delta", "exact_value",
 
 def run_thm1(config: ExperimentConfig) -> Report:
     """Sweep the small-slice bound over N and epsilon grids."""
-    ns = (config.N,) if config.N is not None else DEFAULT_N_GRID
+    ns = _n_grid(config)
     if config.epsilons is not None:
         epsilons = config.epsilons
     elif config.epsilon is not None:
@@ -351,7 +367,7 @@ PROP2_COLUMNS = ("experiment", "N", "r", "g", "alpha", "outcome", "checks",
 
 def run_prop2(config: ExperimentConfig) -> Report:
     """Certificate sweep; also scans for the least N where it succeeds."""
-    ns = (config.N,) if config.N is not None else DEFAULT_N_GRID
+    ns = _n_grid(config)
     rs = (config.r,) if config.r is not None else tuple(rational(x) for x in DEFAULT_PROP2_RS)
     alpha = config.alpha if config.alpha is not None else rational("1/2")
     g_spec = config.g if config.g is not None else "e1"
@@ -418,7 +434,7 @@ def _omega_for(config: ExperimentConfig, N: int):
 
 def run_prop3(config: ExperimentConfig) -> Report:
     """Shrinking-slice sweep with monotonicity and ratio summaries."""
-    ns = (config.N,) if config.N is not None else DEFAULT_PROP3_NS
+    ns = _n_grid(config)
     epsilons = config.epsilons if config.epsilons is not None else tuple(rational(e) for e in DEFAULT_PROP3_EPSILONS)
     rows = []
     monotone = True
@@ -470,7 +486,7 @@ VERIFY_EXT_COLUMNS = ("experiment", "N", "r", "extreme_count", "expected_count",
 
 
 def run_verify_ext(config: ExperimentConfig) -> Report:
-    ns = (config.N,) if config.N is not None else DEFAULT_N_GRID
+    ns = _n_grid(config)
     rs = (config.r,) if config.r is not None else tuple(rational(x) for x in DEFAULT_EXT_RS)
     rows = []
     for N in ns:
@@ -517,7 +533,7 @@ SANDWICH_COLUMNS = ("experiment", "N", "r", "trials", "failures", "worst_ratio",
 
 
 def run_sandwich(config: ExperimentConfig) -> Report:
-    ns = (config.N,) if config.N is not None else DEFAULT_N_GRID
+    ns = _n_grid(config)
     rs = (config.r,) if config.r is not None else tuple(rational(x) for x in DEFAULT_SANDWICH_RS)
     trials = config.trials if config.trials is not None else DEFAULT_TRIALS
     rng = random.Random(config.seed)

@@ -148,7 +148,8 @@ def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
         for c in art_cols:
             phase1[c] = -ONE
         status = _run_simplex(tableau, basis, phase1, allowed)
-        assert status == OPTIMAL, "phase one cannot be unbounded"
+        if status != OPTIMAL:
+            raise RuntimeError("phase one ended %s; its objective is bounded by zero" % status)
         total = sum((tableau[i][-1] for i, b in enumerate(basis) if b in set(art_cols)), ZERO)
         if total != 0:
             return LPResult(INFEASIBLE, None, None)

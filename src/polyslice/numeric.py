@@ -14,7 +14,7 @@ try:
     from gmpy2 import mpq as _mpq
 
     HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:  # gmpy2 absent: fractions.Fraction is the scalar type
     _mpq = Fraction
     HAVE_GMPY2 = False
 

@@ -2,10 +2,16 @@
 
 H-representation to V-representation conversion enumerates dim-subsets of the
 halfspaces, solves each nonsingular subset, and keeps solutions satisfying all
-constraints.  The subset walk shares Gaussian elimination work along a prefix
-tree and drops rows that become dependent, which prunes the heavily degenerate
-generator families showing up in the norm constructions here.  Boundedness is
-cross-checked with exact LPs in every coordinate direction.
+constraints.  The whole pipeline runs on integers: every halfspace is scaled
+to integer coefficients once, the subset walk eliminates fraction-free and
+shares that work along a prefix tree (dropping rows that become dependent,
+which prunes the heavily degenerate generator families of the norm
+constructions here), and back-substitution yields each candidate point in one
+canonical form, integer numerators p over a common denominator q > 0 with
+gcd(p..., q) = 1.  Candidates are deduplicated on (p, q), a point is feasible
+when c.p <= b.q for every integer row (c, b), and rationals are built only for
+the vertices that are kept.  Boundedness is cross-checked with exact LPs in
+every coordinate direction.
 """
 
 from __future__ import annotations
@@ -120,35 +126,58 @@ class VPolytope:
             raise ValueError("duplicate vertices")
 
 
+def _clear(values):
+    """Integers n and the least common denominator q > 0 with n_i/q equal to
+    values_i.  For a point this is its canonical (p, q) key, since no prime
+    can divide q and every n_i at once."""
+    q = 1
+    for c in values:
+        d = int(c.denominator)
+        q = q // gcd(q, d) * d
+    return tuple(int(c.numerator) * (q // int(c.denominator)) for c in values), q
+
+
 def _int_rows(halfspaces):
     """Clear denominators row by row: (a, b) becomes integer (a', b') scaled
     by a positive factor, plus the sparse nonzero pattern for fast dots."""
     rows = []
     for h in halfspaces:
-        nums = [c.numerator for c in h.a] + [h.b.numerator]
-        dens = [c.denominator for c in h.a] + [h.b.denominator]
-        scale = 1
-        for d in dens:
-            scale = scale // gcd(scale, d) * d
-        coeffs = tuple(int(n * (scale // d)) for n, d in zip(nums, dens))
+        coeffs, _ = _clear(tuple(h.a) + (h.b,))
         sparse = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
         rows.append((coeffs[:-1], coeffs[-1], sparse))
     return rows
 
 
 def _solve_echelon(chosen, dim):
-    """Back-substitute an echelon system of dim rows with distinct pivot
-    columns.  Each entry of chosen is (pivot_col, row) with row integer
-    coefficients plus the rhs appended."""
-    order = sorted(chosen)
-    x = [ZERO] * dim
-    for pc, row in reversed(order):
-        acc = Scalar(row[dim])
+    """Back-substitute an echelon system of dim integer rows fraction-free.
+
+    Each entry of chosen is (pivot_col, row): row holds integer coefficients
+    plus the rhs, is zero before pivot_col, and the pivot columns are
+    distinct.  Returns the solution as (p, q), integer numerators over one
+    common denominator with q > 0 and gcd(p..., q) = 1, so equal points
+    always get equal keys.  Each step divides t and d by their gcd before
+    scaling, so by induction gcd(p..., q) stays 1 and no final pass is needed.
+    """
+    p = [0] * dim
+    q = 1
+    for pc, row in sorted(chosen, reverse=True):
+        t = row[dim] * q
         for j in range(pc + 1, dim):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[pc] = acc / row[pc]
-    return x
+            c = row[j]
+            if c:
+                t -= c * p[j]
+        d = row[pc]
+        g = gcd(t, d)
+        t //= g
+        d //= g
+        if d != 1:
+            for j in range(pc + 1, dim):
+                p[j] *= d
+            q *= d
+        p[pc] = t
+    if q < 0:
+        return tuple(-v for v in p), -q
+    return tuple(p), q
 
 
 def _walk(pending, chosen, need, out):
@@ -191,8 +220,8 @@ def _walk(pending, chosen, need, out):
 
 
 def _candidate_points(int_rows, dim, seed_rows=None):
-    """Solutions of every nonsingular dim-subset of the rows (optionally
-    forcing the seed rows into each subset)."""
+    """(p, q) keys of the solutions of every nonsingular dim-subset of the
+    rows (optionally forcing the seed rows into each subset)."""
     pending = []
     for i, (coeffs, rhs, _) in enumerate(int_rows):
         if any(coeffs):
@@ -228,12 +257,14 @@ def _candidate_points(int_rows, dim, seed_rows=None):
     return [_solve_echelon(leaf, dim) for leaf in leaves]
 
 
-def _feasible(x, int_rows):
-    for coeffs, rhs, sparse in int_rows:
-        acc = ZERO
+def _feasible(point, int_rows):
+    """Integer membership test of the point (p, q): c.p <= b.q on every row."""
+    p, q = point
+    for _, rhs, sparse in int_rows:
+        acc = 0
         for j, c in sparse:
-            acc += c * x[j]
-        if acc > rhs:
+            acc += c * p[j]
+        if acc > rhs * q:
             return False
     return True
 
@@ -268,30 +299,30 @@ def vertices(poly: HPolytope) -> VPolytope:
         return poly._vcache
     dim = poly.dim
     int_rows = _int_rows(poly.halfspaces)
+    seen = set()
+    found = []
+
+    def offer(key, rows):
+        if key not in seen:
+            seen.add(key)
+            if _feasible(key, rows):
+                found.append(key)
+
     if poly._base is not None:
         base, k = poly._base
-        base_vertices = vertices(base).vertices
         extra = int_rows[k:]
-        found = {}
-        for v in base_vertices:
-            if _feasible(v, extra):
-                found[tuple(v)] = None
+        for v in vertices(base).vertices:
+            offer(_clear(v), extra)
         for first in range(len(extra)):
-            pts = _candidate_points(
+            for key in _candidate_points(
                 int_rows[:k] + extra[first + 1:], dim, seed_rows=extra[first: first + 1]
-            )
-            for x in pts:
-                tx = tuple(x)
-                if tx not in found and _feasible(x, int_rows):
-                    found[tx] = None
+            ):
+                offer(key, int_rows)
     else:
         _certify_bounded(poly)
-        found = {}
-        for x in _candidate_points(int_rows, dim):
-            tx = tuple(x)
-            if tx not in found and _feasible(x, int_rows):
-                found[tx] = None
-    pts = sorted(found)
+        for key in _candidate_points(int_rows, dim):
+            offer(key, int_rows)
+    pts = sorted(tuple(Scalar(c, q) for c in p) for p, q in found)
     if len(pts) < dim + 1:
         raise DegenerateError(
             "%d vertices in dimension %d: empty interior" % (len(pts), dim)

@@ -269,7 +269,7 @@ def diameter_profile(space: PolyhedralNormSpace, f, alphas) -> list:
     for a in alphas:
         result = diameter(make_slice(space, SliceSpec(f, a)), space)
         if previous is not None and result.value > previous:
-            raise AssertionError("slice diameters failed to shrink with alpha")
+            raise RuntimeError("slice diameters failed to shrink with alpha")
         previous = result.value
         out.append((a, result))
     return out

@@ -29,6 +29,7 @@ __all__ = [
     "make_space_II",
     "make_space_VII",
     "default_omega",
+    "check_omega",
     "reference_product_norm",
     "unit_ball",
     "dual_ball_vertices",
@@ -133,6 +134,23 @@ def default_omega(N: int) -> tuple:
     return tuple(Scalar(6 * n - 1) / (6 * n) for n in range(2, N + 1))
 
 
+def check_omega(N: int, omega=None) -> tuple:
+    """The weights w_2..w_N as Scalars (the default rule when omega is None).
+
+    Raises ValueError unless there are N - 1 of them, each in (5/6, 1].
+    """
+    if omega is None:
+        return default_omega(N)
+    omega = tuple(rational(w) for w in omega)
+    if len(omega) != N - 1:
+        raise ValueError("expected %d weights, got %d" % (N - 1, len(omega)))
+    five_sixths = Scalar(5) / 6
+    for w in omega:
+        if not (five_sixths < w <= 1):
+            raise ValueError("weight %s outside (5/6, 1]" % (w,))
+    return omega
+
+
 def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
     """Weighted three-family space on R^N (first coordinate distinguished).
 
@@ -141,15 +159,7 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    if omega is None:
-        omega = default_omega(N)
-    omega = tuple(rational(w) for w in omega)
-    if len(omega) != N - 1:
-        raise ValueError("expected %d weights, got %d" % (N - 1, len(omega)))
-    five_sixths = Scalar(5) / 6
-    for w in omega:
-        if not (five_sixths < w <= 1):
-            raise ValueError("weight %s outside (5/6, 1]" % (w,))
+    omega = check_omega(N, omega)
     third = ONE / 3
     half = ONE / 2
     gens = []

@@ -276,3 +276,33 @@ def test_report_all_pass_reflects_summary_checks():
     doctored = Report(config=report.config, columns=report.columns,
                       rows=report.rows, summary={"check_rows": False})
     assert not doctored.all_pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop2", "--g", "1,2", "--n", "3"],
+    ["prop2", "--g", "1,0"],
+    ["prop2", "--g", "e1+e2"],
+    ["prop3", "--n", "4", "--omega-rule", "list:9/10,9/10"],
+    ["prop3", "--omega-rule", "list:9/10,9/10"],
+    ["prop3", "--n", "3", "--omega-rule", "list:1/2,9/10"],
+])
+def test_cli_rejects_grid_mismatched_input_with_exit_two(argv, capsys):
+    """Input that cannot fit some N of the grid is a usage error (exit 2,
+    one-line message), not a failed check (exit 1)."""
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("polyslice: error: ")
+
+
+def test_config_checks_g_and_weights_against_every_grid_n():
+    with pytest.raises(ValueError, match="expected 4"):
+        ExperimentConfig.from_dict({"experiment": "prop2", "N": 3, "g": "1,2"})
+    with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+        ExperimentConfig.from_dict({"experiment": "prop3", "N": 4, "omega_rule": "list:9/10,9/10"})
+    with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+        ExperimentConfig.from_dict({"experiment": "prop3", "omega_rule": "list:9/10,9/10"})
+    ExperimentConfig.from_dict({"experiment": "prop2", "N": 1, "g": "1,0"})
+    ExperimentConfig.from_dict({"experiment": "prop3", "N": 3, "omega_rule": "list:9/10,9/10"})

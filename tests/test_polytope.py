@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from polyslice.polytope import (
     HPolytope,
     UnboundedError,
     VPolytope,
+    _solve_echelon,
     contains,
     extreme_points,
     from_json,
@@ -24,6 +26,8 @@ from polyslice.polytope import (
     to_json,
     vertices,
 )
+from polyslice.slices import SliceSpec, make_slice
+from polyslice.spaces import make_space_II, make_space_VII, unit_ball
 
 SEED = 733
 
@@ -253,3 +257,90 @@ def test_base_extension_matches_scratch_enumeration():
                 vertices(scratch)
             continue
         assert got == vertices(scratch).vertices
+
+
+def oracle_vertices(poly):
+    rows = [(tuple(as_fraction(c) for c in h.a), as_fraction(h.b)) for h in poly.halfspaces]
+    return oracles.enum_vertices(rows, poly.dim)
+
+
+def fraction_vertices(poly):
+    return sorted(tuple(as_fraction(c) for c in v) for v in vertices(poly).vertices)
+
+
+@pytest.mark.parametrize("label,N,param", [
+    *(("II", N, r) for N in (1, 2, 3) for r in ("1/10", "3/7")),
+    ("VII", 2, None),
+    ("VII", 3, None),
+    ("VII", 2, ["7/8"]),
+    ("VII", 3, ["11/12", "8/9"]),
+])
+def test_family_balls_and_slices_match_subset_oracle(label, N, param):
+    """The family balls have fractional rows (r, 1/3, 1/2, the weights); their
+    slices also go through the base-vertex path of the enumerator."""
+    space = make_space_II(N, param) if label == "II" else make_space_VII(N, param)
+    ball = unit_ball(space)
+    assert fraction_vertices(ball) == oracle_vertices(ball)
+    if label == "II":
+        r = rational(param)
+        spec = SliceSpec(Vec.unit(space.dim, space.dim - 1) * (1 + r), r / 4)
+    else:
+        spec = SliceSpec(Vec.unit(space.dim, 0), "1/20")
+    piece = make_slice(space, spec)
+    assert piece._base is not None
+    assert fraction_vertices(piece) == oracle_vertices(piece)
+
+
+def pyramid():
+    """Four facets through the apex (1/3, -1/4, 2/5), two of them with a
+    negative leading coefficient, over the floor z >= -3/4."""
+    apex = Vec(["1/3", "-1/4", "2/5"])
+    rows = []
+    for sx in (1, -1):
+        for sy in (1, -1):
+            normal = Vec([Scalar(sx, 2), Scalar(sy, 3), Scalar(1, 5)])
+            rows.append(HalfSpace(normal, normal.dot(apex)))
+    rows.append(HalfSpace(Vec([0, 0, "-2/3"]), rational("1/2")))
+    return HPolytope(rows, 3), apex
+
+
+def test_degenerate_apex_with_negative_pivots_is_found_once():
+    poly, apex = pyramid()
+    got = vertices(poly).vertices
+    assert fraction_vertices(poly) == oracle_vertices(poly)
+    assert len(got) == 5 and apex in got
+    assert any(c.denominator > 1 for v in got for c in v)
+    # A cut through the apex makes it a base vertex that the new subsets
+    # reach again; it must still be kept exactly once.
+    cut = HalfSpace(Vec([1, 0, 0]), rational("1/3"))
+    extended = HPolytope(poly.halfspaces + (cut,), 3, _base=(poly, len(poly.halfspaces)))
+    assert apex in vertices(extended).vertices
+    assert fraction_vertices(extended) == oracle_vertices(extended)
+
+
+def test_solve_echelon_returns_one_canonical_key():
+    # -2x + y = 1 and -3y = 2 give (-5/6, -2/3): negative pivots, and the
+    # numerators share no factor with the denominator.
+    rows = [(0, (-2, 1, 1)), (1, (0, -3, 2))]
+    assert _solve_echelon(rows, 2) == ((-5, -4), 6)
+    scaled = [(0, (4, -2, -2)), (1, (0, 6, -4))]
+    assert _solve_echelon(scaled, 2) == ((-5, -4), 6)
+    assert _solve_echelon([(0, (3, 0, 0)), (1, (0, -7, 0))], 2) == ((0, 0), 1)
+
+
+def test_solve_echelon_keys_are_reduced_on_random_systems():
+    rng = random.Random(SEED + 4)
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        rows = []
+        for pc in range(dim):
+            row = [0] * pc + [rng.choice([-6, -4, -3, -2, 2, 3, 4, 6])]
+            row += [rng.randint(-6, 6) for _ in range(dim - pc)]
+            rows.append((pc, tuple(row)))
+        x = [Fraction(0)] * dim
+        for pc, row in reversed(rows):
+            rest = sum((row[j] * x[j] for j in range(pc + 1, dim)), Fraction(0))
+            x[pc] = (row[dim] - rest) / row[pc]
+        p, q = _solve_echelon(rng.sample(rows, dim), dim)
+        assert q > 0 and gcd(q, *p) == 1
+        assert [Fraction(n, q) for n in p] == x
