@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, apply_space_file, run_experiment
 
 __all__ = ["build_parser", "main"]
 
@@ -72,7 +72,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        # Folding the space file here makes a bad file a usage error;
+        # run_experiment folds it again, which rereads one small file.
+        config, _ = apply_space_file(config)
+    except (ValueError, TypeError, OSError) as exc:
         parser.error(str(exc))
     report = run_experiment(config)
     text = report.render()

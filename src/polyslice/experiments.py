@@ -39,6 +39,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "Report",
+    "apply_space_file",
     "run_experiment",
     "run_thm1",
     "run_prop2",
@@ -346,7 +347,7 @@ def prop2_case(N: int, r, g_spec: str, alpha, rng: random.Random) -> dict:
         })
         row["_artifacts"] = {"space": space, "certificate": None}
         return row
-    slice_poly = make_slice(space, SliceSpec(g, alpha))
+    slice_poly = make_slice(space, SliceSpec(g, alpha), cert.support_value)
     result = diameter(slice_poly, space)
     ok = cert.valid and result.value >= bound
     row.update({
@@ -394,10 +395,10 @@ def prop3_case(space: PolyhedralNormSpace, epsilon) -> dict:
     epsilon = rational(epsilon)
     N = space.dim
     f = Vec.unit(N, 0)
-    slice_poly = make_slice(space, SliceSpec(f, epsilon))
+    s = support_value(space, f)
+    slice_poly = make_slice(space, SliceSpec(f, epsilon), s)
     result = diameter(slice_poly, space)
     verts = vertices(slice_poly).vertices
-    s = support_value(space, f)
     tail_bound = 3 * epsilon
     max_tail = max((max((abs(c) for c in v[1:]), default=ZERO) for v in verts))
     min_head = min(v[0] for v in verts)
@@ -565,7 +566,7 @@ def audit_space(config: ExperimentConfig, space: PolyhedralNormSpace) -> Report:
     return Report(config=config, columns=VERIFY_EXT_COLUMNS, rows=(row,), summary=summary)
 
 
-def _apply_space_file(config: ExperimentConfig):
+def apply_space_file(config: ExperimentConfig):
     """Fold a space description file into the config.
 
     Kind II files supply N and r to the lifted-space experiments; kind VII
@@ -609,7 +610,7 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    config, explicit_space = _apply_space_file(config)
+    config, explicit_space = apply_space_file(config)
     if explicit_space is not None:
         return audit_space(config, explicit_space)
     return _RUNNERS[config.experiment](config)

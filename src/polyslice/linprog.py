@@ -4,13 +4,34 @@ Variables are free; internally each is split into a nonnegative pair.  Bland's
 rule is used for both the entering and the leaving choice, which rules out
 cycling and makes every run deterministic.  Sizes in this package are tiny
 (tens of rows and columns), so a dense tableau is the simplest correct tool.
+
+The tableau is held in integers T over one common denominator D > 0, the
+rational tableau being T / D, and pivots are fraction-free (Bareiss 1968, as
+in the exact mode of lrs): pivoting on p = T[r][s] replaces every other row i,
+the reduced-cost row included, by (T[i]*p - T[i][s]*T[r]) // D, a division
+that is always exact because each entry is a minor of the integer input; then
+D becomes p, and if p < 0 the pivot row is negated first so that D stays
+positive.
+
+Each input row is scaled to integers by a positive factor q_k, and its slack
+or artificial column is divided by q_k so that the initial basis is the
+identity.  Neither scaling changes Bland's choices: a positive row scale
+leaves B^-1 A unchanged, and a positive column scale multiplies each reduced
+cost by a positive number and every ratio b_i / a_ie in one column by the
+same one, so signs, the order of ratios and their ties all stay, provided
+each objective is the same function of the original variables.  Phase one
+therefore maximizes L times -sum(original artificials) for L = lcm(q), which
+is weight -L / q_k on each rescaled artificial.  Ratios are compared by
+cross-multiplying, and rationals are built only for the returned point and
+value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .numeric import ONE, ZERO, Scalar, rational
+from .numeric import Scalar, clear_denominators, rational
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -24,52 +45,66 @@ class LPResult:
     value: object | None
 
 
-def _pivot(tableau, basis, row, col):
+def _pivot(tableau, basis, d, row, col):
+    """Fraction-free pivot on tableau[row][col] over denominator d; returns
+    the new denominator.  Every row of tableau is updated, so a reduced-cost
+    row kept past the constraint rows is updated with them."""
     prow = tableau[row]
-    inv = ONE / prow[col]
-    tableau[row] = prow = [v * inv for v in prow]
+    p = prow[col]
+    if p < 0:
+        tableau[row] = prow = [-v for v in prow]
+        p = -p
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, prow)]
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tableau[i] = [(a * p - f * b) // d for a, b in zip(r, prow)]
+        elif p != d:
+            tableau[i] = [a * p // d for a in r]
     basis[row] = col
+    return p
 
 
-def _run_simplex(tableau, basis, obj, allowed):
-    """Maximize obj (a full-width cost list) over the current tableau.
+def _run_simplex(tableau, basis, d, obj, allowed):
+    """Maximize obj (integer costs, one per column) over the current tableau.
 
-    Returns "optimal" or "unbounded".  obj is priced out against the basis
-    first.  Only columns marked allowed may enter.
+    Returns (status, d) with status "optimal" or "unbounded".  obj is priced
+    out against the basis first and kept as an extra last row while the loop
+    runs, so that pivots update it with the constraint rows.  Only columns
+    marked allowed may enter.
     """
-    width = len(tableau[0]) - 1
-    z = list(obj) + [ZERO]
+    width = len(obj)
+    m = len(basis)
+    z = [d * c for c in obj] + [0]
     for i, b in enumerate(basis):
-        if z[b] != 0:
-            f = z[b]
-            z = [a - f * c for a, c in zip(z, tableau[i])]
+        c = obj[b]
+        if c:
+            z = [a - c * t for a, t in zip(z, tableau[i])]
+    tableau.append(z)
     while True:
-        enter = -1
-        for j in range(width):
-            if allowed[j] and z[j] > 0:
-                enter = j
-                break
+        z = tableau[m]
+        enter = next((j for j in range(width) if allowed[j] and z[j] > 0), -1)
         if enter < 0:
-            return OPTIMAL
+            status = OPTIMAL
+            break
         leave = -1
-        best = None
-        for i, r in enumerate(tableau):
-            coef = r[enter]
+        for i in range(m):
+            coef = tableau[i][enter]
             if coef > 0:
-                ratio = r[-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                rhs = tableau[i][-1]
+                if leave < 0:
+                    leave, best_rhs, best_coef = i, rhs, coef
+                    continue
+                lhs, cur = rhs * best_coef, best_rhs * coef
+                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coef = i, rhs, coef
         if leave < 0:
-            return UNBOUNDED
-        _pivot(tableau, basis, leave, enter)
-        f = z[enter]
-        if f != 0:
-            z = [a - f * c for a, c in zip(z, tableau[leave])]
+            status = UNBOUNDED
+            break
+        d = _pivot(tableau, basis, d, leave, enter)
+    tableau.pop()
+    return status, d
 
 
 def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
@@ -82,111 +117,89 @@ def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
     point at optimality.  For a pure feasibility question pass a zero
     objective.
     """
-    objective = [rational(c) for c in objective]
-    dim = len(objective)
-    leq = [([rational(c) for c in a], rational(b)) for a, b in leq]
-    eq = [([rational(c) for c in a], rational(b)) for a, b in eq]
-    for a, _ in leq + eq:
-        if len(a) != dim:
-            raise ValueError("constraint arity %d does not match dimension %d" % (len(a), dim))
-    if not maximize:
-        flipped = solve_lp([-c for c in objective], leq, eq, maximize=True, nonneg=nonneg)
-        value = -flipped.value if flipped.value is not None else None
-        return LPResult(flipped.status, flipped.point, value)
+    cost, cost_scale = clear_denominators([rational(c) for c in objective])
+    cost = [c if maximize else -c for c in cost]
+    dim = len(cost)
+    rows = []
+    for system, has_slack in ((leq, True), (eq, False)):
+        for a, b in system:
+            values = [rational(c) for c in a]
+            if len(values) != dim:
+                raise ValueError("constraint arity %d does not match dimension %d" % (len(values), dim))
+            ints, q = clear_denominators(values + [rational(b)])
+            rows.append((ints, q, has_slack))
 
     nvar = dim if nonneg else 2 * dim
-    nslack = len(leq)
-
-    def expand(a):
-        if nonneg:
-            return list(a)
-        return [c for c in a] + [-c for c in a]
-
-    rows = []
-    slack_sign = []
-    for k, (a, b) in enumerate(leq):
-        row = expand(a) + [ZERO] * nslack
-        row[nvar + k] = ONE
-        rows.append((row, b))
-        slack_sign.append(1)
-    for a, b in eq:
-        rows.append((expand(a) + [ZERO] * nslack, b))
-        slack_sign.append(0)
-
-    needs_artificial = []
-    fixed_rows = []
-    for k, (row, b) in enumerate(rows):
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            needs_artificial.append(True)
-        else:
-            needs_artificial.append(slack_sign[k] == 0)
-        fixed_rows.append((row, b))
-
+    nslack = sum(has_slack for _, _, has_slack in rows)
+    # A row needs an artificial when it is an equality or its right-hand
+    # side is negative (the row is negated so that the start is feasible).
+    needs_artificial = [ints[-1] < 0 or not has_slack for ints, _, has_slack in rows]
     nart = sum(needs_artificial)
     width = nvar + nslack + nart
+
     tableau = []
     basis = []
-    art_cols = []
+    art_weight = {}
     next_art = nvar + nslack
-    for k, (row, b) in enumerate(fixed_rows):
-        full = row + [ZERO] * nart + [b]
+    for k, (ints, q, has_slack) in enumerate(rows):
+        sign = -1 if ints[-1] < 0 else 1
+        coeffs = [sign * c for c in ints[:-1]]
+        full = (coeffs if nonneg else coeffs + [-c for c in coeffs]) + [0] * (nslack + nart)
+        full.append(sign * ints[-1])
+        if has_slack:
+            full[nvar + k] = sign
         if needs_artificial[k]:
-            full[next_art] = ONE
+            full[next_art] = 1
             basis.append(next_art)
-            art_cols.append(next_art)
+            art_weight[next_art] = q
             next_art += 1
         else:
             basis.append(nvar + k)
         tableau.append(full)
 
+    d = 1
     allowed = [True] * width
 
     if nart:
-        phase1 = [ZERO] * width
-        for c in art_cols:
-            phase1[c] = -ONE
-        status = _run_simplex(tableau, basis, phase1, allowed)
+        scale = lcm(*art_weight.values())
+        phase1 = [0] * width
+        for c, q in art_weight.items():
+            phase1[c] = -(scale // q)
+        status, d = _run_simplex(tableau, basis, d, phase1, allowed)
         if status != OPTIMAL:
             raise RuntimeError("phase one ended %s; its objective is bounded by zero" % status)
-        total = sum((tableau[i][-1] for i, b in enumerate(basis) if b in set(art_cols)), ZERO)
-        if total != 0:
+        if any(tableau[i][-1] for i, b in enumerate(basis) if b in art_weight):
             return LPResult(INFEASIBLE, None, None)
-        art_set = set(art_cols)
         dead_rows = []
         for i in range(len(tableau)):
-            if basis[i] in art_set:
+            if basis[i] in art_weight:
                 pivot_col = -1
                 for j in range(width):
-                    if j not in art_set and tableau[i][j] != 0:
+                    if j not in art_weight and tableau[i][j] != 0:
                         pivot_col = j
                         break
                 if pivot_col >= 0:
-                    _pivot(tableau, basis, i, pivot_col)
+                    d = _pivot(tableau, basis, d, i, pivot_col)
                 else:
                     dead_rows.append(i)
         for i in reversed(dead_rows):
             del tableau[i]
             del basis[i]
-        for c in art_set:
+        for c in art_weight:
             allowed[c] = False
 
-    phase2 = [ZERO] * width
-    for j in range(dim):
-        phase2[j] = objective[j]
-        if not nonneg:
-            phase2[dim + j] = -objective[j]
-    status = _run_simplex(tableau, basis, phase2, allowed)
+    phase2 = (cost if nonneg else cost + [-c for c in cost]) + [0] * (nslack + nart)
+    status, d = _run_simplex(tableau, basis, d, phase2, allowed)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
 
-    values = {}
+    values = [0] * nvar
     for i, b in enumerate(basis):
-        values[b] = tableau[i][-1]
-    if nonneg:
-        point = tuple(values.get(j, ZERO) for j in range(dim))
-    else:
-        point = tuple(values.get(j, ZERO) - values.get(dim + j, ZERO) for j in range(dim))
-    value = sum((c * x for c, x in zip(objective, point)), ZERO)
+        if b < nvar:
+            values[b] = tableau[i][-1]
+    if not nonneg:
+        values = [u - v for u, v in zip(values[:dim], values[dim:])]
+    point = tuple(Scalar(v, d) for v in values)
+    total = sum(c * v for c, v in zip(cost, values))
+    value = Scalar(total if maximize else -total, cost_scale * d)
     return LPResult(OPTIMAL, point, value)

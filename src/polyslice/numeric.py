@@ -9,6 +9,7 @@ the two are interchangeable here.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -34,6 +35,8 @@ def rational(value):
 
     Floats are rejected so that inexact values cannot slip in silently.
     """
+    if type(value) is _mpq:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
     return _mpq(value)
@@ -43,6 +46,15 @@ def rational_str(value):
     """Serialize a rational exactly, always in "p/q" form."""
     q = _mpq(value)
     return "%s/%s" % (q.numerator, q.denominator)
+
+
+def clear_denominators(values):
+    """Integers n and the least common denominator q > 0 with n_i/q equal to
+    values_i.  For a point this is its canonical (p, q) key, since no prime
+    can divide q and every n_i at once."""
+    dens = [int(c.denominator) for c in values]
+    q = lcm(*dens)
+    return tuple(int(c.numerator) * (q // d) for c, d in zip(values, dens)), q
 
 
 class Vec(tuple):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linprog
-from .numeric import ONE, ZERO, Scalar, Vec, rational, rational_str
+from .numeric import ONE, ZERO, Scalar, Vec, clear_denominators, rational, rational_str
 
 __all__ = [
     "UnboundedError",
@@ -126,23 +126,12 @@ class VPolytope:
             raise ValueError("duplicate vertices")
 
 
-def _clear(values):
-    """Integers n and the least common denominator q > 0 with n_i/q equal to
-    values_i.  For a point this is its canonical (p, q) key, since no prime
-    can divide q and every n_i at once."""
-    q = 1
-    for c in values:
-        d = int(c.denominator)
-        q = q // gcd(q, d) * d
-    return tuple(int(c.numerator) * (q // int(c.denominator)) for c in values), q
-
-
 def _int_rows(halfspaces):
     """Clear denominators row by row: (a, b) becomes integer (a', b') scaled
     by a positive factor, plus the sparse nonzero pattern for fast dots."""
     rows = []
     for h in halfspaces:
-        coeffs, _ = _clear(tuple(h.a) + (h.b,))
+        coeffs, _ = clear_denominators(tuple(h.a) + (h.b,))
         sparse = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
         rows.append((coeffs[:-1], coeffs[-1], sparse))
     return rows
@@ -312,7 +301,7 @@ def vertices(poly: HPolytope) -> VPolytope:
         base, k = poly._base
         extra = int_rows[k:]
         for v in vertices(base).vertices:
-            offer(_clear(v), extra)
+            offer(clear_denominators(v), extra)
         for first in range(len(extra)):
             for key in _candidate_points(
                 int_rows[:k] + extra[first + 1:], dim, seed_rows=extra[first: first + 1]

@@ -124,18 +124,21 @@ def support_value(space: PolyhedralNormSpace, f) -> Scalar:
     return res.value
 
 
-def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
+def make_slice(space: PolyhedralNormSpace, spec: SliceSpec, s=None) -> HPolytope:
     """Ball cut by f.x >= s - alpha, sharing the ball's rows as a base.
 
-    The shared base lets vertex enumeration of the slice reuse the ball's
-    vertex set instead of starting from scratch.
+    s is sup f over the ball; a caller that already has it from
+    support_value passes it to skip solving the same LP again.  The shared
+    base lets vertex enumeration of the slice reuse the ball's vertex set
+    instead of starting from scratch.
     """
     if spec.f.is_zero():
         raise ValueError("slicing functional must be nonzero")
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))
     ball = unit_ball(space)
-    s = support_value(space, spec.f)
+    if s is None:
+        s = support_value(space, spec.f)
     cut = HalfSpace(-spec.f, spec.alpha - s)
     return HPolytope(tuple(ball.halfspaces) + (cut,), space.dim, _base=(ball, len(ball.halfspaces)))
 
@@ -204,8 +207,8 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
         raise ValueError("r must lie strictly between 0 and 1")
     alpha = rational(alpha)
     spec = SliceSpec(g, alpha)
-    slice_poly = make_slice(space, spec)
     s = support_value(space, g)
+    slice_poly = make_slice(space, spec, s)
     threshold = s - alpha
     ball = unit_ball(space)
     ball_rows = [(h.a, h.b) for h in ball.halfspaces]

@@ -249,17 +249,26 @@ def space_to_dict(space: PolyhedralNormSpace) -> dict:
 
 
 def space_from_dict(data: dict) -> PolyhedralNormSpace:
+    """Inverse of space_to_dict; a missing required key raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("space description must be a JSON object")
     kind = data.get("kind", "custom")
+
+    def need(key):
+        if key not in data:
+            raise ValueError("a %s space description needs %r" % (kind, key))
+        return data[key]
+
     if kind == "II":
-        return make_space_II(int(data["N"]), rational(data["r"]))
+        return make_space_II(int(need("N")), rational(need("r")))
     if kind == "VII":
         omega = data.get("omega")
         if omega is not None:
             omega = [rational(w) for w in omega]
-        return make_space_VII(int(data["N"]), omega)
+        return make_space_VII(int(need("N")), omega)
     if kind != "custom":
         raise ValueError("unknown space kind %r" % (kind,))
-    gens = [Vec(g) for g in data["generators"]]
+    gens = [Vec(g) for g in need("generators")]
     if not gens:
         raise ValueError("custom space needs generators")
     params = []

@@ -297,6 +297,39 @@ def test_cli_rejects_grid_mismatched_input_with_exit_two(argv, capsys):
     assert err.strip().splitlines()[-1].startswith("polyslice: error: ")
 
 
+@pytest.mark.parametrize("argv, space", [
+    (["prop2", "--g", "1,0,0"], {"kind": "II", "N": 1, "r": "1/10"}),
+    (["thm1"], {"kind": "II"}),
+    (["thm1"], {"kind": "II", "N": 2, "r": 0.1}),
+    (["prop3"], {"kind": "II", "N": 3, "r": "1/10"}),
+    (["sandwich"], {"kind": "VII", "N": 3}),
+])
+def test_cli_rejects_bad_space_file_with_exit_two(tmp_path, capsys, argv, space):
+    """Input that is only wrong once the --space file is folded in is a usage
+    error too: exit 2 with one line, no traceback."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv + ["--space", str(path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("polyslice: error: ")
+
+
+@pytest.mark.parametrize("data", [
+    {"experiment": "thm1", "r": 0.1},
+    {"experiment": "thm1", "N": "3"},
+])
+def test_cli_rejects_mistyped_config_with_exit_two(tmp_path, capsys, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as info:
+        cli_main(["--config", str(path)])
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_config_checks_g_and_weights_against_every_grid_n():
     with pytest.raises(ValueError, match="expected 4"):
         ExperimentConfig.from_dict({"experiment": "prop2", "N": 3, "g": "1,2"})

@@ -1,0 +1,152 @@
+"""Exact LP solver: pinned degenerate runs, edge cases, and a floating-point oracle."""
+
+import random
+
+import pytest
+
+from polyslice.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from polyslice.numeric import Scalar, rational
+
+SEED = 3301
+
+# (name, objective, leq, eq, options, expected status, point, value).  The
+# expected triples were recorded from the earlier Fraction-tableau solver;
+# the witness on a degenerate optimum depends on every Bland choice, so a
+# change of pivot order shows here.
+PINNED = [
+    ("ratio_tie", [1, 1], [([1, 0], 1), ([1, 1], 1), ([0, 1], 1)], [], {},
+     OPTIMAL, ("1", "0"), "1"),
+    ("degenerate_origin_tie", [1, 0], [([1, -1], 0), ([1, 1], 0), ([1, 0], 1)], [], {},
+     OPTIMAL, ("0", "0"), "0"),
+    ("face_optimum_rational", ["1/2", "1/3"],
+     [(["3/2", 1], 2), ([1, "2/3"], "4/3"), ([-1, 0], 0), ([0, -1], 0)], [], {},
+     OPTIMAL, ("4/3", "0"), "2/3"),
+    ("duplicate_equalities", [1, 2, 0], [([1, 1, 1], 3)],
+     [([1, -1, 0], 0), ([2, -2, 0], 0), ([1, -1, 0], 0)], {"nonneg": True},
+     OPTIMAL, ("3/2", "3/2", "0"), "9/2"),
+    ("redundant_equality", [1, 0, -1], [([1, 0, 0], 2), ([0, 0, -1], 1)],
+     [([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 2, 1], 2)], {},
+     OPTIMAL, ("0", "1", "0"), "0"),
+    ("negative_rhs", [-1, -1], [([-1, -2], -3), ([-3, -1], "-7/2")], [], {"nonneg": True},
+     OPTIMAL, ("4/5", "11/10"), "-19/10"),
+    ("negative_rhs_free", [1, -1],
+     [([-1, 0], "-1/2"), (["1/3", 1], 2), ([1, 0], 3), ([0, -1], 1)], [], {},
+     OPTIMAL, ("3", "-1"), "4"),
+    ("negative_cleanup_pivot", [2, 0], [], [([-2, -2], -1), ([2, -1], 1), ([2, 0], 1)],
+     {"nonneg": True}, OPTIMAL, ("1/2", "0"), "1"),
+    ("negative_cleanup_pivot_free", [2], [([-1], 0)], [([-1], 0)], {},
+     OPTIMAL, ("0",), "0"),
+    ("minimize_free", ["1/3", "-1/2"], [([1, 1], 4), (["-1/2", 1], 1), ([-1, 0], 0)], [],
+     {"maximize": False}, OPTIMAL, ("0", "1"), "-1/2"),
+    ("minimize_nonneg", [1, 1, 0], [([1, 1, 1], 5)], [([1, 0, -1], -2), ([0, 1, 1], 3)],
+     {"maximize": False, "nonneg": True}, OPTIMAL, ("0", "1", "2"), "1"),
+    ("nonneg_degenerate", [1, 1, 1],
+     [([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 0, 1], 1), ([1, 1, 1], "3/2")], [],
+     {"nonneg": True}, OPTIMAL, ("1/2", "1/2", "1/2"), "3/2"),
+    ("infeasible", [1, 0], [([1, 1], 1), ([-1, -1], -2)], [], {}, INFEASIBLE, None, None),
+    ("infeasible_equalities", [0, 0], [], [([1, 1], 1), ([2, 2], 3)], {"nonneg": True},
+     INFEASIBLE, None, None),
+    ("unbounded", [1, 1], [([1, -1], 1)], [], {}, UNBOUNDED, None, None),
+    ("bounded_nonneg_min", [-1, 1], [([1, -1], 0)], [], {"nonneg": True, "maximize": False},
+     OPTIMAL, ("0", "0"), "0"),
+    ("feasibility_only", [0, 0, 0], [([1, 1, 1], 1), (["-1/7", 0, 0], "-1/10")],
+     [([0, 1, -1], "1/5")], {}, OPTIMAL, ("7/10", "1/5", "0"), "0"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c[0] for c in PINNED])
+def test_pinned_degenerate_runs(case):
+    _, objective, leq, eq, options, status, point, value = case
+    res = solve_lp(objective, leq=leq, eq=eq, **options)
+    assert res.status == status
+    if point is None:
+        assert res.point is None and res.value is None
+    else:
+        assert res.point == tuple(rational(c) for c in point)
+        assert res.value == rational(value)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_no_rows_left(nonneg):
+    """No constraint rows at all, or only a row that phase one drops as
+    dead: the answer comes from the objective's signs alone."""
+    zero = (Scalar(0), Scalar(0))
+    assert solve_lp([1, 0], nonneg=nonneg).status == UNBOUNDED
+    assert solve_lp([1], eq=[([0], 0)], nonneg=nonneg).status == UNBOUNDED
+    res = solve_lp([0, 0], nonneg=nonneg)
+    assert (res.status, res.point, res.value) == (OPTIMAL, zero, 0)
+    res = solve_lp([-1, 0], nonneg=nonneg)
+    assert res.status == (OPTIMAL if nonneg else UNBOUNDED)
+    res = solve_lp([1, 0], eq=[([0, 0], 0)], nonneg=nonneg, maximize=False)
+    assert res.status == (OPTIMAL if nonneg else UNBOUNDED)
+    if nonneg:
+        assert (res.point, res.value) == (zero, 0)
+    assert solve_lp([1], eq=[([0], 1)], nonneg=nonneg).status == INFEASIBLE
+
+
+def test_rejects_mismatched_arity_and_floats():
+    with pytest.raises(ValueError):
+        solve_lp([1, 1], leq=[([1], 1)])
+    with pytest.raises(TypeError):
+        solve_lp([0.5], leq=[([1], 1)])
+
+
+def _random_lp(rng):
+    dim = rng.randint(1, 4)
+
+    def q():
+        return Scalar(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def vec():
+        return [q() for _ in range(dim)]
+
+    x0 = [abs(q()) for _ in range(dim)]
+    feasible = rng.random() < 0.8
+
+    def rhs(a, slack):
+        return sum(c * x for c, x in zip(a, x0)) + slack if feasible else q()
+
+    leq = []
+    for _ in range(rng.randint(0, 6)):
+        a = vec()
+        leq.append((a, rhs(a, rng.choice([Scalar(0), abs(q())]))))
+    eq = []
+    for _ in range(rng.randint(0, 2)):
+        a = vec()
+        eq.append((a, rhs(a, 0)))
+    if eq and rng.random() < 0.3:
+        a, b = eq[0]
+        eq.append(([2 * c for c in a], 2 * b))
+    options = {"maximize": rng.random() < 0.5, "nonneg": rng.random() < 0.4}
+    return vec(), leq, eq, options
+
+
+def test_agrees_with_scipy_on_random_lps():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(SEED)
+    seen = set()
+    for _ in range(300):
+        objective, leq, eq, options = _random_lp(rng)
+        res = solve_lp(objective, leq=leq, eq=eq, **options)
+        sign = -1 if options["maximize"] else 1
+        ref = optimize.linprog(
+            [sign * float(c) for c in objective],
+            A_ub=[[float(c) for c in a] for a, _ in leq] or None,
+            b_ub=[float(b) for _, b in leq] or None,
+            A_eq=[[float(c) for c in a] for a, _ in eq] or None,
+            b_eq=[float(b) for _, b in eq] or None,
+            bounds=(0, None) if options["nonneg"] else (None, None),
+            method="highs",
+        )
+        expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+        assert res.status == expected, (objective, leq, eq, options)
+        seen.add(res.status)
+        if res.status != OPTIMAL:
+            continue
+        assert abs(float(res.value) - sign * ref.fun) <= 1e-9
+        x = res.point
+        assert all(sum(c * v for c, v in zip(a, x)) <= b for a, b in leq)
+        assert all(sum(c * v for c, v in zip(a, x)) == b for a, b in eq)
+        assert not options["nonneg"] or min(x) >= 0
+        assert res.value == sum(c * v for c, v in zip(objective, x))
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}

@@ -254,6 +254,12 @@ def test_space_from_dict_rejects_unknown_kind():
         space_from_dict({"kind": "VIII", "generators": [["1/1"], ["-1/1"]]})
 
 
+@pytest.mark.parametrize("data", [{"kind": "II"}, {"kind": "II", "N": 2}, {"kind": "VII"}, {}, []])
+def test_space_from_dict_rejects_missing_keys_with_value_error(data):
+    with pytest.raises(ValueError):
+        space_from_dict(data)
+
+
 def test_extra_point_is_dropped_from_dual_ball():
     sp = make_space_II(2, R10)
     padded = list(sp.generators) + [Vec.zero(3)]
