@@ -389,13 +389,18 @@ def run_prop2(config: ExperimentConfig) -> Report:
     return Report(config=config, columns=PROP2_COLUMNS, rows=rows, summary=summary)
 
 
-def prop3_case(space: PolyhedralNormSpace, epsilon) -> dict:
+def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> dict:
     """One shrinking-slice row: diameter against 6 epsilon plus the vertex
-    coordinate estimates (first coordinate >= s - epsilon, tail <= 3 epsilon)."""
+    coordinate estimates (first coordinate >= s - epsilon, tail <= 3 epsilon).
+
+    s is sup e1 over the ball; a caller that already has it from
+    support_value passes it to skip solving the same LP again.
+    """
     epsilon = rational(epsilon)
     N = space.dim
     f = Vec.unit(N, 0)
-    s = support_value(space, f)
+    if s is None:
+        s = support_value(space, f)
     slice_poly = make_slice(space, SliceSpec(f, epsilon), s)
     result = diameter(slice_poly, space)
     verts = vertices(slice_poly).vertices
@@ -441,9 +446,10 @@ def run_prop3(config: ExperimentConfig) -> Report:
     monotone = True
     for N in ns:
         space = make_space_VII(N, _omega_for(config, N))
+        s = support_value(space, Vec.unit(N, 0))
         previous = None
         for eps in epsilons:
-            row = prop3_case(space, eps)
+            row = prop3_case(space, eps, s)
             value = rational(row["exact_value"])
             if previous is not None and value > previous:
                 monotone = False

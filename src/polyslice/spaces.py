@@ -10,16 +10,21 @@ A space is a finite symmetric generator set Phi spanning the dual, with
   n >= 2, the ten generators +-e_n, +-e_1 +- (1/3) e_n, +-w_n e_1 +- (1/2) e_n
   with weights w_n in (5/6, 1].
 
-The unit ball of a space and the extreme points of its generator set are
-cached per space value, so repeated queries share one vertex enumeration.
+A space also keeps its generators as sparse integer rows over one common
+denominator, so the norm is a max of integer dot products and no rational is
+built per generator.  The unit ball of a space and the extreme points of its
+generator set are cached per space value, so repeated queries share one
+vertex enumeration.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .numeric import ONE, ZERO, Matrix, Scalar, Vec, rank, rational, rational_str
+from .numeric import (ONE, ZERO, Matrix, Scalar, Vec, clear_denominators, rank, rational,
+                      rational_str)
 from .polytope import HalfSpace, HPolytope, VPolytope, extreme_points
 
 __all__ = [
@@ -73,6 +78,17 @@ class PolyhedralNormSpace:
         if rank(Matrix(gens)) != self.dim:
             raise ValueError("generators do not span the dual; the gauge is not a norm")
 
+    @cached_property
+    def _int_rows(self):
+        """(rows, den): generator k is rows[k] / den, with rows[k] the sparse
+        integer pairs (j, c), c != 0, and den > 0 shared by every generator.
+        Not a field, so equality, hashing and repr ignore it."""
+        flat, den = clear_denominators([c for g in self.generators for c in g])
+        d = self.dim
+        rows = tuple(tuple((j, c) for j, c in enumerate(flat[k:k + d]) if c)
+                     for k in range(0, len(flat), d))
+        return rows, den
+
     def param(self, name):
         for key, value in self.params:
             if key == name:
@@ -92,11 +108,17 @@ class FaceSet:
 
 
 def norm(space: PolyhedralNormSpace, x) -> Scalar:
-    """Evaluate |||x||| = max over generators of phi.x (exact)."""
+    """Evaluate |||x||| = max over generators of phi.x (exact).
+
+    x is cleared to integers p over q > 0 once; each phi.x is then the integer
+    dot product of phi's integer row with p, all over the same den * q.
+    """
     x = x if isinstance(x, Vec) else Vec(x)
     if len(x) != space.dim:
         raise ValueError("point of length %d in dimension %d" % (len(x), space.dim))
-    return max(g.dot(x) for g in space.generators)
+    rows, den = space._int_rows
+    p, q = clear_denominators(x)
+    return Scalar(max(sum(c * p[j] for j, c in row) for row in rows), den * q)
 
 
 def make_space_II(N: int, r) -> PolyhedralNormSpace:
@@ -248,8 +270,17 @@ def space_to_dict(space: PolyhedralNormSpace) -> dict:
     return data
 
 
+def _integer_N(value) -> int:
+    """N itself when it is a JSON integer; a float, string or bool (which
+    Python counts as an int) raises ValueError rather than being truncated."""
+    if type(value) is not int:
+        raise ValueError("'N' must be an integer, got %r" % (value,))
+    return value
+
+
 def space_from_dict(data: dict) -> PolyhedralNormSpace:
-    """Inverse of space_to_dict; a missing required key raises ValueError."""
+    """Inverse of space_to_dict; a missing required key or a non-integer N
+    raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("space description must be a JSON object")
     kind = data.get("kind", "custom")
@@ -260,12 +291,12 @@ def space_from_dict(data: dict) -> PolyhedralNormSpace:
         return data[key]
 
     if kind == "II":
-        return make_space_II(int(need("N")), rational(need("r")))
+        return make_space_II(_integer_N(need("N")), rational(need("r")))
     if kind == "VII":
         omega = data.get("omega")
         if omega is not None:
             omega = [rational(w) for w in omega]
-        return make_space_VII(int(need("N")), omega)
+        return make_space_VII(_integer_N(need("N")), omega)
     if kind != "custom":
         raise ValueError("unknown space kind %r" % (kind,))
     gens = [Vec(g) for g in need("generators")]
@@ -273,7 +304,7 @@ def space_from_dict(data: dict) -> PolyhedralNormSpace:
         raise ValueError("custom space needs generators")
     params = []
     if "N" in data:
-        params.append(("N", int(data["N"])))
+        params.append(("N", _integer_N(data["N"])))
     if "r" in data:
         params.append(("r", rational(data["r"])))
     return PolyhedralNormSpace(len(gens[0]), tuple(sorted(gens)), "custom", tuple(params))

@@ -303,6 +303,8 @@ def test_cli_rejects_grid_mismatched_input_with_exit_two(argv, capsys):
     (["thm1"], {"kind": "II", "N": 2, "r": 0.1}),
     (["prop3"], {"kind": "II", "N": 3, "r": "1/10"}),
     (["sandwich"], {"kind": "VII", "N": 3}),
+    (["thm1", "--epsilon", "1/2"], {"kind": "II", "N": 1.5, "r": "1/10"}),
+    (["thm1", "--epsilon", "1/2"], {"kind": "II", "N": True, "r": "1/10"}),
 ])
 def test_cli_rejects_bad_space_file_with_exit_two(tmp_path, capsys, argv, space):
     """Input that is only wrong once the --space file is folded in is a usage

@@ -148,6 +148,46 @@ def test_norm_sandwich_small_sample():
         assert lower <= val <= cap * lower
 
 
+def _generator_loop_norm(space, x):
+    """The rational reference: max of phi.x over the generators."""
+    return max(g.dot(x) for g in space.generators)
+
+
+def test_integer_norm_matches_the_generator_loop():
+    rng = random.Random(SEED + 7)
+    custom = PolyhedralNormSpace(3, tuple(sorted(
+        s * Vec(g) for g in (["2/3", "1/5", 0], [0, "5/4", "-3/7"], ["1/6", 0, "7/9"], [1, 1, 1])
+        for s in (1, -1))), "custom")
+    spaces = (
+        make_space_II(1, R10),
+        make_space_II(4, "3/7"),
+        make_space_VII(4),
+        make_space_VII(4, [1 - Scalar(k, 72) for k in (0, 5, 11)]),
+        custom,
+    )
+    for sp in spaces:
+        points = [rnd_vec(rng, sp.dim) for _ in range(60)]
+        points += [rnd_vec(rng, sp.dim, den=1) for _ in range(20)]
+        points += [Vec([-Scalar(rng.randint(1, 30), rng.randint(1, 9)) for _ in range(sp.dim)])
+                   for _ in range(20)]
+        points += [Vec.zero(sp.dim), Vec.unit(sp.dim, sp.dim - 1) * -1]
+        for x in points:
+            value = norm(sp, x)
+            assert value == _generator_loop_norm(sp, x)
+            assert type(value) is Scalar
+
+
+def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
+    """Two equal spaces built separately are equal, hash alike and share a
+    unit ball, also when only one of them has evaluated a norm."""
+    for build in (lambda: make_space_II(3, "1/10"), lambda: make_space_VII(3, ("71/72", "61/72"))):
+        a, b = build(), build()
+        norm(a, Vec.unit(a.dim, 0))
+        assert a is not b
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert unit_ball(b) is unit_ball(a)
+
+
 def test_unit_ball_is_cached_and_polar():
     sp = make_space_II(2, R10)
     ball = unit_ball(sp)
@@ -257,6 +297,18 @@ def test_space_from_dict_rejects_unknown_kind():
 @pytest.mark.parametrize("data", [{"kind": "II"}, {"kind": "II", "N": 2}, {"kind": "VII"}, {}, []])
 def test_space_from_dict_rejects_missing_keys_with_value_error(data):
     with pytest.raises(ValueError):
+        space_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "II", "N": 1.5, "r": "1/10"},
+    {"kind": "II", "N": True, "r": "1/10"},
+    {"kind": "II", "N": "2", "r": "1/10"},
+    {"kind": "VII", "N": 3.0},
+    {"kind": "custom", "N": 1.0, "generators": [["1/1"], ["-1/1"]]},
+])
+def test_space_from_dict_rejects_non_integer_n(data):
+    with pytest.raises(ValueError, match="'N' must be an integer"):
         space_from_dict(data)
 
 
