@@ -10,8 +10,23 @@ constructions here), and back-substitution yields each candidate point in one
 canonical form, integer numerators p over a common denominator q > 0 with
 gcd(p..., q) = 1.  Candidates are deduplicated on (p, q), a point is feasible
 when c.p <= b.q for every integer row (c, b), and rationals are built only for
-the vertices that are kept.  Boundedness is cross-checked with exact LPs in
-every coordinate direction.
+the vertices that are kept.
+
+The norm balls built here are centrally symmetric, since a space's generators
+are closed under negation.  The walk pairs each integer row (c, b) with its mirror (-c, b); scaling a row to
+integers depends only on its denominators, so a mirror is an exact negation.
+When every row has a mirror the polytope equals its negative, and a subset S
+solves to p exactly when its mirror subset solves to -p.  An independent S
+never holds a row and its mirror, so the walk keeps S only when the least row
+of S and mirror(S) together lies in S: exactly one subset of each pair.  Each
+solved point is offered together with its negative, and one feasibility test
+serves both.  The same walk covers every other polytope, for which that
+filter keeps every subset.
+
+Boundedness of a mirror-symmetric system {|c.x| <= b} is decided exactly: it
+is empty when some b < 0, and otherwise unbounded when its normals have rank
+below dim, which is when the walk finds no nonsingular subset.  Any other
+polytope is cross-checked with exact LPs in every coordinate direction.
 """
 
 from __future__ import annotations
@@ -208,41 +223,24 @@ def _walk(pending, chosen, need, out):
         chosen.pop()
 
 
-def _candidate_points(int_rows, dim, seed_rows=None):
-    """(p, q) keys of the solutions of every nonsingular dim-subset of the
-    rows (optionally forcing the seed rows into each subset)."""
+def _candidate_points(seed, int_rows, dim):
+    """(p, q) keys of the solutions of every nonsingular dim-subset made of
+    the seed row and dim - 1 of the rows.  The rows are reduced against the
+    seed's pivot, as the walk reduces them below a chosen row."""
+    coeffs, rhs, _ = seed
+    row = coeffs + (rhs,)
+    pc = next(j for j in range(dim) if row[j])  # a halfspace normal is nonzero
+    piv = row[pc]
     pending = []
-    for i, (coeffs, rhs, _) in enumerate(int_rows):
-        if any(coeffs):
-            pending.append((i, coeffs + (rhs,)))
-    chosen = []
-    if seed_rows:
-        for coeffs, rhs, _ in seed_rows:
-            row = coeffs + (rhs,)
-            for pc, prow in chosen:
-                a = row[pc]
-                if a:
-                    piv = prow[pc]
-                    row = tuple(piv * x - a * y for x, y in zip(row, prow))
-            pc = next((j for j in range(dim) if row[j]), None)
-            if pc is None:
-                return []
-            chosen.append((pc, row))
-        reduced_pending = []
-        for idx, row in pending:
-            for pc, prow in chosen:
-                a = row[pc]
-                if a:
-                    piv = prow[pc]
-                    row = tuple(piv * x - a * y for x, y in zip(row, prow))
-            if any(row[:-1]):
-                reduced_pending.append((idx, row))
-        pending = reduced_pending
-    need = dim - len(chosen)
-    if need < 0:
-        return []
+    for i, (coeffs2, rhs2, _) in enumerate(int_rows):
+        row2 = coeffs2 + (rhs2,)
+        a = row2[pc]
+        if a:
+            row2 = tuple(piv * x - a * y for x, y in zip(row2, row))
+        if any(row2[:-1]):
+            pending.append((i, row2))
     leaves = []
-    _walk(pending, chosen, need, leaves)
+    _walk(pending, [(pc, row)], dim - 1, leaves)
     return [_solve_echelon(leaf, dim) for leaf in leaves]
 
 
@@ -256,6 +254,23 @@ def _feasible(point, int_rows):
         if acc > rhs * q:
             return False
     return True
+
+
+def _mirrors(int_rows):
+    """mirror[i] is the index of a row (-c, b) paired with row i = (c, b), or
+    None when some row has no mirror.  Equal rows are paired in index order,
+    so the pairing is an involution without fixed points."""
+    slots = {}
+    for i, (coeffs, rhs, _) in enumerate(int_rows):
+        slots.setdefault((coeffs, rhs), []).append(i)
+    mirror = [None] * len(int_rows)
+    for (coeffs, rhs), idx in slots.items():
+        partner = slots.get((tuple(-c for c in coeffs), rhs))
+        if partner is None or len(partner) != len(idx):
+            return None
+        for i, j in zip(idx, partner):
+            mirror[i] = j
+    return mirror
 
 
 def _certify_bounded(poly):
@@ -279,10 +294,12 @@ def vertices(poly: HPolytope) -> VPolytope:
     """Enumerate all vertices of a bounded H-polytope.
 
     Every dim-subset of halfspaces with nonsingular normal matrix contributes
-    its solution point when that point satisfies all constraints.  Output is
-    deduplicated and sorted lexicographically.  Raises UnboundedError when an
-    LP certifies an unbounded direction and DegenerateError when the polytope
-    has fewer than dim+1 vertices (empty interior) or is empty.
+    its solution point when that point satisfies all constraints; for a
+    mirror-symmetric polytope half the subsets are solved and each point
+    stands for its negative too.  Output is deduplicated and sorted
+    lexicographically.  Raises UnboundedError for an unbounded direction and
+    DegenerateError when the polytope has fewer than dim+1 vertices (empty
+    interior) or is empty.
     """
     if poly._vcache is not None:
         return poly._vcache
@@ -303,14 +320,31 @@ def vertices(poly: HPolytope) -> VPolytope:
         for v in vertices(base).vertices:
             offer(clear_denominators(v), extra)
         for first in range(len(extra)):
-            for key in _candidate_points(
-                int_rows[:k] + extra[first + 1:], dim, seed_rows=extra[first: first + 1]
-            ):
+            for key in _candidate_points(extra[first], int_rows[:k] + extra[first + 1:], dim):
                 offer(key, int_rows)
     else:
-        _certify_bounded(poly)
-        for key in _candidate_points(int_rows, dim):
-            offer(key, int_rows)
+        m = len(int_rows)
+        mirror = _mirrors(int_rows)
+        symmetric = mirror is not None
+        if not symmetric:
+            _certify_bounded(poly)
+            mirror = [m] * m  # no mirror below any row: every subset is kept
+        elif any(rhs < 0 for _, rhs, _ in int_rows):
+            raise DegenerateError("halfspace system is infeasible")
+        # A subset is walked from its least row t and kept when t is also
+        # below the mirror of each of its rows.
+        for t in range(m):
+            if mirror[t] < t:
+                continue
+            rest = [int_rows[j] for j in range(t + 1, m) if mirror[j] > t]
+            for p, q in _candidate_points(int_rows[t], rest, dim):
+                if (p, q) not in seen:
+                    keys = {(p, q), (tuple(-c for c in p), q)} if symmetric else {(p, q)}
+                    seen.update(keys)
+                    if _feasible((p, q), int_rows):
+                        found.extend(keys)
+        if symmetric and not seen:
+            raise UnboundedError("normals of a symmetric system span less than dimension %d" % dim)
     pts = sorted(tuple(Scalar(c, q) for c in p) for p, q in found)
     if len(pts) < dim + 1:
         raise DegenerateError(

@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linprog import OPTIMAL, solve_lp
-from .numeric import Matrix, ONE, Scalar, Vec, ZERO, nullspace_basis, rational, rational_str
+from .numeric import (Matrix, ONE, Scalar, Vec, ZERO, clear_denominators, nullspace_basis,
+                      rational, rational_str)
 from .polytope import HalfSpace, HPolytope, contains, vertices
 from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
 
@@ -151,33 +152,35 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     the largest width max phi.v - min phi.v; for each maximizing generator the
     canonical pair (lex-least argmax, lex-least argmin) attains it, and the
     lexicographically least canonical pair is returned.
+
+    The widths are taken in integers: the vertices are cleared once over one
+    common denominator Q, so each phi.v is an integer dot product of phi's
+    integer row (see PolyhedralNormSpace._int_rows) over den * Q.  The vertex
+    list is sorted and distinct, so the lex-least vertex among ties is the
+    first index, and comparing index pairs compares vertex pairs.
     """
+    if poly.dim != space.dim:
+        raise ValueError("polytope of dimension %d in a space of dimension %d"
+                         % (poly.dim, space.dim))
     verts = vertices(poly).vertices
+    d = space.dim
+    flat, q = clear_denominators([c for v in verts for c in v])
+    points = [flat[k:k + d] for k in range(0, len(flat), d)]
+    rows, den = space._int_rows
     best_width = None
     best_pair = None
-    for phi in space.generators:
-        hi = None
-        lo = None
-        arg_hi = None
-        arg_lo = None
-        for v in verts:
-            val = phi.dot(v)
-            if hi is None or val > hi:
-                hi = val
-                arg_hi = v
-            elif val == hi and v < arg_hi:
-                arg_hi = v
-            if lo is None or val < lo:
-                lo = val
-                arg_lo = v
-            elif val == lo and v < arg_lo:
-                arg_lo = v
+    for row in rows:
+        vals = [sum(c * p[j] for j, c in row) for p in points]
+        hi = max(vals)
+        lo = min(vals)
         width = hi - lo
-        pair = (arg_hi, arg_lo) if arg_hi <= arg_lo else (arg_lo, arg_hi)
+        pair = tuple(sorted((vals.index(hi), vals.index(lo))))
         if best_width is None or width > best_width or (width == best_width and pair < best_pair):
             best_width = width
             best_pair = pair
-    return DiameterResult(value=best_width, witness_pair=best_pair, vertex_count=len(verts))
+    return DiameterResult(value=Scalar(best_width, den * q),
+                          witness_pair=(verts[best_pair[0]], verts[best_pair[1]]),
+                          vertex_count=len(verts))
 
 
 def _probe_subsets(dim):

@@ -78,6 +78,15 @@ class PolyhedralNormSpace:
         if rank(Matrix(gens)) != self.dim:
             raise ValueError("generators do not span the dual; the gauge is not a norm")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The dataclass hash of the field tuple, computed once rather than
+        over every generator coordinate on each cache lookup."""
+        return hash((self.dim, self.generators, self.label, self.params))
+
     @cached_property
     def _int_rows(self):
         """(rows, den): generator k is rows[k] / den, with rows[k] the sparse

@@ -1,23 +1,36 @@
-"""The benchmark's norm-sandwich outputs, checked against its recorded digests.
+"""The benchmark's outputs, checked against its recorded digests.
 
-bench/reference.json pins the bytes of every benchmark case per seed; this
-runs the seed-0 sandwich cases in-process, so a change to norm evaluation that
-moves a single byte fails here and not only in a benchmark run.  bench/ is
-only read.
+bench/reference.json pins the bytes of every benchmark case per seed; these
+tests run the seed-0 cases of each workload in-process, so a change to vertex
+enumeration, LPs, diameters or norm evaluation that moves a single byte fails
+here and not only in a benchmark run.  bench/ is only read.
 """
 
 import json
 import pathlib
 import sys
 
+import pytest
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_norm_sandwich_outputs_match_reference_digests(monkeypatch):
+def check_seed_zero(monkeypatch, workload):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no bench/__pycache__
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
     reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
-    outputs = workloads.run_cases(workloads.make_cases("norm-sandwich", 0))
-    assert [workloads.digest(text) for text in outputs] == reference["norm-sandwich"]["0"]
+    cases = workloads.make_cases(workload, 0)
+    outputs = workloads.run_cases(cases)
+    assert [workloads.check_case(case, text) for case, text in zip(cases, outputs)] == [None] * len(cases)
+    assert [workloads.digest(text) for text in outputs] == reference[workload]["0"]
+
+
+def test_norm_sandwich_outputs_match_reference_digests(monkeypatch):
+    check_seed_zero(monkeypatch, "norm-sandwich")
+
+
+@pytest.mark.parametrize("workload", ["family2-slices", "family7-shrink", "lp-certify"])
+def test_enumeration_and_lp_outputs_match_reference_digests(monkeypatch, workload):
+    check_seed_zero(monkeypatch, workload)

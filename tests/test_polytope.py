@@ -3,11 +3,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 import oracles
+from polyslice import linprog, polytope
 from polyslice.numeric import Matrix, ONE, Scalar, Vec, ZERO, rank, rational
 from polyslice.polytope import (
     DegenerateError,
@@ -344,3 +346,105 @@ def test_solve_echelon_keys_are_reduced_on_random_systems():
         p, q = _solve_echelon(rng.sample(rows, dim), dim)
         assert q > 0 and gcd(q, *p) == 1
         assert [Fraction(n, q) for n in p] == x
+
+
+def nonsingular_subsets(poly):
+    """Number of dim-subsets of the rows whose normals are independent."""
+    rows = [tuple(as_fraction(c) for c in h.a) for h in poly.halfspaces]
+    zero = [Fraction(0)] * poly.dim
+    return sum(oracles.solve_square(list(sub), zero) is not None
+               for sub in combinations(rows, poly.dim))
+
+
+def count_walk(monkeypatch):
+    """Count the subsets the walk solves and the LP boundedness checks."""
+    calls = {"solved": 0, "certified": 0}
+    solve, certify = polytope._solve_echelon, polytope._certify_bounded
+
+    def counting_solve(chosen, dim):
+        calls["solved"] += 1
+        return solve(chosen, dim)
+
+    def counting_certify(poly):
+        calls["certified"] += 1
+        return certify(poly)
+
+    monkeypatch.setattr(polytope, "_solve_echelon", counting_solve)
+    monkeypatch.setattr(polytope, "_certify_bounded", counting_certify)
+    return calls
+
+
+def rational_row(rng, dim):
+    while True:
+        normal = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)]
+        if any(normal):
+            return Vec(normal)
+
+
+def mirrored_rows(rng, dim, extra):
+    """A rational box plus extra random rows, every row with its mirror
+    (-a, b), shuffled until no row sits next to its mirror."""
+    pairs = [(Vec.unit(dim, i) * Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+              Fraction(rng.randint(1, 5), rng.randint(1, 4))) for i in range(dim)]
+    pairs += [(rational_row(rng, dim), Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+              for _ in range(extra)]
+    pairs.append(pairs[-1])  # one duplicated pair: equal rows are paired in order
+    rows = [HalfSpace(s * a, b) for a, b in pairs for s in (1, -1)]
+    while True:
+        rng.shuffle(rows)
+        if all(rows[i].a != -rows[i + 1].a for i in range(len(rows) - 1)):
+            return rows
+
+
+def test_symmetric_walk_solves_half_the_subsets(monkeypatch):
+    rng = random.Random(SEED + 5)
+    for _ in range(12):
+        dim = rng.randint(2, 4)
+        poly = HPolytope(mirrored_rows(rng, dim, rng.randint(1, 3)), dim)
+        calls = count_walk(monkeypatch)
+        assert fraction_vertices(poly) == oracle_vertices(poly)
+        assert calls == {"solved": nonsingular_subsets(poly) // 2, "certified": 0}
+
+
+def test_symmetric_walk_with_a_zero_offset_pair():
+    """|x/2 + y/3| <= 0 with a rational box: the polytope is a polygon in a
+    plane through the origin, still with dim + 1 vertices or more."""
+    rows = [HalfSpace(Vec.unit(3, i) * s, rational(b))
+            for i, b in enumerate(("3/2", "1", "5/4")) for s in (1, -1)]
+    rows.insert(2, HalfSpace(Vec(["1/2", "1/3", 0]), ZERO))
+    rows.append(HalfSpace(Vec(["-1/2", "-1/3", 0]), ZERO))
+    poly = HPolytope(rows, 3)
+    got = fraction_vertices(poly)
+    assert got == oracle_vertices(poly)
+    assert all(x / 2 + y / 3 == 0 for x, y, _ in got) and len(got) >= 4
+
+
+def test_rank_deficient_symmetric_slab_is_unbounded_without_lps(monkeypatch):
+    rows = [HalfSpace(Vec([1, "1/2", 0]) * s, ONE) for s in (1, -1)]
+    rows += [HalfSpace(Vec([0, "2/3", 0]) * s, rational("1/3")) for s in (1, -1)]
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: pytest.fail("LP solved"))
+    with pytest.raises(UnboundedError):
+        vertices(HPolytope(rows, 3))
+
+
+def test_symmetric_system_with_negative_offset_is_empty_without_lps(monkeypatch):
+    """Empty is reported before unbounded, as the LP cross-check would: the
+    second system is also a rank-deficient slab."""
+    pair = [HalfSpace(Vec(["1/3", 1]) * s, rational("-1/2")) for s in (1, -1)]
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: pytest.fail("LP solved"))
+    for rows in (list(box(2).halfspaces) + pair, pair):
+        with pytest.raises(DegenerateError):
+            vertices(HPolytope(rows, 2))
+
+
+def test_almost_symmetric_polytope_walks_every_subset(monkeypatch):
+    rng = random.Random(SEED + 6)
+    for _ in range(8):
+        dim = rng.randint(2, 4)
+        rows = mirrored_rows(rng, dim, rng.randint(2, 3))
+        # drop one extra row's mirror; the box keeps the polytope bounded
+        drop = next(i for i, h in enumerate(rows) if sum(1 for c in h.a if c) > 1)
+        poly = HPolytope(rows[:drop] + rows[drop + 1:], dim)
+        calls = count_walk(monkeypatch)
+        assert fraction_vertices(poly) == oracle_vertices(poly)
+        assert calls == {"solved": nonsingular_subsets(poly), "certified": 1}

@@ -8,6 +8,7 @@ import pytest
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, vertices
 from polyslice.slices import (
+    DiameterResult,
     DimensionTooSmall,
     SliceSpec,
     diameter,
@@ -18,6 +19,7 @@ from polyslice.slices import (
     support_value,
 )
 from polyslice.spaces import (
+    PolyhedralNormSpace,
     make_space_II,
     make_space_VII,
     norm,
@@ -287,3 +289,64 @@ def test_sampling_oracle_rejects_bad_trials():
     sp = make_space_II(1, R10)
     with pytest.raises(ValueError):
         sample_diameter_lower_bound(unit_ball(sp), sp, 0, 1)
+
+
+def rational_diameter(poly, space):
+    """The generator-by-vertex width loop in rationals, the reference that
+    the integer widths of diameter must reproduce exactly."""
+    verts = vertices(poly).vertices
+    best_width = None
+    best_pair = None
+    for phi in space.generators:
+        hi = lo = arg_hi = arg_lo = None
+        for v in verts:
+            val = phi.dot(v)
+            if hi is None or val > hi or (val == hi and v < arg_hi):
+                hi, arg_hi = val, v
+            if lo is None or val < lo or (val == lo and v < arg_lo):
+                lo, arg_lo = val, v
+        pair = tuple(sorted((arg_hi, arg_lo)))
+        width = hi - lo
+        if best_width is None or width > best_width or (width == best_width and pair < best_pair):
+            best_width, best_pair = width, pair
+    return DiameterResult(value=best_width, witness_pair=best_pair, vertex_count=len(verts))
+
+
+def widest_generators(poly, space):
+    verts = vertices(poly).vertices
+    widths = [max(phi.dot(v) for v in verts) - min(phi.dot(v) for v in verts)
+              for phi in space.generators]
+    return widths.count(max(widths))
+
+
+@pytest.mark.parametrize("space,f,alphas", [
+    *((make_space_II(N, r), None, ("1/40", "1/7", "3/5")) for N, r in ((1, "1/10"), (2, "3/7"), (3, "1/9"))),
+    (make_space_VII(3), Vec([1, 0, 0]), ("1/20", "1/3")),
+    (make_space_VII(3, ["7/8", "11/12"]), Vec([1, "1/2", 0]), ("1/9",)),
+    (make_space_VII(4), Vec([1, 0, 0, 0]), ("1/10",)),
+])
+def test_integer_widths_match_rational_loop_on_family_slices(space, f, alphas):
+    f = lifted_cut_functional(space) if f is None else f
+    for alpha in alphas:
+        piece = make_slice(space, SliceSpec(f, alpha))
+        assert diameter(piece, space) == rational_diameter(piece, space)
+    assert diameter(unit_ball(space), space) == rational_diameter(unit_ball(space), space)
+
+
+def test_integer_widths_break_ties_like_rational_loop_on_box_slices():
+    """Sup-norm cube slices: several generators share the largest width and
+    several vertices share each extreme value, so the lex-least pair rule
+    decides the witness."""
+    for dim in (2, 3):
+        gens = [Vec.unit(dim, i) * s for i in range(dim) for s in (1, -1)]
+        cube = PolyhedralNormSpace(dim, tuple(sorted(gens)), "custom")
+        for f, alpha in ((Vec.unit(dim, 0), "1/3"), (Vec([1] * dim), "1/2"),
+                         (Vec(["1/2"] + [1] * (dim - 1)), "2/5")):
+            piece = make_slice(cube, SliceSpec(f, alpha))
+            assert widest_generators(piece, cube) > 1
+            assert diameter(piece, cube) == rational_diameter(piece, cube)
+
+
+def test_diameter_rejects_a_polytope_of_another_dimension():
+    with pytest.raises(ValueError):
+        diameter(unit_ball(make_space_II(1, R10)), make_space_VII(3))

@@ -1,5 +1,6 @@
 """Norm-space builders, evaluators, and face queries."""
 
+import dataclasses
 import json
 import random
 
@@ -186,6 +187,15 @@ def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
         assert a is not b
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert unit_ball(b) is unit_ball(a)
+
+
+def test_hash_is_the_field_tuple_hash_computed_once():
+    """The cached hash equals the dataclass hash of (dim, generators, label,
+    params) and is not a field, so fields and repr are unchanged."""
+    sp = make_space_VII(3, ("71/72", "61/72"))
+    assert hash(sp) == hash((sp.dim, sp.generators, sp.label, sp.params))
+    assert [f.name for f in dataclasses.fields(sp)] == ["dim", "generators", "label", "params"]
+    assert "_hash" in vars(sp) and "_hash" not in repr(sp)
 
 
 def test_unit_ball_is_cached_and_polar():
