@@ -115,12 +115,12 @@ class ExperimentConfig:
         if self.omega_rule != "default" and not self.omega_rule.startswith("list:"):
             raise ValueError("omega-rule must be 'default' or 'list:w2,w3,...'")
         if self.experiment == "thm1":
-            if self.epsilon is not None:
-                eps = self.epsilon
+            for eps in _thm1_epsilons(self):
                 r = self.r if self.r is not None else eps / 4
                 delta = self.delta if self.delta is not None else eps / 10
                 if not 2 * r + 3 * delta < eps:
-                    raise ValueError("thm1 needs 2r + 3delta < epsilon")
+                    raise ValueError("thm1 needs 2r + 3delta < epsilon for epsilon = %s"
+                                     % rational_str(eps))
         if self.experiment == "prop2" and self.r is not None and self.r >= 1:
             raise ValueError("prop2 needs r strictly below 1")
         if self.experiment == "prop3" and self.N is not None and self.N < 2:
@@ -216,6 +216,15 @@ def _n_grid(config: ExperimentConfig) -> tuple:
     return DEFAULT_PROP3_NS if config.experiment == "prop3" else DEFAULT_N_GRID
 
 
+def _thm1_epsilons(config: ExperimentConfig) -> tuple:
+    """The epsilons a thm1 sweep visits: --epsilons, --epsilon or the default."""
+    if config.epsilons is not None:
+        return config.epsilons
+    if config.epsilon is not None:
+        return (config.epsilon,)
+    return tuple(rational(e) for e in DEFAULT_THM1_EPSILONS)
+
+
 def _row_base(experiment: str, N: int) -> dict:
     return {"experiment": experiment, "N": N}
 
@@ -267,16 +276,9 @@ THM1_COLUMNS = ("experiment", "N", "epsilon", "r", "delta", "exact_value",
 
 def run_thm1(config: ExperimentConfig) -> Report:
     """Sweep the small-slice bound over N and epsilon grids."""
-    ns = _n_grid(config)
-    if config.epsilons is not None:
-        epsilons = config.epsilons
-    elif config.epsilon is not None:
-        epsilons = (config.epsilon,)
-    else:
-        epsilons = tuple(rational(e) for e in DEFAULT_THM1_EPSILONS)
     rows = []
-    for N in ns:
-        for eps in epsilons:
+    for N in _n_grid(config):
+        for eps in _thm1_epsilons(config):
             rows.append(thm1_case(N, eps, config.r, config.delta))
     rows = _strip_artifacts(rows)
     summary = {

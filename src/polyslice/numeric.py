@@ -42,6 +42,14 @@ def rational(value):
     return _mpq(value)
 
 
+def exact_int(value, name):
+    """value itself when it is a JSON integer; a float, string or bool (which
+    Python counts as an int) raises ValueError rather than being truncated."""
+    if type(value) is not int:
+        raise ValueError("%r must be an integer, got %r" % (name, value))
+    return value
+
+
 def rational_str(value):
     """Serialize a rational exactly, always in "p/q" form."""
     q = _mpq(value)

@@ -1,42 +1,42 @@
 """Bounded-polytope machinery in exact rational arithmetic.
 
-H-representation to V-representation conversion enumerates dim-subsets of the
-halfspaces, solves each nonsingular subset, and keeps solutions satisfying all
-constraints.  The whole pipeline runs on integers: every halfspace is scaled
-to integer coefficients once, the subset walk eliminates fraction-free and
-shares that work along a prefix tree (dropping rows that become dependent,
-which prunes the heavily degenerate generator families of the norm
-constructions here), and back-substitution yields each candidate point in one
-canonical form, integer numerators p over a common denominator q > 0 with
-gcd(p..., q) = 1.  Candidates are deduplicated on (p, q), a point is feasible
-when c.p <= b.q for every integer row (c, b), and rationals are built only for
-the vertices that are kept.
+H-representation to V-representation conversion is the double-description
+(DD) method (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon
+1996) run on integers.  Every halfspace a.x <= b is scaled to an integer row
+c.x <= b once, and the polytope is homogenized to the cone
 
-The norm balls built here are centrally symmetric, since a space's generators
-are closed under negation.  The walk pairs each integer row (c, b) with its mirror (-c, b); scaling a row to
-integers depends only on its denominators, so a mirror is an exact negation.
-When every row has a mirror the polytope equals its negative, and a subset S
-solves to p exactly when its mirror subset solves to -p.  An independent S
-never holds a row and its mirror, so the walk keeps S only when the least row
-of S and mirror(S) together lies in S: exactly one subset of each pair.  Each
-solved point is offered together with its negative, and one feasibility test
-serves both.  The same walk covers every other polytope, for which that
-filter keeps every subset.
+    {(x, t) : c.x <= b.t for every row, t >= 0}.
 
-Boundedness of a mirror-symmetric system {|c.x| <= b} is decided exactly: it
-is empty when some b < 0, and otherwise unbounded when its normals have rank
-below dim, which is when the walk finds no nonsingular subset.  Any other
-polytope is cross-checked with exact LPs in every coordinate direction.
+DD starts from t >= 0 and the first dim rows independent of it; the columns
+of minus that basis's inverse, cleared fraction-free to gcd-reduced integers,
+are the extreme rays of their simplicial cone.  The other rows are then cut
+in one at a time, in their given order.  A cut keeps the rays on its
+feasible side and joins each violating ray p with each feasible ray q that
+is adjacent to it into v_p r_q - v_q r_p (v = the row's value on the ray),
+divided by its gcd.  Adjacency is decided on zero-set bitmasks (bit 0 for
+t >= 0, bit i + 1 for row i): the zero sets of p and q share at least
+dim - 1 rows and no third ray's zero set contains that intersection.  The
+extreme rays with t > 0 are the vertices, each as the canonical key (p, t),
+integer numerators over a denominator t > 0 with gcd(p..., t) = 1, and
+rationals are built only for those.
+
+The final rays and zero sets stay in the polytope's cache next to its
+vertex list, so a polytope that appends rows to a base polytope (a slice of
+a norm ball) costs one more DD step per appended row.  Emptiness and
+unboundedness are read off the rays exactly, without LPs: no ray with t > 0
+means empty, a ray with t = 0 a recession direction.  When the normals have
+rank below dim the cone is not pointed and a nonempty polytope holds a line;
+emptiness is then decided by DD on a column basis of the normals.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from . import linprog
-from .numeric import ONE, ZERO, Scalar, Vec, clear_denominators, rational, rational_str
+from .numeric import ONE, ZERO, Scalar, Vec, clear_denominators, exact_int, rational, rational_str
 
 __all__ = [
     "UnboundedError",
@@ -82,8 +82,9 @@ class HPolytope:
     """Halfspace-list polytope {x : a.x <= b for every listed halfspace}.
 
     The halfspace list and dimension are immutable.  Vertex enumeration is
-    cached on first use.  A polytope built by appending rows to a base
-    polytope records that base so enumeration can reuse the base's vertices.
+    cached on first use, with the final DD rays and zero sets.  A polytope
+    built by appending rows to a base polytope records that base so
+    enumeration continues from the base's rays.
     """
 
     __slots__ = ("halfspaces", "dim", "_vcache", "_base")
@@ -141,217 +142,175 @@ class VPolytope:
             raise ValueError("duplicate vertices")
 
 
+def _row(coeffs, rhs):
+    """An integer row (c, b) with the sparse nonzero pattern of c for fast dots."""
+    return coeffs, rhs, tuple((j, c) for j, c in enumerate(coeffs) if c)
+
+
 def _int_rows(halfspaces):
-    """Clear denominators row by row: (a, b) becomes integer (a', b') scaled
-    by a positive factor, plus the sparse nonzero pattern for fast dots."""
+    """Clear denominators row by row: (a, b) becomes integer (c, b') scaled
+    by a positive factor."""
     rows = []
     for h in halfspaces:
         coeffs, _ = clear_denominators(tuple(h.a) + (h.b,))
-        sparse = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
-        rows.append((coeffs[:-1], coeffs[-1], sparse))
+        rows.append(_row(coeffs[:-1], coeffs[-1]))
     return rows
 
 
-def _solve_echelon(chosen, dim):
-    """Back-substitute an echelon system of dim integer rows fraction-free.
-
-    Each entry of chosen is (pivot_col, row): row holds integer coefficients
-    plus the rhs, is zero before pivot_col, and the pivot columns are
-    distinct.  Returns the solution as (p, q), integer numerators over one
-    common denominator with q > 0 and gcd(p..., q) = 1, so equal points
-    always get equal keys.  Each step divides t and d by their gcd before
-    scaling, so by induction gcd(p..., q) stays 1 and no final pass is needed.
-    """
-    p = [0] * dim
-    q = 1
-    for pc, row in sorted(chosen, reverse=True):
-        t = row[dim] * q
-        for j in range(pc + 1, dim):
-            c = row[j]
-            if c:
-                t -= c * p[j]
-        d = row[pc]
-        g = gcd(t, d)
-        t //= g
-        d //= g
-        if d != 1:
-            for j in range(pc + 1, dim):
-                p[j] *= d
-            q *= d
-        p[pc] = t
-    if q < 0:
-        return tuple(-v for v in p), -q
-    return tuple(p), q
+def _reduced(values):
+    """The integer vector values divided by the gcd of its entries."""
+    g = gcd(*values)
+    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
-def _walk(pending, chosen, need, out):
-    """Depth-first walk over independent row subsets.
-
-    pending rows are already reduced against every chosen pivot; dependent
-    rows were dropped, so any pending row extends the prefix.  Leaves append
-    (chosen, index_set) to out.
-    """
-    if need == 0:
-        out.append(list(chosen))
-        return
-    limit = len(pending) - need + 1
-    for t in range(limit):
-        idx, row = pending[t]
-        pc = 0
-        while row[pc] == 0:
-            pc += 1
-        chosen.append((pc, row))
-        if need == 1:
-            out.append(list(chosen))
-        else:
-            child = []
-            piv = row[pc]
-            for idx2, row2 in pending[t + 1:]:
-                a = row2[pc]
-                if a:
-                    reduced = tuple(piv * x - a * y for x, y in zip(row2, row))
-                    for v in reduced[:-1]:
-                        if v:
-                            break
-                    else:
-                        continue
-                    child.append((idx2, reduced))
-                else:
-                    child.append((idx2, row2))
-            if len(child) >= need - 1:
-                _walk(child, chosen, need - 1, out)
-        chosen.pop()
+def _basis(rows, dim):
+    """Rows independent of t >= 0 and of each other, taken greedily in order
+    until there are dim of them, and the pivot columns of the normals that
+    elimination met on the way.  Fewer than dim rows means the normals have
+    rank below dim; the pivot columns are then a column basis of them."""
+    echelon = [(dim, (0,) * dim + (-1,))]
+    picked = []
+    for i, (coeffs, rhs, _) in enumerate(rows):
+        red = coeffs + (-rhs,)
+        for pc, row in echelon:
+            a = red[pc]
+            if a:
+                red = tuple(row[pc] * x - a * y for x, y in zip(red, row))
+        pc = next((j for j, x in enumerate(red) if x), None)
+        if pc is not None:
+            echelon.append((pc, _reduced(red)))
+            picked.append(i)
+            if len(picked) == dim:
+                break
+    return picked, sorted(pc for pc, _ in echelon[1:])
 
 
-def _candidate_points(seed, int_rows, dim):
-    """(p, q) keys of the solutions of every nonsingular dim-subset made of
-    the seed row and dim - 1 of the rows.  The rows are reduced against the
-    seed's pivot, as the walk reduces them below a chosen row."""
-    coeffs, rhs, _ = seed
-    row = coeffs + (rhs,)
-    pc = next(j for j in range(dim) if row[j])  # a halfspace normal is nonzero
-    piv = row[pc]
-    pending = []
-    for i, (coeffs2, rhs2, _) in enumerate(int_rows):
-        row2 = coeffs2 + (rhs2,)
-        a = row2[pc]
-        if a:
-            row2 = tuple(piv * x - a * y for x, y in zip(row2, row))
-        if any(row2[:-1]):
-            pending.append((i, row2))
-    leaves = []
-    _walk(pending, [(pc, row)], dim - 1, leaves)
-    return [_solve_echelon(leaf, dim) for leaf in leaves]
+def _start(rows, picked, dim):
+    """Rays and zero-set masks of the simplicial cone of t >= 0 and the picked
+    rows.  Its rays are the columns of -B^-1 for the basis matrix B: ray k is
+    tight on every basis row but row k.  B^-1 is taken by fraction-free
+    Gauss-Jordan on [B | I], which leaves D B^-1 = N with D diagonal, so ray
+    k is -N[j][k] / D[j] scaled by lcm |D| to integers."""
+    n = dim + 1
+    basis = [(0,) * dim + (-1,)] + [rows[i][0] + (-rows[i][1],) for i in picked]
+    bits = [1] + [2 << i for i in picked]
+    aug = [row + tuple(int(k == i) for k in range(n)) for i, row in enumerate(basis)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        p = prow[col]
+        for i in range(n):
+            a = aug[i][col]
+            if i != col and a:
+                aug[i] = _reduced([p * x - a * y for x, y in zip(aug[i], prow)])
+    scale = lcm(*(aug[j][j] for j in range(n)))
+    rays = [_reduced([-aug[j][n + k] * (scale // aug[j][j]) for j in range(n)]) for k in range(n)]
+    done = sum(bits)
+    return rays, [done ^ bit for bit in bits]
 
 
-def _feasible(point, int_rows):
-    """Integer membership test of the point (p, q): c.p <= b.q on every row."""
-    p, q = point
-    for _, rhs, sparse in int_rows:
-        acc = 0
+def _cut(rays, masks, row, bit, dim):
+    """One double-description step: the extreme rays of the cone (rays,
+    masks) cut by c.x <= b.t for row = (c, b, sparse), whose zero sets take
+    bit.  Rays on the feasible side stay; each adjacent pair of a violating
+    ray p and a feasible ray q gives the ray v_p r_q - v_q r_p on the new
+    hyperplane.  Adjacency is combinatorial: the zero sets of p and q share
+    at least dim - 1 rows, and no third ray's zero set contains that
+    intersection."""
+    _, rhs, sparse = row
+    vals = []
+    for r in rays:
+        v = -rhs * r[dim]
         for j, c in sparse:
-            acc += c * p[j]
-        if acc > rhs * q:
-            return False
-    return True
+            v += c * r[j]
+        vals.append(v)
+    plus = [k for k, v in enumerate(vals) if v > 0]
+    minus = [k for k, v in enumerate(vals) if v < 0]
+    new_rays = [r for r, v in zip(rays, vals) if v <= 0]
+    new_masks = [z | bit if v == 0 else z for z, v in zip(masks, vals) if v <= 0]
+    need = dim - 1
+    for p in plus:
+        zp, rp, vp = masks[p], rays[p], vals[p]
+        for q in minus:
+            common = zp & masks[q]
+            if common.bit_count() < need:
+                continue
+            holders = 0
+            for z in masks:
+                if z & common == common:
+                    holders += 1
+                    if holders > 2:
+                        break
+            if holders == 2:
+                vq = vals[q]
+                new_rays.append(_reduced([vp * y - vq * x for x, y in zip(rp, rays[q])]))
+                new_masks.append(common | bit)
+    return new_rays, new_masks
 
 
-def _mirrors(int_rows):
-    """mirror[i] is the index of a row (-c, b) paired with row i = (c, b), or
-    None when some row has no mirror.  Equal rows are paired in index order,
-    so the pairing is an involution without fixed points."""
-    slots = {}
-    for i, (coeffs, rhs, _) in enumerate(int_rows):
-        slots.setdefault((coeffs, rhs), []).append(i)
-    mirror = [None] * len(int_rows)
-    for (coeffs, rhs), idx in slots.items():
-        partner = slots.get((tuple(-c for c in coeffs), rhs))
-        if partner is None or len(partner) != len(idx):
-            return None
-        for i, j in zip(idx, partner):
-            mirror[i] = j
-    return mirror
-
-
-def _certify_bounded(poly):
-    """LP cross-check: every coordinate direction must attain a finite
-    optimum.  Raises UnboundedError or DegenerateError accordingly."""
-    rows = [(h.a, h.b) for h in poly.halfspaces]
-    for i in range(poly.dim):
-        for sign in (1, -1):
-            obj = [ZERO] * poly.dim
-            obj[i] = Scalar(sign)
-            res = linprog.solve_lp(obj, leq=rows)
-            if res.status == linprog.INFEASIBLE:
-                raise DegenerateError("halfspace system is infeasible")
-            if res.status == linprog.UNBOUNDED:
-                raise UnboundedError(
-                    "unbounded in coordinate direction %s%d" % ("+" if sign > 0 else "-", i)
-                )
+def _cone(rows, dim):
+    """Extreme rays and zero-set masks of {(x, t) : c.x <= b.t, t >= 0} for
+    the integer rows (c, b): DD from a basis, then every other row in order.
+    None when the normals have rank below dim and the cone is not pointed."""
+    picked, _ = _basis(rows, dim)
+    if len(picked) < dim:
+        return None
+    rays, masks = _start(rows, picked, dim)
+    chosen = set(picked)
+    for i, row in enumerate(rows):
+        if i not in chosen:
+            rays, masks = _cut(rays, masks, row, 2 << i, dim)
+    return rays, masks
 
 
 def vertices(poly: HPolytope) -> VPolytope:
     """Enumerate all vertices of a bounded H-polytope.
 
-    Every dim-subset of halfspaces with nonsingular normal matrix contributes
-    its solution point when that point satisfies all constraints; for a
-    mirror-symmetric polytope half the subsets are solved and each point
-    stands for its negative too.  Output is deduplicated and sorted
-    lexicographically.  Raises UnboundedError for an unbounded direction and
-    DegenerateError when the polytope has fewer than dim+1 vertices (empty
-    interior) or is empty.
+    The vertices are the rays with t > 0 of the homogenized cone (see the
+    module docstring), each as (p, t) over one denominator.  Output is
+    sorted lexicographically.  Errors, in this order: DegenerateError when
+    the system is empty; UnboundedError when it has a recession direction
+    (a ray with t = 0, or normals of rank below dim); DegenerateError when
+    there are fewer than dim+1 vertices (empty interior).  No LP is solved.
     """
     if poly._vcache is not None:
-        return poly._vcache
+        return poly._vcache[0]
     dim = poly.dim
-    int_rows = _int_rows(poly.halfspaces)
-    seen = set()
-    found = []
-
-    def offer(key, rows):
-        if key not in seen:
-            seen.add(key)
-            if _feasible(key, rows):
-                found.append(key)
-
+    rows = _int_rows(poly.halfspaces)
     if poly._base is not None:
         base, k = poly._base
-        extra = int_rows[k:]
-        for v in vertices(base).vertices:
-            offer(clear_denominators(v), extra)
-        for first in range(len(extra)):
-            for key in _candidate_points(extra[first], int_rows[:k] + extra[first + 1:], dim):
-                offer(key, int_rows)
+        vertices(base)
+        _, rays, masks = base._vcache
+        for i in range(k, len(rows)):
+            rays, masks = _cut(rays, masks, rows[i], 2 << i, dim)
     else:
-        m = len(int_rows)
-        mirror = _mirrors(int_rows)
-        symmetric = mirror is not None
-        if not symmetric:
-            _certify_bounded(poly)
-            mirror = [m] * m  # no mirror below any row: every subset is kept
-        elif any(rhs < 0 for _, rhs, _ in int_rows):
+        cone = _cone(rows, dim)
+        if cone is None:
+            # A nonempty system then holds a line.  It is empty exactly when
+            # its restriction to a column basis of the normals is, and that
+            # system's cone is pointed.
+            pivots = _basis(rows, dim)[1]
+            sub = [_row(tuple(coeffs[j] for j in pivots), rhs) for coeffs, rhs, _ in rows]
+            if any(r[-1] > 0 for r in _cone(sub, len(pivots))[0]):
+                raise UnboundedError("normals span less than dimension %d" % dim)
             raise DegenerateError("halfspace system is infeasible")
-        # A subset is walked from its least row t and kept when t is also
-        # below the mirror of each of its rows.
-        for t in range(m):
-            if mirror[t] < t:
-                continue
-            rest = [int_rows[j] for j in range(t + 1, m) if mirror[j] > t]
-            for p, q in _candidate_points(int_rows[t], rest, dim):
-                if (p, q) not in seen:
-                    keys = {(p, q), (tuple(-c for c in p), q)} if symmetric else {(p, q)}
-                    seen.update(keys)
-                    if _feasible((p, q), int_rows):
-                        found.extend(keys)
-        if symmetric and not seen:
-            raise UnboundedError("normals of a symmetric system span less than dimension %d" % dim)
-    pts = sorted(tuple(Scalar(c, q) for c in p) for p, q in found)
-    if len(pts) < dim + 1:
+        rays, masks = cone
+    found = [(r[:dim], r[dim]) for r in rays if r[dim] > 0]
+    if not found:
+        raise DegenerateError("halfspace system is infeasible")
+    if len(found) < len(rays):
+        raise UnboundedError("the polytope has a recession direction")
+    if len(found) < dim + 1:
         raise DegenerateError(
-            "%d vertices in dimension %d: empty interior" % (len(pts), dim)
+            "%d vertices in dimension %d: empty interior" % (len(found), dim)
         )
-    result = VPolytope(tuple(Vec(p) for p in pts), dim)
-    object.__setattr__(poly, "_vcache", result)
+    # Over the common denominator den the lexicographic order of the points
+    # is that of their integer numerators.
+    den = lcm(*(q for _, q in found))
+    found.sort(key=lambda key: [c * (den // key[1]) for c in key[0]])
+    result = VPolytope(tuple(Vec(Scalar(c, q) for c in p) for p, q in found), dim)
+    object.__setattr__(poly, "_vcache", (result, rays, masks))
     return result
 
 
@@ -450,7 +409,7 @@ def hpolytope_to_dict(poly: HPolytope) -> dict:
 def hpolytope_from_dict(data: dict) -> HPolytope:
     return HPolytope(
         [HalfSpace(Vec(h["a"]), rational(h["b"])) for h in data["halfspaces"]],
-        int(data["dim"]),
+        exact_int(data["dim"], "dim"),
     )
 
 
@@ -462,7 +421,7 @@ def vpolytope_to_dict(vpoly: VPolytope) -> dict:
 
 
 def vpolytope_from_dict(data: dict) -> VPolytope:
-    return VPolytope(tuple(Vec(v) for v in data["vertices"]), int(data["dim"]))
+    return VPolytope(tuple(Vec(v) for v in data["vertices"]), exact_int(data["dim"], "dim"))
 
 
 def to_json(obj) -> str:

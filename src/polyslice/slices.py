@@ -130,8 +130,8 @@ def make_slice(space: PolyhedralNormSpace, spec: SliceSpec, s=None) -> HPolytope
 
     s is sup f over the ball; a caller that already has it from
     support_value passes it to skip solving the same LP again.  The shared
-    base lets vertex enumeration of the slice reuse the ball's vertex set
-    instead of starting from scratch.
+    base lets vertex enumeration of the slice continue from the ball's
+    final rays with one more step instead of starting from scratch.
     """
     if spec.f.is_zero():
         raise ValueError("slicing functional must be nonzero")

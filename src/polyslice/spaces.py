@@ -23,8 +23,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numeric import (ONE, ZERO, Matrix, Scalar, Vec, clear_denominators, rank, rational,
-                      rational_str)
+from .numeric import (ONE, ZERO, Matrix, Scalar, Vec, clear_denominators, exact_int, rank,
+                      rational, rational_str)
 from .polytope import HalfSpace, HPolytope, VPolytope, extreme_points
 
 __all__ = [
@@ -279,14 +279,6 @@ def space_to_dict(space: PolyhedralNormSpace) -> dict:
     return data
 
 
-def _integer_N(value) -> int:
-    """N itself when it is a JSON integer; a float, string or bool (which
-    Python counts as an int) raises ValueError rather than being truncated."""
-    if type(value) is not int:
-        raise ValueError("'N' must be an integer, got %r" % (value,))
-    return value
-
-
 def space_from_dict(data: dict) -> PolyhedralNormSpace:
     """Inverse of space_to_dict; a missing required key or a non-integer N
     raises ValueError."""
@@ -300,12 +292,12 @@ def space_from_dict(data: dict) -> PolyhedralNormSpace:
         return data[key]
 
     if kind == "II":
-        return make_space_II(_integer_N(need("N")), rational(need("r")))
+        return make_space_II(exact_int(need("N"), "N"), rational(need("r")))
     if kind == "VII":
         omega = data.get("omega")
         if omega is not None:
             omega = [rational(w) for w in omega]
-        return make_space_VII(_integer_N(need("N")), omega)
+        return make_space_VII(exact_int(need("N"), "N"), omega)
     if kind != "custom":
         raise ValueError("unknown space kind %r" % (kind,))
     gens = [Vec(g) for g in need("generators")]
@@ -313,7 +305,7 @@ def space_from_dict(data: dict) -> PolyhedralNormSpace:
         raise ValueError("custom space needs generators")
     params = []
     if "N" in data:
-        params.append(("N", _integer_N(data["N"])))
+        params.append(("N", exact_int(data["N"], "N")))
     if "r" in data:
         params.append(("r", rational(data["r"])))
     return PolyhedralNormSpace(len(gens[0]), tuple(sorted(gens)), "custom", tuple(params))

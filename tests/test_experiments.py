@@ -19,8 +19,9 @@ from polyslice.experiments import (
     run_sandwich,
     run_thm1,
     run_verify_ext,
+    thm1_case,
 )
-from polyslice.numeric import Vec, rational
+from polyslice.numeric import Vec, rational, rational_str
 from polyslice.spaces import PolyhedralNormSpace, make_space_II, make_space_VII, save_space
 
 SEED = 61
@@ -86,6 +87,16 @@ def test_thm1_rows_are_self_verifying():
         delta = rational(row["delta"])
         assert bound == 2 * r + 3 * delta
         assert (row["pass"] == "True") == (value <= bound and value < eps)
+
+
+def test_thm1_case_at_n_8_meets_the_closed_form():
+    """The slice diameter is 2(r + delta)/(1 + r) regardless of N; at N = 8
+    the slice has 2^9 vertices, 2^8 on each of its two beta levels."""
+    eps = rational("1/5")
+    r, delta = eps / 4, eps / 10
+    row = thm1_case(8, eps)
+    assert row["exact_value"] == rational_str(2 * (r + delta) / (1 + r))
+    assert row["vertex_count"] == 2 ** 9 and row["pass"]
 
 
 def test_prop2_report_covers_success_and_small_dimension():
@@ -285,10 +296,13 @@ def test_report_all_pass_reflects_summary_checks():
     ["prop3", "--n", "4", "--omega-rule", "list:9/10,9/10"],
     ["prop3", "--omega-rule", "list:9/10,9/10"],
     ["prop3", "--n", "3", "--omega-rule", "list:1/2,9/10"],
+    ["thm1", "--n", "2", "--epsilons", "1/2,1/5", "--r", "1"],
+    ["thm1", "--n", "2", "--epsilons", "1/2,1/5", "--r", "1/10", "--delta", "1/20"],
+    ["thm1", "--n", "2", "--r", "1"],
 ])
 def test_cli_rejects_grid_mismatched_input_with_exit_two(argv, capsys):
-    """Input that cannot fit some N of the grid is a usage error (exit 2,
-    one-line message), not a failed check (exit 1)."""
+    """Input that cannot fit some N or epsilon of the grid is a usage error
+    (exit 2, one-line message), not a failed check (exit 1)."""
     with pytest.raises(SystemExit) as info:
         cli_main(argv)
     assert info.value.code == 2

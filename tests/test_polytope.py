@@ -3,13 +3,12 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 import pytest
 
 import oracles
-from polyslice import linprog, polytope
+from polyslice import linprog
 from polyslice.numeric import Matrix, ONE, Scalar, Vec, ZERO, rank, rational
 from polyslice.polytope import (
     DegenerateError,
@@ -17,7 +16,6 @@ from polyslice.polytope import (
     HPolytope,
     UnboundedError,
     VPolytope,
-    _solve_echelon,
     contains,
     extreme_points,
     from_json,
@@ -27,6 +25,8 @@ from polyslice.polytope import (
     support,
     to_json,
     vertices,
+    vpolytope_from_dict,
+    vpolytope_to_dict,
 )
 from polyslice.slices import SliceSpec, make_slice
 from polyslice.spaces import make_space_II, make_space_VII, unit_ball
@@ -238,6 +238,15 @@ def test_hpolytope_dict_round_trip_preserves_rationals():
     assert hpolytope_from_dict(hpolytope_to_dict(p)) == p
 
 
+@pytest.mark.parametrize("dim", [1.5, 2.0, "2", True])
+def test_polytope_dicts_reject_non_integer_dim(dim):
+    h = hpolytope_to_dict(box(2))
+    v = vpolytope_to_dict(vertices(box(2)))
+    for data, load in ((h, hpolytope_from_dict), (v, vpolytope_from_dict)):
+        with pytest.raises(ValueError, match="'dim' must be an integer"):
+            load(dict(data, dim=dim))
+
+
 def test_base_extension_matches_scratch_enumeration():
     rng = random.Random(SEED + 3)
     for _ in range(12):
@@ -267,7 +276,9 @@ def oracle_vertices(poly):
 
 
 def fraction_vertices(poly):
-    return sorted(tuple(as_fraction(c) for c in v) for v in vertices(poly).vertices)
+    """The vertices in the order vertices returns them, which the oracle's
+    sorted list pins."""
+    return [tuple(as_fraction(c) for c in v) for v in vertices(poly).vertices]
 
 
 @pytest.mark.parametrize("label,N,param", [
@@ -320,60 +331,6 @@ def test_degenerate_apex_with_negative_pivots_is_found_once():
     assert fraction_vertices(extended) == oracle_vertices(extended)
 
 
-def test_solve_echelon_returns_one_canonical_key():
-    # -2x + y = 1 and -3y = 2 give (-5/6, -2/3): negative pivots, and the
-    # numerators share no factor with the denominator.
-    rows = [(0, (-2, 1, 1)), (1, (0, -3, 2))]
-    assert _solve_echelon(rows, 2) == ((-5, -4), 6)
-    scaled = [(0, (4, -2, -2)), (1, (0, 6, -4))]
-    assert _solve_echelon(scaled, 2) == ((-5, -4), 6)
-    assert _solve_echelon([(0, (3, 0, 0)), (1, (0, -7, 0))], 2) == ((0, 0), 1)
-
-
-def test_solve_echelon_keys_are_reduced_on_random_systems():
-    rng = random.Random(SEED + 4)
-    for _ in range(200):
-        dim = rng.randint(1, 5)
-        rows = []
-        for pc in range(dim):
-            row = [0] * pc + [rng.choice([-6, -4, -3, -2, 2, 3, 4, 6])]
-            row += [rng.randint(-6, 6) for _ in range(dim - pc)]
-            rows.append((pc, tuple(row)))
-        x = [Fraction(0)] * dim
-        for pc, row in reversed(rows):
-            rest = sum((row[j] * x[j] for j in range(pc + 1, dim)), Fraction(0))
-            x[pc] = (row[dim] - rest) / row[pc]
-        p, q = _solve_echelon(rng.sample(rows, dim), dim)
-        assert q > 0 and gcd(q, *p) == 1
-        assert [Fraction(n, q) for n in p] == x
-
-
-def nonsingular_subsets(poly):
-    """Number of dim-subsets of the rows whose normals are independent."""
-    rows = [tuple(as_fraction(c) for c in h.a) for h in poly.halfspaces]
-    zero = [Fraction(0)] * poly.dim
-    return sum(oracles.solve_square(list(sub), zero) is not None
-               for sub in combinations(rows, poly.dim))
-
-
-def count_walk(monkeypatch):
-    """Count the subsets the walk solves and the LP boundedness checks."""
-    calls = {"solved": 0, "certified": 0}
-    solve, certify = polytope._solve_echelon, polytope._certify_bounded
-
-    def counting_solve(chosen, dim):
-        calls["solved"] += 1
-        return solve(chosen, dim)
-
-    def counting_certify(poly):
-        calls["certified"] += 1
-        return certify(poly)
-
-    monkeypatch.setattr(polytope, "_solve_echelon", counting_solve)
-    monkeypatch.setattr(polytope, "_certify_bounded", counting_certify)
-    return calls
-
-
 def rational_row(rng, dim):
     while True:
         normal = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)]
@@ -394,16 +351,6 @@ def mirrored_rows(rng, dim, extra):
         rng.shuffle(rows)
         if all(rows[i].a != -rows[i + 1].a for i in range(len(rows) - 1)):
             return rows
-
-
-def test_symmetric_walk_solves_half_the_subsets(monkeypatch):
-    rng = random.Random(SEED + 5)
-    for _ in range(12):
-        dim = rng.randint(2, 4)
-        poly = HPolytope(mirrored_rows(rng, dim, rng.randint(1, 3)), dim)
-        calls = count_walk(monkeypatch)
-        assert fraction_vertices(poly) == oracle_vertices(poly)
-        assert calls == {"solved": nonsingular_subsets(poly) // 2, "certified": 0}
 
 
 def test_symmetric_walk_with_a_zero_offset_pair():
@@ -437,14 +384,77 @@ def test_symmetric_system_with_negative_offset_is_empty_without_lps(monkeypatch)
             vertices(HPolytope(rows, 2))
 
 
-def test_almost_symmetric_polytope_walks_every_subset(monkeypatch):
-    rng = random.Random(SEED + 6)
-    for _ in range(8):
-        dim = rng.randint(2, 4)
-        rows = mirrored_rows(rng, dim, rng.randint(2, 3))
-        # drop one extra row's mirror; the box keeps the polytope bounded
-        drop = next(i for i, h in enumerate(rows) if sum(1 for c in h.a if c) > 1)
-        poly = HPolytope(rows[:drop] + rows[drop + 1:], dim)
-        calls = count_walk(monkeypatch)
-        assert fraction_vertices(poly) == oracle_vertices(poly)
-        assert calls == {"solved": nonsingular_subsets(poly), "certified": 1}
+def no_lps(monkeypatch):
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: pytest.fail("LP solved"))
+
+
+def test_rank_deficient_empty_system_is_degenerate_without_lps(monkeypatch):
+    """x <= -1 and -x <= 0 in the plane: normals of rank 1, and empty, which
+    is reported before the line that a nonempty such system would hold."""
+    no_lps(monkeypatch)
+    rows = [HalfSpace(Vec([1, 0]), -ONE), HalfSpace(Vec([-1, 0]), ZERO)]
+    with pytest.raises(DegenerateError):
+        vertices(HPolytope(rows, 2))
+
+
+def almost_mirrored_rows(rng, dim, extra):
+    """mirrored_rows with one more row, which has no mirror."""
+    rows = mirrored_rows(rng, dim, extra)
+    rows.insert(rng.randrange(len(rows)), HalfSpace(rational_row(rng, dim), Fraction(1, 2)))
+    return rows
+
+
+def pencil_rows(rng, dim, extra):
+    """A rational box with extra rows through one of its corners: the corner
+    is tight on dim + extra rows, some of which cut the box.  Each row keeps
+    the origin strictly inside, so the polytope stays full-dimensional."""
+    rows = list(box(dim, "3/2").halfspaces)
+    corner = Vec([rational("3/2") * rng.choice((1, -1)) for _ in range(dim)])
+    while len(rows) < 2 * dim + extra:
+        a = rational_row(rng, dim)
+        if a.dot(corner) > 0:
+            rows.append(HalfSpace(a, a.dot(corner)))
+    rng.shuffle(rows)
+    return rows
+
+
+def duplicated_rows(rng, dim, extra):
+    """random_polytope's rows with rational cuts, some of them repeated."""
+    rows = list(random_polytope(rng, dim).halfspaces)
+    rows += [HalfSpace(rational_row(rng, dim), Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+             for _ in range(extra)]
+    rows += rng.sample(rows, 3)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("build", [mirrored_rows, almost_mirrored_rows, pencil_rows,
+                                   duplicated_rows])
+def test_vertices_match_subset_oracle_without_lps(monkeypatch, build):
+    """Random degenerate inputs in dimensions 2-5 against the subset oracle.
+    The vertices are exactly the homogenized cone's rays (p, t) with t > 0,
+    each gcd-reduced, so (p, t) is the canonical key of its point."""
+    no_lps(monkeypatch)
+    rng = random.Random(SEED + 5)
+    for dim in (2, 3, 4, 5, 2, 3, 4, 3):
+        poly = HPolytope(build(rng, dim, rng.randint(1, 3) if dim < 4 else 1), dim)
+        expected = oracle_vertices(poly)
+        if len(expected) < dim + 1:
+            with pytest.raises(DegenerateError):
+                vertices(poly)
+            continue
+        assert fraction_vertices(poly) == expected
+        rays = poly._vcache[1]
+        assert len(rays) == len(expected)
+        for ray in rays:
+            assert ray[dim] > 0 and gcd(*ray) == 1
+        assert sorted(tuple(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in rays) == expected
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_family_II_ball_has_three_times_two_to_the_n_vertices(N):
+    """A closed form that does not depend on the enumerator: the family II
+    ball {||x||_inf + |beta| <= 1, (1+r)|beta| <= 1} has the 2^N vertices
+    x in {+-1}^N with beta = 0 and the 2 * 2^N vertices x in {+-r/(1+r)}^N
+    with beta = +-1/(1+r)."""
+    assert len(vertices(unit_ball(make_space_II(N, "1/10"))).vertices) == 3 * 2 ** N
