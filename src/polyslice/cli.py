@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import EXPERIMENTS, ExperimentConfig, apply_space_file, run_experiment
@@ -67,6 +68,16 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+def _check_output_path(path) -> None:
+    """Refuse an --output path whose directory is missing, or that names a
+    directory, before the run rather than after it."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError("output directory %s is not an existing directory" % directory)
+    if os.path.isdir(path):
+        raise ValueError("output path %s is a directory" % path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -75,13 +86,18 @@ def main(argv=None) -> int:
         # Folding the space file here makes a bad file a usage error;
         # run_experiment folds it again, which rereads one small file.
         config, _ = apply_space_file(config)
+        if config.output_path:
+            _check_output_path(config.output_path)
     except (ValueError, TypeError, OSError) as exc:
         parser.error(str(exc))
     report = run_experiment(config)
     text = report.render()
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error("cannot write %s: %s" % (config.output_path, exc.strerror or exc))
     else:
         sys.stdout.write(text)
     return 0 if report.all_pass else 1

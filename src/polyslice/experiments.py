@@ -294,7 +294,8 @@ def parse_g(g_spec: str, N: int, rng: random.Random) -> Vec:
     "e1" and "e1+e2" name coordinate sums; "random" draws rational
     coordinates on the first N coordinates (never the lifted one) and
     normalizes so the absolute coordinate sum is 1; an explicit
-    comma-separated list of rationals is taken as-is.
+    comma-separated list of rationals is taken as-is, and must not be all
+    zero.
     """
     d = N + 1
     if g_spec is None or g_spec == "e1":
@@ -316,6 +317,8 @@ def parse_g(g_spec: str, N: int, rng: random.Random) -> Vec:
     coords = [rational(p) for p in parts]
     if len(coords) != d:
         raise ValueError("explicit g has %d coordinates, expected %d" % (len(coords), d))
+    if not any(coords):
+        raise ValueError("explicit g must be nonzero")
     return Vec(coords)
 
 

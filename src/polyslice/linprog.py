@@ -24,6 +24,19 @@ therefore maximizes L times -sum(original artificials) for L = lcm(q), which
 is weight -L / q_k on each rescaled artificial.  Ratios are compared by
 cross-multiplying, and rationals are built only for the returned point and
 value.
+
+Rows are cleared once per row system, not once per LP: clear_rows turns
+rational (a, b) pairs into ClearedRows, pairs (ints, q) with ints = q (a, b),
+and solve_lp takes ClearedRows as they are.  A polytope keeps its rows in
+this form (polytope.HPolytope._int_rows), so the support and probe LPs of
+slices and the DD in polytope.vertices share one clearing.  Because the
+tableau depends on a row only up to a positive scale, rows cleared with any
+positive q give the same pivots, point and value as rows cleared cold.
+polytope.extreme_points uses this for its hull tests: it clears coordinate
+row i once over all points, and the test of point t takes row i without
+column t, with column t's entry as the right-hand side.  That is the row a
+cold clear of (others' coordinates i, point t's coordinate i) would give,
+since both clear the same numbers.
 """
 
 from __future__ import annotations
@@ -36,6 +49,29 @@ from .numeric import Scalar, clear_denominators, rational
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+
+class ClearedRows(tuple):
+    """Constraint rows in integer form, as clear_rows returns them.
+
+    Entry k is (ints, q): the integers of one rational row a.x <= b (or
+    a.x = b), coefficients first and right-hand side last, equal to q > 0
+    times the row.  len() is the row count, as for a list of (a, b) pairs.
+    """
+
+    __slots__ = ()
+
+
+def clear_rows(pairs) -> ClearedRows:
+    """The rational rows (a, b) in integer form: each row scaled by the least
+    common denominator q of its entries.  ClearedRows pass through as they
+    are, so a caller that solves many LPs over the same rows clears them once.
+    """
+    if isinstance(pairs, ClearedRows):
+        return pairs
+    return ClearedRows(
+        clear_denominators([rational(c) for c in a] + [rational(b)]) for a, b in pairs
+    )
 
 
 @dataclass(frozen=True)
@@ -109,7 +145,8 @@ def _run_simplex(tableau, basis, d, obj, allowed):
 
 def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
     """Exact LP: optimize objective subject to a.x <= b for (a, b) in leq
-    and a.x = b for (a, b) in eq.
+    and a.x = b for (a, b) in eq.  Either system may also be given as
+    ClearedRows, which are used as they are instead of being cleared again.
 
     Variables are free by default (split internally into nonnegative pairs);
     with nonneg=True they are constrained to x >= 0 instead, which halves the
@@ -122,11 +159,9 @@ def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
     dim = len(cost)
     rows = []
     for system, has_slack in ((leq, True), (eq, False)):
-        for a, b in system:
-            values = [rational(c) for c in a]
-            if len(values) != dim:
-                raise ValueError("constraint arity %d does not match dimension %d" % (len(values), dim))
-            ints, q = clear_denominators(values + [rational(b)])
+        for ints, q in clear_rows(system):
+            if len(ints) != dim + 1:
+                raise ValueError("constraint arity %d does not match dimension %d" % (len(ints) - 1, dim))
             rows.append((ints, q, has_slack))
 
     nvar = dim if nonneg else 2 * dim

@@ -33,13 +33,17 @@ class SingularError(ValueError):
 def rational(value):
     """Coerce an int, "p/q" string, Fraction, or Scalar to a Scalar.
 
-    Floats are rejected so that inexact values cannot slip in silently.
+    Floats are rejected so that inexact values cannot slip in silently, and
+    a zero denominator ("p/0") raises ValueError like any other bad value.
     """
     if type(value) is _mpq:
         return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
-    return _mpq(value)
+    try:
+        return _mpq(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,)) from None
 
 
 def exact_int(value, name):

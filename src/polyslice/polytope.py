@@ -3,7 +3,9 @@
 H-representation to V-representation conversion is the double-description
 (DD) method (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon
 1996) run on integers.  Every halfspace a.x <= b is scaled to an integer row
-c.x <= b once, and the polytope is homogenized to the cone
+c.x <= b once, by linprog.clear_rows, and kept in the polytope as
+_int_rows; the same rows feed the integer membership test and every LP over
+the polytope.  The polytope is homogenized to the cone
 
     {(x, t) : c.x <= b.t for every row, t >= 0}.
 
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linprog
-from .numeric import ONE, ZERO, Scalar, Vec, clear_denominators, exact_int, rational, rational_str
+from .linprog import ClearedRows, clear_rows
+from .numeric import ZERO, Scalar, Vec, clear_denominators, exact_int, rational, rational_str
 
 __all__ = [
     "UnboundedError",
@@ -81,13 +84,14 @@ class HalfSpace:
 class HPolytope:
     """Halfspace-list polytope {x : a.x <= b for every listed halfspace}.
 
-    The halfspace list and dimension are immutable.  Vertex enumeration is
-    cached on first use, with the final DD rays and zero sets.  A polytope
-    built by appending rows to a base polytope records that base so
-    enumeration continues from the base's rays.
+    The halfspace list and dimension are immutable.  The integer rows and
+    the vertex enumeration are cached on first use, the latter with the
+    final DD rays and zero sets.  A polytope built by appending rows to a
+    base polytope records that base, so it clears only its appended rows
+    and enumeration continues from the base's rays.
     """
 
-    __slots__ = ("halfspaces", "dim", "_vcache", "_base")
+    __slots__ = ("halfspaces", "dim", "_vcache", "_base", "_rows")
 
     def __init__(self, halfspaces, dim, _base=None):
         halfspaces = tuple(
@@ -101,6 +105,7 @@ class HPolytope:
         object.__setattr__(self, "halfspaces", halfspaces)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_vcache", None)
+        object.__setattr__(self, "_rows", None)
         if _base is not None:
             base, k = _base
             if base.halfspaces != halfspaces[:k]:
@@ -109,6 +114,21 @@ class HPolytope:
 
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
+
+    @property
+    def _int_rows(self) -> ClearedRows:
+        """The halfspaces as ClearedRows (see linprog.clear_rows), cleared on
+        first use; a polytope with a base reuses the base's rows."""
+        rows = self._rows
+        if rows is None:
+            if self._base is None:
+                rows = clear_rows((h.a, h.b) for h in self.halfspaces)
+            else:
+                base, k = self._base
+                cut = clear_rows((h.a, h.b) for h in self.halfspaces[k:])
+                rows = ClearedRows(base._int_rows + cut)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def __eq__(self, other):
         return (
@@ -142,19 +162,10 @@ class VPolytope:
             raise ValueError("duplicate vertices")
 
 
-def _row(coeffs, rhs):
-    """An integer row (c, b) with the sparse nonzero pattern of c for fast dots."""
-    return coeffs, rhs, tuple((j, c) for j, c in enumerate(coeffs) if c)
-
-
-def _int_rows(halfspaces):
-    """Clear denominators row by row: (a, b) becomes integer (c, b') scaled
-    by a positive factor."""
-    rows = []
-    for h in halfspaces:
-        coeffs, _ = clear_denominators(tuple(h.a) + (h.b,))
-        rows.append(_row(coeffs[:-1], coeffs[-1]))
-    return rows
+def _homogenized(ints):
+    """The integer row c.x <= b, given as ints = (c..., b), as the cone row
+    (c..., -b) . (x, t) <= 0."""
+    return ints[:-1] + (-ints[-1],)
 
 
 def _reduced(values):
@@ -170,8 +181,8 @@ def _basis(rows, dim):
     rank below dim; the pivot columns are then a column basis of them."""
     echelon = [(dim, (0,) * dim + (-1,))]
     picked = []
-    for i, (coeffs, rhs, _) in enumerate(rows):
-        red = coeffs + (-rhs,)
+    for i, (ints, _) in enumerate(rows):
+        red = _homogenized(ints)
         for pc, row in echelon:
             a = red[pc]
             if a:
@@ -192,7 +203,7 @@ def _start(rows, picked, dim):
     Gauss-Jordan on [B | I], which leaves D B^-1 = N with D diagonal, so ray
     k is -N[j][k] / D[j] scaled by lcm |D| to integers."""
     n = dim + 1
-    basis = [(0,) * dim + (-1,)] + [rows[i][0] + (-rows[i][1],) for i in picked]
+    basis = [(0,) * dim + (-1,)] + [_homogenized(rows[i][0]) for i in picked]
     bits = [1] + [2 << i for i in picked]
     aug = [row + tuple(int(k == i) for k in range(n)) for i, row in enumerate(basis)]
     for col in range(n):
@@ -212,13 +223,15 @@ def _start(rows, picked, dim):
 
 def _cut(rays, masks, row, bit, dim):
     """One double-description step: the extreme rays of the cone (rays,
-    masks) cut by c.x <= b.t for row = (c, b, sparse), whose zero sets take
-    bit.  Rays on the feasible side stay; each adjacent pair of a violating
-    ray p and a feasible ray q gives the ray v_p r_q - v_q r_p on the new
-    hyperplane.  Adjacency is combinatorial: the zero sets of p and q share
-    at least dim - 1 rows, and no third ray's zero set contains that
-    intersection."""
-    _, rhs, sparse = row
+    masks) cut by c.x <= b.t for the integer row (ints, q), ints = (c..., b),
+    whose zero sets take bit.  Rays on the feasible side stay; each adjacent
+    pair of a violating ray p and a feasible ray q gives the ray
+    v_p r_q - v_q r_p on the new hyperplane.  Adjacency is combinatorial:
+    the zero sets of p and q share at least dim - 1 rows, and no third ray's
+    zero set contains that intersection."""
+    ints = row[0]
+    rhs = ints[dim]
+    sparse = [(j, c) for j, c in enumerate(ints[:dim]) if c]
     vals = []
     for r in rays:
         v = -rhs * r[dim]
@@ -251,8 +264,9 @@ def _cut(rays, masks, row, bit, dim):
 
 def _cone(rows, dim):
     """Extreme rays and zero-set masks of {(x, t) : c.x <= b.t, t >= 0} for
-    the integer rows (c, b): DD from a basis, then every other row in order.
-    None when the normals have rank below dim and the cone is not pointed."""
+    the integer rows (ints, q), ints = (c..., b): DD from a basis, then every
+    other row in order.  None when the normals have rank below dim and the
+    cone is not pointed."""
     picked, _ = _basis(rows, dim)
     if len(picked) < dim:
         return None
@@ -277,7 +291,7 @@ def vertices(poly: HPolytope) -> VPolytope:
     if poly._vcache is not None:
         return poly._vcache[0]
     dim = poly.dim
-    rows = _int_rows(poly.halfspaces)
+    rows = poly._int_rows
     if poly._base is not None:
         base, k = poly._base
         vertices(base)
@@ -291,7 +305,7 @@ def vertices(poly: HPolytope) -> VPolytope:
             # its restriction to a column basis of the normals is, and that
             # system's cone is pointed.
             pivots = _basis(rows, dim)[1]
-            sub = [_row(tuple(coeffs[j] for j in pivots), rhs) for coeffs, rhs, _ in rows]
+            sub = [(tuple(ints[j] for j in pivots) + (ints[-1],), q) for ints, q in rows]
             if any(r[-1] > 0 for r in _cone(sub, len(pivots))[0]):
                 raise UnboundedError("normals span less than dimension %d" % dim)
             raise DegenerateError("halfspace system is infeasible")
@@ -315,11 +329,14 @@ def vertices(poly: HPolytope) -> VPolytope:
 
 
 def contains(poly: HPolytope, x) -> bool:
-    """Exact closed membership test."""
+    """Exact closed membership test, in integers: x is cleared to p / q
+    with q > 0, and each integer row c.x <= b holds at x exactly when
+    c.p <= b.q."""
     x = x if isinstance(x, Vec) else Vec(x)
     if len(x) != poly.dim:
         raise ValueError("point of length %d in dimension %d" % (len(x), poly.dim))
-    return all(h.a.dot(x) <= h.b for h in poly.halfspaces)
+    p, q = clear_denominators(x)
+    return all(sum(c * v for c, v in zip(ints, p)) <= ints[-1] * q for ints, _ in poly._int_rows)
 
 
 def support(vpoly: VPolytope, f) -> tuple:
@@ -359,18 +376,18 @@ def lp_feasible(constraints, equalities=()) -> tuple:
     return True, Vec(res.point)
 
 
-def _in_hull(point, others):
-    """Exact membership of point in conv(others) via an LP over barycentric
-    weights (nonnegative, summing to one)."""
-    if not others:
+def _in_hull(coords, t):
+    """Exact membership of point t in the hull of the other points, via an LP
+    over barycentric weights (nonnegative, summing to one).  coords[i] is
+    coordinate i of every point, cleared once (ints, q); the test takes it
+    without column t and with column t's entry as the right-hand side (see
+    the linprog module docstring for why that is a cold solve's row)."""
+    k = len(coords[0][0]) - 1
+    if not k:
         return False
-    dim = len(point)
-    k = len(others)
-    eqs = []
-    for i in range(dim):
-        eqs.append(([q[i] for q in others], point[i]))
-    eqs.append(([ONE] * k, ONE))
-    res = linprog.solve_lp([ZERO] * k, eq=eqs, nonneg=True)
+    eqs = [(ints[:t] + ints[t + 1:] + (ints[t],), q) for ints, q in coords]
+    eqs.append(((1,) * (k + 1), 1))
+    res = linprog.solve_lp([ZERO] * k, eq=ClearedRows(eqs), nonneg=True)
     return res.status != linprog.INFEASIBLE
 
 
@@ -388,12 +405,9 @@ def extreme_points(points) -> VPolytope:
         raise ValueError("points of mixed dimensions: %s" % sorted(dims))
     dim = dims.pop()
     uniq = sorted(set(pts))
-    keep = []
-    for p in uniq:
-        others = [q for q in uniq if q != p]
-        if not _in_hull(p, others):
-            keep.append(p)
-    return VPolytope(tuple(keep), dim)
+    coords = [clear_denominators([p[i] for p in uniq]) for i in range(dim)]
+    keep = tuple(p for t, p in enumerate(uniq) if not _in_hull(coords, t))
+    return VPolytope(keep, dim)
 
 
 def hpolytope_to_dict(poly: HPolytope) -> dict:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linprog import OPTIMAL, solve_lp
+from .linprog import OPTIMAL, ClearedRows, clear_rows, solve_lp
 from .numeric import (Matrix, ONE, Scalar, Vec, ZERO, clear_denominators, nullspace_basis,
                       rational, rational_str)
 from .polytope import HalfSpace, HPolytope, contains, vertices
@@ -118,8 +118,7 @@ def support_value(space: PolyhedralNormSpace, f) -> Scalar:
     f = f if isinstance(f, Vec) else Vec(f)
     if len(f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(f), space.dim))
-    ball = unit_ball(space)
-    res = solve_lp(f, leq=[(h.a, h.b) for h in ball.halfspaces], maximize=True)
+    res = solve_lp(f, leq=unit_ball(space)._int_rows, maximize=True)
     if res.status != OPTIMAL:
         raise RuntimeError("support LP did not terminate at an optimum: %s" % res.status)
     return res.value
@@ -201,6 +200,9 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     over the ball restricted to the support.  If every probe's A together
     with g spans the whole dual, no certificate exists at this dimension and
     DimensionTooSmall is raised.
+
+    The ball's rows and the x_j = 0 rows are cleared once, and every probe LP
+    takes them as they are.
     """
     g = g if isinstance(g, Vec) else Vec(g)
     if g.is_zero():
@@ -213,15 +215,15 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     s = support_value(space, g)
     slice_poly = make_slice(space, spec, s)
     threshold = s - alpha
-    ball = unit_ball(space)
-    ball_rows = [(h.a, h.b) for h in ball.halfspaces]
+    ball_rows = unit_ball(space)._int_rows
     duals = dual_ball_vertices(space).vertices
     d = space.dim
+    zero_rows = clear_rows((Vec.unit(d, j), ZERO) for j in range(d))
     one_minus_r = ONE - r
     fallback = None
     for allowed in _probe_subsets(d):
         allowed_set = set(allowed)
-        eqs = [(Vec.unit(d, j), ZERO) for j in range(d) if j not in allowed_set]
+        eqs = ClearedRows(zero_rows[j] for j in range(d) if j not in allowed_set)
         res = solve_lp(g, leq=ball_rows, eq=eqs, maximize=True)
         if res.status != OPTIMAL or res.value < threshold:
             continue

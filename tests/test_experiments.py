@@ -299,6 +299,7 @@ def test_report_all_pass_reflects_summary_checks():
     ["thm1", "--n", "2", "--epsilons", "1/2,1/5", "--r", "1"],
     ["thm1", "--n", "2", "--epsilons", "1/2,1/5", "--r", "1/10", "--delta", "1/20"],
     ["thm1", "--n", "2", "--r", "1"],
+    ["prop2", "--n", "2", "--g", "0,0,0"],
 ])
 def test_cli_rejects_grid_mismatched_input_with_exit_two(argv, capsys):
     """Input that cannot fit some N or epsilon of the grid is a usage error
@@ -344,6 +345,56 @@ def test_cli_rejects_mistyped_config_with_exit_two(tmp_path, capsys, data):
         cli_main(["--config", str(path)])
     assert info.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def assert_usage_error(argv, capsys):
+    """argv is refused before any work: exit 2, one message line, no traceback."""
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith("polyslice: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm1", "--n", "1", "--r", "1/0"],
+    ["thm1", "--n", "1", "--epsilon", "1/0"],
+    ["thm1", "--n", "1", "--epsilons", "1/2,1/0"],
+    ["thm1", "--n", "1", "--delta=-1/0"],
+    ["prop2", "--n", "1", "--alpha", "1/0"],
+    ["prop2", "--n", "1", "--g", "1/0,0"],
+    ["prop3", "--n", "3", "--omega-rule", "list:9/10,1/0"],
+])
+def test_cli_rejects_zero_denominators_with_exit_two(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+def test_cli_rejects_zero_denominator_in_config_and_space_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "sandwich", "N": 1, "r": "2/0"}))
+    assert_usage_error(["--config", str(cfg)], capsys)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"kind": "II", "N": 1, "r": "1/0"}))
+    assert_usage_error(["thm1", "--epsilon", "1/2", "--space", str(space)], capsys)
+
+
+def test_cli_rejects_unwritable_output_before_running(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    assert_usage_error(["verify-ext", "--n", "1", "--output", str(missing)], capsys)
+    assert_usage_error(["verify-ext", "--n", "1", "--output", str(tmp_path)], capsys)
+    assert not missing.parent.exists()
+
+
+def test_cli_reports_a_failed_write_with_exit_two(tmp_path, capsys, monkeypatch):
+    """A write that fails after the run (the directory vanished, say) is
+    still one line and exit 2."""
+    import polyslice.cli
+
+    monkeypatch.setattr(polyslice.cli, "_check_output_path", lambda path: None)
+    target = tmp_path / "gone" / "x.csv"
+    assert_usage_error(["verify-ext", "--n", "1", "--output", str(target)], capsys)
 
 
 def test_config_checks_g_and_weights_against_every_grid_n():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from polyslice.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from polyslice.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, ClearedRows, clear_rows, solve_lp
 from polyslice.numeric import Scalar, rational
 
 SEED = 3301
@@ -91,6 +91,66 @@ def test_rejects_mismatched_arity_and_floats():
         solve_lp([0.5], leq=[([1], 1)])
 
 
+def outcome(res):
+    return res.status, res.point, res.value
+
+
+def rescaled(rows, rng):
+    """The rows cleared, then each scaled by a further positive integer, as
+    a row cleared over more numbers than its own would be."""
+    out = []
+    for ints, q in clear_rows(rows):
+        k = rng.randint(2, 7)
+        out.append((tuple(k * c for c in ints), k * q))
+    return ClearedRows(out)
+
+
+def assert_same_on_cleared_rows(objective, leq, eq, options, rng):
+    """Cleared rows, rescaled cleared rows and a mix of cleared and rational
+    rows all give the cold solve's status, point and value, and solving
+    leaves the cleared rows as they were."""
+    cold = outcome(solve_lp(objective, leq=leq, eq=eq, **options))
+    cleared_leq, cleared_eq = clear_rows(leq), clear_rows(eq)
+    assert (len(cleared_leq), len(cleared_eq)) == (len(leq), len(eq))
+    assert clear_rows(cleared_leq) is cleared_leq
+    kept = (tuple(cleared_leq), tuple(cleared_eq))
+    for rows_leq, rows_eq in ((cleared_leq, cleared_eq), (rescaled(leq, rng), rescaled(eq, rng)),
+                              (cleared_leq, eq), (leq, cleared_eq)):
+        assert outcome(solve_lp(objective, leq=rows_leq, eq=rows_eq, **options)) == cold
+    assert (tuple(cleared_leq), tuple(cleared_eq)) == kept
+    return cold
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c[0] for c in PINNED])
+def test_pinned_runs_are_unchanged_on_cleared_rows(case):
+    _, objective, leq, eq, options, status, point, value = case
+    got = assert_same_on_cleared_rows(objective, leq, eq, options, random.Random(SEED))
+    assert got[0] == status
+    if point is not None:
+        assert (got[1], got[2]) == (tuple(rational(c) for c in point), rational(value))
+
+
+def test_phase_one_weights_keep_the_witness_under_row_scaling():
+    """Phase one weighs the artificials of the two equality rows, cleared
+    with scales 1 and 3, by L / q; the witness on this degenerate optimum
+    depends on those weights.  Rows cleared with larger scales must give the
+    same witness."""
+    leq = [(["-5/7", "-1/2", 3], "1257/98"), (["-1/7", -3, "2/3"], "1061/147"),
+           (["1/2", 3, "4/7"], "39/14")]
+    eq = [([-1, 1, -1], -4), ([1, -1, "-4/3"], "-16/3")]
+    objective = [-2, 2, "4/7"]
+    options = {"maximize": True, "nonneg": True}
+    rng = random.Random(SEED + 2)
+    for _ in range(6):
+        got = assert_same_on_cleared_rows(objective, leq, eq, options, rng)
+        assert got == (OPTIMAL, (0, 0, 4), rational("16/7"))
+
+
+def test_cleared_rows_are_checked_for_arity():
+    with pytest.raises(ValueError, match="arity 1"):
+        solve_lp([1, 1], leq=clear_rows([([1], 1)]))
+
+
 def _random_lp(rng):
     dim = rng.randint(1, 4)
 
@@ -119,6 +179,23 @@ def _random_lp(rng):
         eq.append(([2 * c for c in a], 2 * b))
     options = {"maximize": rng.random() < 0.5, "nonneg": rng.random() < 0.4}
     return vec(), leq, eq, options
+
+
+def test_random_lps_are_unchanged_on_cleared_rows():
+    """Every nonneg/maximize setting of each random LP, equality rows and
+    negative right-hand sides included."""
+    rng = random.Random(SEED + 1)
+    seen = set()
+    negative_rhs = 0
+    for _ in range(120):
+        objective, leq, eq, _ = _random_lp(rng)
+        negative_rhs += any(b < 0 for _, b in leq + eq)
+        for maximize in (False, True):
+            for nonneg in (False, True):
+                options = {"maximize": maximize, "nonneg": nonneg}
+                seen.add(assert_same_on_cleared_rows(objective, leq, eq, options, rng)[0])
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert negative_rhs > 10
 
 
 def test_agrees_with_scipy_on_random_lps():

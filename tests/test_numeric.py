@@ -37,6 +37,12 @@ def test_rational_rejects_floats():
         rational(0.25)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_rational_rejects_zero_denominators_as_bad_values(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational(text)
+
+
 def test_rational_str_always_carries_denominator():
     assert rational_str(Scalar(2)) == "2/1"
     assert rational_str(Scalar(-3, 7)) == "-3/7"

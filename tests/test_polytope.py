@@ -458,3 +458,92 @@ def test_family_II_ball_has_three_times_two_to_the_n_vertices(N):
     x in {+-1}^N with beta = 0 and the 2 * 2^N vertices x in {+-r/(1+r)}^N
     with beta = +-1/(1+r)."""
     assert len(vertices(unit_ball(make_space_II(N, "1/10"))).vertices) == 3 * 2 ** N
+
+
+def mixed_denominator_points(rng):
+    """Random rational points whose coordinates have different denominators
+    per coordinate, with a duplicate and the midpoint of two of them."""
+    dim = rng.randint(1, 3)
+    dens = [rng.choice((1, 2, 3, 5, 7)) for _ in range(dim)]
+    pts = [tuple(Fraction(rng.randint(-6, 6), dens[i] * rng.randint(1, 3)) for i in range(dim))
+           for _ in range(rng.randint(2, 7))]
+    pts.append(rng.choice(pts))
+    u, v = rng.sample(pts, 2)
+    pts.append(tuple((a + b) / 2 for a, b in zip(u, v)))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_extreme_points_match_brute_force_on_mixed_denominators():
+    rng = random.Random(SEED + 5)
+    dropped = 0
+    for _ in range(40):
+        pts = mixed_denominator_points(rng)
+        kept = extreme_points([Vec(p) for p in pts]).vertices
+        got = [tuple(as_fraction(c) for c in v) for v in kept]
+        expected = oracles.extreme_filter(pts)
+        assert got == expected
+        dropped += len(set(pts)) - len(expected)
+    assert dropped > 40
+
+
+def test_extreme_points_drop_a_midpoint_with_mixed_denominators():
+    a, b, c = Vec(["1/3", "-2/5"]), Vec(["-7/2", "3/7"]), Vec([1, "9/4"])
+    mid = (a + b) * rational("1/2")
+    got = extreme_points([mid, a, b, c, a])
+    assert got.vertices == tuple(sorted((a, b, c)))
+
+
+def fraction_contains(poly, x):
+    return all(h.a.dot(x) <= h.b for h in poly.halfspaces)
+
+
+def on_hyperplane(h, x):
+    """x moved along h.a onto the hyperplane h.a.y = h.b."""
+    return x + h.a * ((h.b - h.a.dot(x)) / h.a.dot(h.a))
+
+
+def contains_cases(rng):
+    """Random polytopes with rational rows, and slices of family balls."""
+    for _ in range(8):
+        dim = rng.randint(2, 4)
+        rows = list(box(dim, 2).halfspaces)
+        rows += [HalfSpace(rational_row(rng, dim), Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 5))]
+        yield HPolytope(rows, dim)
+    for space in (make_space_II(2, "3/7"), make_space_II(3, "1/10"),
+                  make_space_VII(3, ["11/12", "8/9"])):
+        f = Vec([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(space.dim)])
+        if f.is_zero():
+            f = Vec.unit(space.dim, 0)
+        yield make_slice(space, SliceSpec(f, Fraction(1, rng.randint(2, 9))))
+
+
+def test_integer_contains_matches_fraction_dots():
+    rng = random.Random(SEED + 6)
+    outcomes = set()
+    tight = 0
+    for poly in contains_cases(rng):
+        dim = poly.dim
+        points = [Vec([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)])
+                  for _ in range(20)]
+        points += list(vertices(poly).vertices)
+        points += [on_hyperplane(h, p) for h in poly.halfspaces for p in points[:2]]
+        for x in points:
+            got = contains(poly, x)
+            assert got == fraction_contains(poly, x)
+            outcomes.add(got)
+            tight += got and any(h.a.dot(x) == h.b for h in poly.halfspaces)
+    assert outcomes == {True, False}
+    assert tight > 50
+
+
+def test_slice_reuses_the_ball_rows_and_clears_only_the_cut():
+    space = make_space_VII(3, ["11/12", "8/9"])
+    ball = unit_ball(space)
+    piece = make_slice(space, SliceSpec(Vec(["1/2", "-1/3", 0]), "1/7"))
+    k = len(ball.halfspaces)
+    assert piece._int_rows[:k] == ball._int_rows
+    assert all(a is b for a, b in zip(piece._int_rows, ball._int_rows))
+    assert piece._int_rows == linprog.clear_rows((h.a, h.b) for h in piece.halfspaces)
+    assert piece._int_rows is piece._int_rows
