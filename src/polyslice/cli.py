@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .experiments import EXPERIMENTS, ExperimentConfig, apply_space_file, run_experiment
 
@@ -54,17 +55,14 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-    if args.experiment is not None:
-        data["experiment"] = args.experiment
+    flags = vars(args)
+    if args.epsilons is not None:
+        flags = dict(flags, epsilons=[part.strip() for part in args.epsilons.split(",")])
+    for f in fields(ExperimentConfig):
+        if flags[f.name] is not None:
+            data[f.name] = flags[f.name]
     if "experiment" not in data:
         raise ValueError("no experiment named on the command line or in the config")
-    for name in ("N", "r", "delta", "epsilon", "omega_rule", "alpha", "g",
-                 "trials", "seed", "space_path", "format", "output_path"):
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.epsilons is not None:
-        data["epsilons"] = [part.strip() for part in args.epsilons.split(",")]
     return ExperimentConfig.from_dict(data)
 
 

@@ -4,6 +4,10 @@ Each experiment builds spaces and slices from the other modules, checks the
 advertised inequalities exactly, and emits a Report whose rows carry both
 sides of every inequality as rational strings plus a pass flag.  Reports are
 byte-identical across runs for a fixed config and seed.
+
+An experiment is one entry of a table: its columns, a generator of the rows
+of a config's grid, and a summary of those rows.  run_experiment is the one
+loop that turns an entry into a Report.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
-from .numeric import ONE, Scalar, Vec, ZERO, rational, rational_str
+from .numeric import ONE, Scalar, Vec, ZERO, exact_int, rational, rational_str
 from .polytope import vertices
 from .slices import (
     DimensionTooSmall,
@@ -41,14 +46,7 @@ __all__ = [
     "Report",
     "apply_space_file",
     "run_experiment",
-    "run_thm1",
-    "run_prop2",
-    "run_prop3",
-    "run_verify_ext",
-    "run_sandwich",
 ]
-
-EXPERIMENTS = ("thm1", "prop2", "prop3", "verify-ext", "sandwich")
 
 DEFAULT_N_GRID = (1, 2, 3, 4, 5, 6)
 DEFAULT_THM1_EPSILONS = ("1/2", "1/5", "1/20")
@@ -94,6 +92,14 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r; expected one of %s" % (self.experiment, ", ".join(EXPERIMENTS)))
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        exact_int(self.seed, "seed")
+        for name in ("N", "trials"):
+            if getattr(self, name) is not None:
+                exact_int(getattr(self, name), name)
+        for name in ("omega_rule", "g", "space_path", "output_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError("%r must be a string, got %r" % (name, value))
         for name in ("r", "delta", "epsilon", "alpha"):
             value = getattr(self, name)
             if value is not None:
@@ -102,6 +108,8 @@ class ExperimentConfig:
                 if value <= 0:
                     raise ValueError("%s must be positive" % name)
         if self.epsilons is not None:
+            if not isinstance(self.epsilons, (list, tuple)) or not self.epsilons:
+                raise ValueError("'epsilons' must be a nonempty list, got %r" % (self.epsilons,))
             eps = tuple(rational(e) for e in self.epsilons)
             if any(e <= 0 for e in eps):
                 raise ValueError("epsilons must be positive")
@@ -136,34 +144,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "experiment", "N", "r", "delta", "epsilon", "epsilons", "omega_rule",
-            "alpha", "g", "trials", "seed", "space_path", "output_path", "format",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         return cls(**data)
 
     def to_dict(self) -> dict:
-        data = {"experiment": self.experiment, "seed": self.seed, "format": self.format,
-                "omega_rule": self.omega_rule}
-        if self.N is not None:
-            data["N"] = self.N
-        for name in ("r", "delta", "epsilon", "alpha"):
-            value = getattr(self, name)
+        """Every field that is set, rationals as "p/q" strings."""
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = [rational_str(e) for e in value]
+            elif isinstance(value, Scalar):
+                value = rational_str(value)
             if value is not None:
-                data[name] = rational_str(value)
-        if self.epsilons is not None:
-            data["epsilons"] = [rational_str(e) for e in self.epsilons]
-        if self.g is not None:
-            data["g"] = self.g
-        if self.trials is not None:
-            data["trials"] = self.trials
-        if self.space_path is not None:
-            data["space_path"] = self.space_path
-        if self.output_path is not None:
-            data["output_path"] = self.output_path
+                data[f.name] = value
         return data
 
 
@@ -225,15 +221,26 @@ def _thm1_epsilons(config: ExperimentConfig) -> tuple:
     return tuple(rational(e) for e in DEFAULT_THM1_EPSILONS)
 
 
-def _row_base(experiment: str, N: int) -> dict:
-    return {"experiment": experiment, "N": N}
+def _rs(config: ExperimentConfig, default: tuple) -> tuple:
+    """The r values a sweep visits: the configured r or the default grid."""
+    return (config.r,) if config.r is not None else tuple(rational(x) for x in default)
 
 
-def thm1_case(N: int, epsilon, r=None, delta=None) -> dict:
+def _omega_for(config: ExperimentConfig, N: int):
+    if config.omega_rule == "default":
+        return None
+    return tuple(rational(w) for w in config.omega_rule[len("list:"):].split(","))
+
+
+def _check_rows(rows) -> dict:
+    return {"check_rows": all(row["pass"] for row in rows)}
+
+
+def thm1_case(N: int, epsilon, r=None, delta=None) -> tuple:
     """One lifted-space slice: exact diameter against the 2r + 3delta bound.
 
     Defaults r = epsilon/4 and delta = epsilon/10 make the bound 4/5 epsilon.
-    Returns the row dict plus the slice polytope and space under '_artifacts'.
+    Returns the row dict and the space, slice polytope and DiameterResult.
     """
     epsilon = rational(epsilon)
     r = epsilon / 4 if r is None else rational(r)
@@ -245,9 +252,9 @@ def thm1_case(N: int, epsilon, r=None, delta=None) -> dict:
     f = Vec.unit(space.dim, space.dim - 1) * (1 + r)
     slice_poly = make_slice(space, SliceSpec(f, delta))
     result = diameter(slice_poly, space)
-    ok = result.value <= bound and result.value < epsilon
-    row = _row_base("thm1", N)
-    row.update({
+    row = {
+        "experiment": "thm1",
+        "N": N,
         "epsilon": rational_str(epsilon),
         "r": rational_str(r),
         "delta": rational_str(delta),
@@ -255,37 +262,15 @@ def thm1_case(N: int, epsilon, r=None, delta=None) -> dict:
         "decimal_value": _decimal(result.value),
         "bound": rational_str(bound),
         "vertex_count": result.vertex_count,
-        "pass": ok,
-    })
-    row["_artifacts"] = {"space": space, "slice": slice_poly, "result": result}
-    return row
+        "pass": result.value <= bound and result.value < epsilon,
+    }
+    return row, {"space": space, "slice": slice_poly, "result": result}
 
 
-def _strip_artifacts(rows) -> tuple:
-    cleaned = []
-    for row in rows:
-        row = dict(row)
-        row.pop("_artifacts", None)
-        cleaned.append(row)
-    return tuple(cleaned)
-
-
-THM1_COLUMNS = ("experiment", "N", "epsilon", "r", "delta", "exact_value",
-                "decimal_value", "bound", "vertex_count", "pass")
-
-
-def run_thm1(config: ExperimentConfig) -> Report:
-    """Sweep the small-slice bound over N and epsilon grids."""
-    rows = []
+def _thm1_rows(config: ExperimentConfig):
     for N in _n_grid(config):
         for eps in _thm1_epsilons(config):
-            rows.append(thm1_case(N, eps, config.r, config.delta))
-    rows = _strip_artifacts(rows)
-    summary = {
-        "cases": len(rows),
-        "check_all_bounds": all(r["pass"] for r in rows),
-    }
-    return Report(config=config, columns=THM1_COLUMNS, rows=rows, summary=summary)
+            yield thm1_case(N, eps, config.r, config.delta)[0]
 
 
 def parse_g(g_spec: str, N: int, rng: random.Random) -> Vec:
@@ -332,74 +317,59 @@ def prop2_case(N: int, r, g_spec: str, alpha, rng: random.Random) -> dict:
     alpha = rational(alpha)
     space = make_space_II(N, r)
     g = parse_g(g_spec, N, rng)
-    row = _row_base("prop2", N)
-    row.update({
+    bound = 2 * (ONE - r)
+    row = {
+        "experiment": "prop2",
+        "N": N,
         "r": rational_str(r),
         "g": ",".join(rational_str(c) for c in g),
         "alpha": rational_str(alpha),
-    })
-    bound = 2 * (ONE - r)
+        "bound": rational_str(bound),
+    }
     try:
         cert = lower_bound_certificate(space, g, alpha, r)
     except DimensionTooSmall:
-        row.update({
-            "outcome": "dimension-too-small",
-            "checks": "",
-            "exact_value": "",
-            "decimal_value": "",
-            "bound": rational_str(bound),
-            "pass": True,
-        })
-        row["_artifacts"] = {"space": space, "certificate": None}
+        row.update({"outcome": "dimension-too-small", "checks": "", "exact_value": "",
+                    "decimal_value": "", "pass": True})
         return row
     slice_poly = make_slice(space, SliceSpec(g, alpha), cert.support_value)
     result = diameter(slice_poly, space)
-    ok = cert.valid and result.value >= bound
     row.update({
         "outcome": "certified" if cert.valid else "checks-failed",
         "checks": "%s,%s" % (str(cert.checks[0]).lower(), str(cert.checks[1]).lower()),
         "exact_value": rational_str(result.value),
         "decimal_value": _decimal(result.value),
-        "bound": rational_str(bound),
-        "pass": ok,
+        "pass": cert.valid and result.value >= bound,
     })
-    row["_artifacts"] = {"space": space, "certificate": cert, "slice": slice_poly, "result": result}
     return row
 
 
-PROP2_COLUMNS = ("experiment", "N", "r", "g", "alpha", "outcome", "checks",
-                 "exact_value", "decimal_value", "bound", "pass")
-
-
-def run_prop2(config: ExperimentConfig) -> Report:
-    """Certificate sweep; also scans for the least N where it succeeds."""
-    ns = _n_grid(config)
-    rs = (config.r,) if config.r is not None else tuple(rational(x) for x in DEFAULT_PROP2_RS)
+def _prop2_rows(config: ExperimentConfig):
     alpha = config.alpha if config.alpha is not None else rational("1/2")
     g_spec = config.g if config.g is not None else "e1"
     rng = random.Random(config.seed)
-    rows = []
-    for N in ns:
-        for r in rs:
-            rows.append(prop2_case(N, r, g_spec, alpha, rng))
-    rows = _strip_artifacts(rows)
+    for N in _n_grid(config):
+        for r in _rs(config, DEFAULT_PROP2_RS):
+            yield prop2_case(N, r, g_spec, alpha, rng)
+
+
+def _prop2_summary(rows) -> dict:
     succeeded = [row["N"] for row in rows if row["outcome"] == "certified"]
     too_small = [row["N"] for row in rows if row["outcome"] == "dimension-too-small"]
-    summary = {
-        "cases": len(rows),
+    return {
         "minimal_certified_N": min(succeeded) if succeeded else None,
         "dimension_too_small_N": sorted(set(too_small)),
-        "check_rows": all(r["pass"] for r in rows),
+        **_check_rows(rows),
     }
-    return Report(config=config, columns=PROP2_COLUMNS, rows=rows, summary=summary)
 
 
-def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> dict:
+def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> tuple:
     """One shrinking-slice row: diameter against 6 epsilon plus the vertex
     coordinate estimates (first coordinate >= s - epsilon, tail <= 3 epsilon).
 
     s is sup e1 over the ball; a caller that already has it from
-    support_value passes it to skip solving the same LP again.
+    support_value passes it to skip solving the same LP again.  Returns the
+    row dict and the space, slice polytope and DiameterResult.
     """
     epsilon = rational(epsilon)
     N = space.dim
@@ -412,11 +382,9 @@ def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> dict:
     tail_bound = 3 * epsilon
     max_tail = max((max((abs(c) for c in v[1:]), default=ZERO) for v in verts))
     min_head = min(v[0] for v in verts)
-    six_ok = result.value <= 6 * epsilon
-    tail_ok = max_tail <= tail_bound
-    head_ok = min_head >= s - epsilon
-    row = _row_base("prop3", N)
-    row.update({
+    row = {
+        "experiment": "prop3",
+        "N": N,
         "epsilon": rational_str(epsilon),
         "exact_value": rational_str(result.value),
         "decimal_value": _decimal(result.value),
@@ -426,87 +394,59 @@ def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> dict:
         "max_tail": rational_str(max_tail),
         "tail_bound": rational_str(tail_bound),
         "vertex_count": result.vertex_count,
-        "pass": six_ok and tail_ok and head_ok,
-    })
-    row["_artifacts"] = {"space": space, "slice": slice_poly, "result": result}
-    return row
+        "pass": result.value <= 6 * epsilon and max_tail <= tail_bound and min_head >= s - epsilon,
+    }
+    return row, {"space": space, "slice": slice_poly, "result": result}
 
 
-PROP3_COLUMNS = ("experiment", "N", "epsilon", "exact_value", "decimal_value",
-                 "bound", "ratio", "four_epsilon", "max_tail", "tail_bound",
-                 "vertex_count", "pass")
-
-
-def _omega_for(config: ExperimentConfig, N: int):
-    if config.omega_rule == "default":
-        return None
-    return tuple(rational(w) for w in config.omega_rule[len("list:"):].split(","))
-
-
-def run_prop3(config: ExperimentConfig) -> Report:
-    """Shrinking-slice sweep with monotonicity and ratio summaries."""
-    ns = _n_grid(config)
+def _prop3_rows(config: ExperimentConfig):
     epsilons = config.epsilons if config.epsilons is not None else tuple(rational(e) for e in DEFAULT_PROP3_EPSILONS)
-    rows = []
-    monotone = True
-    for N in ns:
+    for N in _n_grid(config):
         space = make_space_VII(N, _omega_for(config, N))
         s = support_value(space, Vec.unit(N, 0))
-        previous = None
         for eps in epsilons:
-            row = prop3_case(space, eps, s)
-            value = rational(row["exact_value"])
-            if previous is not None and value > previous:
-                monotone = False
-            previous = value
-            rows.append(row)
-    rows = _strip_artifacts(rows)
-    ratios = [rational(r["exact_value"]) / rational(r["epsilon"]) for r in rows]
-    summary = {
-        "cases": len(rows),
-        "max_ratio": _decimal(max(ratios)),
-        "four_epsilon_holds": all(r["four_epsilon"] for r in rows),
-        "check_rows": all(r["pass"] for r in rows),
-        "check_monotone": monotone,
+            yield prop3_case(space, eps, s)[0]
+
+
+def _prop3_summary(rows) -> dict:
+    """Ratios and the 4-epsilon verdict over all rows; the diameters must not
+    grow as epsilon shrinks, which compares consecutive rows of one N."""
+    values = [(row["N"], rational(row["exact_value"])) for row in rows]
+    return {
+        "max_ratio": _decimal(max(rational(row["exact_value"]) / rational(row["epsilon"]) for row in rows)),
+        "four_epsilon_holds": all(row["four_epsilon"] for row in rows),
+        **_check_rows(rows),
+        "check_monotone": all(n != m or b <= a for (n, a), (m, b) in zip(values, values[1:])),
     }
-    return Report(config=config, columns=PROP3_COLUMNS, rows=rows, summary=summary)
+
+
+def audit_space(space: PolyhedralNormSpace, expected=None) -> dict:
+    """verify-ext on one space: its generator set must be exactly its own
+    extreme-point set, and when expected is given, of that size."""
+    duals = dual_ball_vertices(space)
+    set_equal = set(duals.vertices) == set(space.generators)
+    expected = len(space.generators) if expected is None else expected
+    return {
+        "experiment": "verify-ext",
+        "N": space.param("N") if space.has_param("N") else space.dim,
+        "r": rational_str(space.param("r")) if space.has_param("r") else "",
+        "extreme_count": len(duals.vertices),
+        "expected_count": expected,
+        "set_equal": set_equal,
+        "pass": set_equal and len(duals.vertices) == expected,
+    }
 
 
 def verify_ext_case(N: int, r) -> dict:
-    """Check the dual generator set is exactly its own extreme-point set."""
-    r = rational(r)
-    space = make_space_II(N, r)
-    duals = dual_ball_vertices(space)
-    expected = 4 * N + 2
-    gens = set(space.generators)
-    ext = set(duals.vertices)
-    ok = ext == gens and len(duals.vertices) == expected
-    row = _row_base("verify-ext", N)
-    row.update({
-        "r": rational_str(r),
-        "extreme_count": len(duals.vertices),
-        "expected_count": expected,
-        "set_equal": ext == gens,
-        "pass": ok,
-    })
-    row["_artifacts"] = {"space": space, "duals": duals}
-    return row
+    """audit_space on the family II space, whose dual ball has the 4N + 2
+    extreme points its closed form lists."""
+    return audit_space(make_space_II(N, rational(r)), 4 * N + 2)
 
 
-VERIFY_EXT_COLUMNS = ("experiment", "N", "r", "extreme_count", "expected_count",
-                      "set_equal", "pass")
-
-
-def run_verify_ext(config: ExperimentConfig) -> Report:
-    ns = _n_grid(config)
-    rs = (config.r,) if config.r is not None else tuple(rational(x) for x in DEFAULT_EXT_RS)
-    rows = []
-    for N in ns:
-        for r in rs:
-            rows.append(verify_ext_case(N, r))
-    rows = _strip_artifacts(rows)
-    summary = {"cases": len(rows), "check_rows": all(r["pass"] for r in rows)}
-    return Report(config=config, columns=VERIFY_EXT_COLUMNS, rows=rows, summary=summary)
+def _verify_ext_rows(config: ExperimentConfig):
+    for N in _n_grid(config):
+        for r in _rs(config, DEFAULT_EXT_RS):
+            yield verify_ext_case(N, r)
 
 
 def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
@@ -528,53 +468,60 @@ def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
             ratio = value / lower
             if worst_ratio is None or ratio > worst_ratio:
                 worst_ratio = ratio
-    row = _row_base("sandwich", N)
-    row.update({
+    return {
+        "experiment": "sandwich",
+        "N": N,
         "r": rational_str(r),
         "trials": trials,
         "failures": failures,
         "worst_ratio": rational_str(worst_ratio) if worst_ratio is not None else "",
         "ratio_cap": rational_str(one_plus_r),
         "pass": failures == 0,
-    })
-    return row
+    }
 
 
-SANDWICH_COLUMNS = ("experiment", "N", "r", "trials", "failures", "worst_ratio",
-                    "ratio_cap", "pass")
-
-
-def run_sandwich(config: ExperimentConfig) -> Report:
-    ns = _n_grid(config)
-    rs = (config.r,) if config.r is not None else tuple(rational(x) for x in DEFAULT_SANDWICH_RS)
+def _sandwich_rows(config: ExperimentConfig):
     trials = config.trials if config.trials is not None else DEFAULT_TRIALS
     rng = random.Random(config.seed)
-    rows = []
-    for N in ns:
-        for r in rs:
-            rows.append(sandwich_case(N, r, trials, rng))
-    rows = tuple(dict(row) for row in rows)
-    summary = {"cases": len(rows), "check_rows": all(r["pass"] for r in rows)}
-    return Report(config=config, columns=SANDWICH_COLUMNS, rows=rows, summary=summary)
+    for N in _n_grid(config):
+        for r in _rs(config, DEFAULT_SANDWICH_RS):
+            yield sandwich_case(N, r, trials, rng)
 
 
-def audit_space(config: ExperimentConfig, space: PolyhedralNormSpace) -> Report:
-    """verify-ext over an explicitly supplied space: the generator set must be
-    exactly its own extreme-point set."""
-    duals = dual_ball_vertices(space)
-    gens = set(space.generators)
-    ext = set(duals.vertices)
-    ok = ext == gens
-    row = _row_base("verify-ext", space.param("N") if space.has_param("N") else space.dim)
-    row.update({
-        "r": rational_str(space.param("r")) if space.has_param("r") else "",
-        "extreme_count": len(duals.vertices),
-        "expected_count": len(space.generators),
-        "set_equal": ext == gens,
-        "pass": ok,
-    })
-    summary = {"cases": 1, "check_rows": ok}
-    return Report(config=config, columns=VERIFY_EXT_COLUMNS, rows=(row,), summary=summary)
+@dataclass(frozen=True)
+class _Experiment:
+    """Report columns, the rows of a config's grid, and their summary.  The
+    row generators call the case functions by their module-level names, so a
+    caller that rebinds a case function sees every call."""
+
+    columns: tuple
+    rows: Callable
+    summary: Callable
+
+
+_TABLE = {
+    "thm1": _Experiment(
+        ("experiment", "N", "epsilon", "r", "delta", "exact_value", "decimal_value", "bound",
+         "vertex_count", "pass"),
+        _thm1_rows,
+        lambda rows: {"check_all_bounds": all(row["pass"] for row in rows)}),
+    "prop2": _Experiment(
+        ("experiment", "N", "r", "g", "alpha", "outcome", "checks", "exact_value",
+         "decimal_value", "bound", "pass"),
+        _prop2_rows, _prop2_summary),
+    "prop3": _Experiment(
+        ("experiment", "N", "epsilon", "exact_value", "decimal_value", "bound", "ratio",
+         "four_epsilon", "max_tail", "tail_bound", "vertex_count", "pass"),
+        _prop3_rows, _prop3_summary),
+    "verify-ext": _Experiment(
+        ("experiment", "N", "r", "extreme_count", "expected_count", "set_equal", "pass"),
+        _verify_ext_rows, _check_rows),
+    "sandwich": _Experiment(
+        ("experiment", "N", "r", "trials", "failures", "worst_ratio", "ratio_cap", "pass"),
+        _sandwich_rows, _check_rows),
+}
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 def apply_space_file(config: ExperimentConfig):
@@ -611,17 +558,14 @@ def apply_space_file(config: ExperimentConfig):
     raise ValueError("explicit-generator spaces only run the verify-ext audit")
 
 
-_RUNNERS = {
-    "thm1": run_thm1,
-    "prop2": run_prop2,
-    "prop3": run_prop3,
-    "verify-ext": run_verify_ext,
-    "sandwich": run_sandwich,
-}
-
-
 def run_experiment(config: ExperimentConfig) -> Report:
+    """Run the config's grid (or, for a verify-ext space file, audit that
+    one space) and summarize the rows."""
     config, explicit_space = apply_space_file(config)
+    entry = _TABLE[config.experiment]
     if explicit_space is not None:
-        return audit_space(config, explicit_space)
-    return _RUNNERS[config.experiment](config)
+        rows = (audit_space(explicit_space),)
+    else:
+        rows = tuple(entry.rows(config))
+    summary = {"cases": len(rows), **entry.summary(rows)}
+    return Report(config=config, columns=entry.columns, rows=rows, summary=summary)

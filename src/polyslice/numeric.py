@@ -1,9 +1,10 @@
 """Exact rational scalars, vectors, and dense linear algebra.
 
 All geometry in this package runs on arbitrary-precision rationals; floating
-point appears only in the stochastic sampling oracle.  gmpy2 is used when
-available because its mpq type is several times faster than fractions.Fraction;
-the two are interchangeable here.
+point appears only in the stochastic sampling oracle.  The scalar type is the
+standard library's fractions.Fraction; the hot loops (the simplex tableau,
+vertex enumeration, norm evaluation) run on Python ints over cleared
+denominators and build Fractions only at their boundaries.
 """
 
 from __future__ import annotations
@@ -11,19 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-try:
-    from gmpy2 import mpq as _mpq
+#: The exact rational scalar type used everywhere.
+Scalar = Fraction
 
-    HAVE_GMPY2 = True
-except ImportError:  # gmpy2 absent: fractions.Fraction is the scalar type
-    _mpq = Fraction
-    HAVE_GMPY2 = False
+#: Fraction is the only scalar backend.  The flag stays because
+#: bench/child.py reads it to record the backend of each run.
+HAVE_GMPY2 = False
 
-#: Constructor for the exact rational scalar type used everywhere.
-Scalar = _mpq
-
-ZERO = _mpq(0)
-ONE = _mpq(1)
+ZERO = Scalar(0)
+ONE = Scalar(1)
 
 
 class SingularError(ValueError):
@@ -31,17 +28,17 @@ class SingularError(ValueError):
 
 
 def rational(value):
-    """Coerce an int, "p/q" string, Fraction, or Scalar to a Scalar.
+    """Coerce an int, "p/q" string or Fraction to a Scalar.
 
     Floats are rejected so that inexact values cannot slip in silently, and
     a zero denominator ("p/0") raises ValueError like any other bad value.
     """
-    if type(value) is _mpq:
+    if type(value) is Scalar:
         return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
     try:
-        return _mpq(value)
+        return Scalar(value)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (value,)) from None
 
@@ -56,7 +53,7 @@ def exact_int(value, name):
 
 def rational_str(value):
     """Serialize a rational exactly, always in "p/q" form."""
-    q = _mpq(value)
+    q = Scalar(value)
     return "%s/%s" % (q.numerator, q.denominator)
 
 
@@ -139,10 +136,6 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(Vec.unit(dim, i) for i in range(dim))
 
     @property
     def nrows(self):

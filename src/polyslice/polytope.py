@@ -33,13 +33,12 @@ emptiness is then decided by DD on a column basis of the normals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
-from .numeric import ZERO, Scalar, Vec, clear_denominators, exact_int, rational, rational_str
+from .numeric import ZERO, Scalar, Vec, clear_denominators, rational
 
 __all__ = [
     "UnboundedError",
@@ -52,10 +51,6 @@ __all__ = [
     "contains",
     "support",
     "lp_feasible",
-    "hpolytope_to_dict",
-    "hpolytope_from_dict",
-    "vpolytope_to_dict",
-    "vpolytope_from_dict",
 ]
 
 
@@ -408,48 +403,3 @@ def extreme_points(points) -> VPolytope:
     coords = [clear_denominators([p[i] for p in uniq]) for i in range(dim)]
     keep = tuple(p for t, p in enumerate(uniq) if not _in_hull(coords, t))
     return VPolytope(keep, dim)
-
-
-def hpolytope_to_dict(poly: HPolytope) -> dict:
-    return {
-        "dim": poly.dim,
-        "halfspaces": [
-            {"a": [rational_str(c) for c in h.a], "b": rational_str(h.b)}
-            for h in poly.halfspaces
-        ],
-    }
-
-
-def hpolytope_from_dict(data: dict) -> HPolytope:
-    return HPolytope(
-        [HalfSpace(Vec(h["a"]), rational(h["b"])) for h in data["halfspaces"]],
-        exact_int(data["dim"], "dim"),
-    )
-
-
-def vpolytope_to_dict(vpoly: VPolytope) -> dict:
-    return {
-        "dim": vpoly.dim,
-        "vertices": [[rational_str(c) for c in v] for v in vpoly.vertices],
-    }
-
-
-def vpolytope_from_dict(data: dict) -> VPolytope:
-    return VPolytope(tuple(Vec(v) for v in data["vertices"]), exact_int(data["dim"], "dim"))
-
-
-def to_json(obj) -> str:
-    if isinstance(obj, HPolytope):
-        return json.dumps(hpolytope_to_dict(obj), sort_keys=True, indent=2) + "\n"
-    if isinstance(obj, VPolytope):
-        return json.dumps(vpolytope_to_dict(obj), sort_keys=True, indent=2) + "\n"
-    raise TypeError("expected HPolytope or VPolytope, got %r" % type(obj).__name__)
-
-
-def from_json(text: str):
-    data = json.loads(text)
-    if "halfspaces" in data:
-        return hpolytope_from_dict(data)
-    if "vertices" in data:
-        return vpolytope_from_dict(data)
-    raise ValueError("neither halfspaces nor vertices present")

@@ -60,13 +60,6 @@ class DiameterResult:
     witness_pair: tuple
     vertex_count: int
 
-    def to_dict(self):
-        return {
-            "value": rational_str(self.value),
-            "witness_pair": [[rational_str(c) for c in w] for w in self.witness_pair],
-            "vertex_count": self.vertex_count,
-        }
-
 
 @dataclass(frozen=True)
 class LowerBoundCertificate:

@@ -13,11 +13,7 @@ from polyslice.experiments import (
     ExperimentConfig,
     parse_g,
     prop3_case,
-    run_prop2,
-    run_prop3,
-    run_sandwich,
-    run_thm1,
-    run_verify_ext,
+    run_experiment,
     thm1_case,
 )
 from polyslice.numeric import Matrix, ONE, Scalar, Vec, ZERO, rank, rational
@@ -50,9 +46,9 @@ def thm1_artifacts():
         for eps_str in THM1_EPSILONS:
             eps = rational(eps_str)
             start = time.perf_counter()
-            row = thm1_case(N, eps)
+            row, art = thm1_case(N, eps)
             elapsed = time.perf_counter() - start
-            cases.append((N, eps, row, elapsed))
+            cases.append((N, eps, row, art, elapsed))
     return cases
 
 
@@ -80,15 +76,15 @@ def prop3_artifacts():
         for eps_str in PROP3_EPSILONS:
             eps = rational(eps_str)
             start = time.perf_counter()
-            row = prop3_case(space, eps)
+            row, art = prop3_case(space, eps)
             elapsed = time.perf_counter() - start
-            cases.append((N, eps, row, elapsed))
+            cases.append((N, eps, row, art, elapsed))
     return cases
 
 
 def test_criterion_1_small_slice_bound_exact(thm1_artifacts):
     assert len(thm1_artifacts) == 18
-    for N, eps, row, elapsed in thm1_artifacts:
+    for N, eps, row, _, elapsed in thm1_artifacts:
         value = rational(row["exact_value"])
         bound = rational(row["bound"])
         assert bound == 4 * eps / 5
@@ -96,7 +92,7 @@ def test_criterion_1_small_slice_bound_exact(thm1_artifacts):
         assert value < eps
         assert row["pass"] is True
         assert elapsed < 60.0, (N, eps, elapsed)
-    report = run_thm1(ExperimentConfig(experiment="thm1"))
+    report = run_experiment(ExperimentConfig(experiment="thm1"))
     assert report.all_pass and len(report.rows) == 18
 
 
@@ -111,7 +107,7 @@ def test_criterion_2_lower_bound_certificates(prop2_artifacts):
     small = make_space_II(1, rational("1/10"))
     with pytest.raises(DimensionTooSmall):
         lower_bound_certificate(small, Vec.unit(2, 0), HALF, rational("1/10"))
-    report = run_prop2(ExperimentConfig(experiment="prop2", N=1, r="1/10"))
+    report = run_experiment(ExperimentConfig(experiment="prop2", N=1, r="1/10"))
     assert report.all_pass
     assert report.rows[0]["outcome"] == "dimension-too-small"
     assert report.summary["dimension_too_small_N"] == [1]
@@ -120,14 +116,14 @@ def test_criterion_2_lower_bound_certificates(prop2_artifacts):
 def test_criterion_3_shrinking_slices(prop3_artifacts):
     assert len(prop3_artifacts) == 12
     by_n = {}
-    for N, eps, row, elapsed in prop3_artifacts:
+    for N, eps, row, art, elapsed in prop3_artifacts:
         value = rational(row["exact_value"])
         assert value <= 6 * eps, (N, eps, value)
         assert rational(row["max_tail"]) <= 3 * eps
         assert row["pass"] is True
         assert elapsed < 120.0, (N, eps, elapsed)
         by_n.setdefault(N, []).append(value)
-        slice_poly = row["_artifacts"]["slice"]
+        slice_poly = art["slice"]
         for vertex in vertices(slice_poly).vertices:
             tail = [abs(c) for c in vertex[1:]]
             assert max(tail) <= 3 * eps
@@ -135,13 +131,13 @@ def test_criterion_3_shrinking_slices(prop3_artifacts):
         assert values == sorted(values, reverse=True), N
         ratios = [v / rational(e) for v, e in zip(values, PROP3_EPSILONS)]
         assert all(q <= 6 for q in ratios), (N, ratios)
-    report = run_prop3(ExperimentConfig(experiment="prop3"))
+    report = run_experiment(ExperimentConfig(experiment="prop3"))
     assert report.all_pass
     assert report.summary["four_epsilon_holds"] is False
 
 
 def test_criterion_4_extreme_point_identification():
-    report = run_verify_ext(ExperimentConfig(experiment="verify-ext"))
+    report = run_experiment(ExperimentConfig(experiment="verify-ext"))
     assert report.all_pass
     assert len(report.rows) == 18
     for row in report.rows:
@@ -150,7 +146,7 @@ def test_criterion_4_extreme_point_identification():
 
 
 def test_criterion_5_norm_sandwich():
-    report = run_sandwich(ExperimentConfig(experiment="sandwich"))
+    report = run_experiment(ExperimentConfig(experiment="sandwich"))
     assert report.all_pass
     assert len(report.rows) == 18
     for row in report.rows:
@@ -212,8 +208,7 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_sampling_oracle_consistency(thm1_artifacts, prop2_artifacts, prop3_artifacts):
     checked = 0
-    for N, eps, row, _ in thm1_artifacts:
-        art = row["_artifacts"]
+    for N, eps, _, art, _ in thm1_artifacts:
         exact = art["result"].value
         sampled = sample_diameter_lower_bound(art["slice"], art["space"], 10000, ACCEPT_SEED)
         assert float(sampled) <= float(exact) + 1e-9, (N, eps)
@@ -222,8 +217,7 @@ def test_criterion_7_sampling_oracle_consistency(thm1_artifacts, prop2_artifacts
         sampled = sample_diameter_lower_bound(slice_poly, space, 10000, ACCEPT_SEED)
         assert float(sampled) <= float(result.value) + 1e-9, g_spec
         checked += 1
-    for N, eps, row, _ in prop3_artifacts:
-        art = row["_artifacts"]
+    for N, eps, _, art, _ in prop3_artifacts:
         sampled = sample_diameter_lower_bound(art["slice"], art["space"], 10000, ACCEPT_SEED)
         assert float(sampled) <= float(art["result"].value) + 1e-9, (N, eps)
         checked += 1

@@ -1,6 +1,5 @@
 """Polytope kernel: vertex enumeration, extreme points, membership, support."""
 
-import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -18,15 +17,9 @@ from polyslice.polytope import (
     VPolytope,
     contains,
     extreme_points,
-    from_json,
-    hpolytope_from_dict,
-    hpolytope_to_dict,
     lp_feasible,
     support,
-    to_json,
     vertices,
-    vpolytope_from_dict,
-    vpolytope_to_dict,
 )
 from polyslice.slices import SliceSpec, make_slice
 from polyslice.spaces import make_space_II, make_space_VII, unit_ball
@@ -212,39 +205,6 @@ def test_symmetric_polytopes_have_symmetric_vertices():
         verts = vertices(HPolytope(rows, dim))
         have = set(verts.vertices)
         assert all(-v in have for v in have)
-
-
-def test_hpolytope_json_round_trip():
-    p = box(2)
-    data = json.loads(to_json(p))
-    assert data["dim"] == 2
-    assert data["halfspaces"][0]["b"] == "1/1"
-    back = from_json(to_json(p))
-    assert back == p
-
-
-def test_vpolytope_json_round_trip():
-    v = vertices(box(2))
-    back = from_json(to_json(v))
-    assert back.vertices == v.vertices
-    assert json.loads(to_json(v))["vertices"][0][0] == "-1/1"
-
-
-def test_hpolytope_dict_round_trip_preserves_rationals():
-    p = HPolytope([HalfSpace(Vec(["1/3", "-2/7"]), rational("5/11")),
-                   HalfSpace(Vec(["-1/3", "2/7"]), rational("5/11")),
-                   HalfSpace(Vec([0, 1]), ONE),
-                   HalfSpace(Vec([0, -1]), ONE)], 2)
-    assert hpolytope_from_dict(hpolytope_to_dict(p)) == p
-
-
-@pytest.mark.parametrize("dim", [1.5, 2.0, "2", True])
-def test_polytope_dicts_reject_non_integer_dim(dim):
-    h = hpolytope_to_dict(box(2))
-    v = vpolytope_to_dict(vertices(box(2)))
-    for data, load in ((h, hpolytope_from_dict), (v, vpolytope_from_dict)):
-        with pytest.raises(ValueError, match="'dim' must be an integer"):
-            load(dict(data, dim=dim))
 
 
 def test_base_extension_matches_scratch_enumeration():
