@@ -17,6 +17,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field, fields, replace
+from math import lcm
 from typing import Callable
 
 from .numeric import ONE, Scalar, Vec, ZERO, exact_int, rational, rational_str
@@ -31,13 +32,12 @@ from .slices import (
 )
 from .spaces import (
     PolyhedralNormSpace,
+    _norm_int,
     check_omega,
     dual_ball_vertices,
     load_space,
     make_space_II,
     make_space_VII,
-    norm,
-    reference_product_norm,
 )
 
 __all__ = [
@@ -451,31 +451,38 @@ def _verify_ext_rows(config: ExperimentConfig):
 
 def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     """Random vectors through the norm sandwich: the lifted norm lies between
-    the product reference norm and (1+r) times it."""
+    the product reference norm and (1+r) times it.
+
+    Each trial draws x_i = a_i / q_i and clears it once to P = L x over
+    L = lcm(q).  The reference norm max_{i<N} |P_i| + |P_N| and the kernel's
+    den * |||P||| are then integers, so both checks and the worst ratio are
+    integer comparisons; one Fraction is built per row.
+    """
     r = rational(r)
     space = make_space_II(N, r)
     d = space.dim
-    one_plus_r = 1 + r
+    den = space._int_rows[1]
+    cap = r.denominator + r.numerator
     failures = 0
-    worst_ratio = None
+    worst = None  # (value, lower) with ratio value / lower, both over L * den
     for _ in range(trials):
-        x = Vec([Scalar(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(d)])
-        lower = reference_product_norm(x, d - 1)
-        value = norm(space, x)
-        if not lower <= value <= one_plus_r * lower:
+        draws = [(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(d)]
+        L = lcm(*(q for _, q in draws))
+        P = [a * (L // q) for a, q in draws]
+        low = (max(abs(c) for c in P[:N]) + abs(P[N])) * den
+        val = _norm_int(space, P)
+        if not low <= val or val * r.denominator > cap * low:
             failures += 1
-        if lower > 0:
-            ratio = value / lower
-            if worst_ratio is None or ratio > worst_ratio:
-                worst_ratio = ratio
+        if low > 0 and (worst is None or val * worst[1] > worst[0] * low):
+            worst = (val, low)
     return {
         "experiment": "sandwich",
         "N": N,
         "r": rational_str(r),
         "trials": trials,
         "failures": failures,
-        "worst_ratio": rational_str(worst_ratio) if worst_ratio is not None else "",
-        "ratio_cap": rational_str(one_plus_r),
+        "worst_ratio": rational_str(Scalar(*worst)) if worst is not None else "",
+        "ratio_cap": rational_str(1 + r),
         "pass": failures == 0,
     }
 

@@ -3,14 +3,14 @@
 All geometry in this package runs on arbitrary-precision rationals; floating
 point appears only in the stochastic sampling oracle.  The scalar type is the
 standard library's fractions.Fraction; the hot loops (the simplex tableau,
-vertex enumeration, norm evaluation) run on Python ints over cleared
+vertex enumeration, norm evaluation, rank) run on Python ints over cleared
 denominators and build Fractions only at their boundaries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 #: The exact rational scalar type used everywhere.
 Scalar = Fraction
@@ -31,12 +31,15 @@ def rational(value):
     """Coerce an int, "p/q" string or Fraction to a Scalar.
 
     Floats are rejected so that inexact values cannot slip in silently, and
-    a zero denominator ("p/0") raises ValueError like any other bad value.
+    so are booleans, which Fraction would take as 0 and 1.  A zero
+    denominator ("p/0") raises ValueError like any other bad value.
     """
     if type(value) is Scalar:
         return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
+    if isinstance(value, bool):
+        raise TypeError("refusing to coerce bool %r; pass an int, string or Fraction" % (value,))
     try:
         return Scalar(value)
     except ZeroDivisionError:
@@ -64,6 +67,12 @@ def clear_denominators(values):
     dens = [int(c.denominator) for c in values]
     q = lcm(*dens)
     return tuple(int(c.numerator) * (q // d) for c, d in zip(values, dens)), q
+
+
+def _reduced(values):
+    """The integer vector values divided by the gcd of its entries."""
+    g = gcd(*values)
+    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
 class Vec(tuple):
@@ -186,8 +195,22 @@ def _rref(rows, width):
 
 
 def rank(a: Matrix) -> int:
-    rows = [list(r) for r in a.rows]
-    return len(_rref(rows, a.ncols))
+    """Rank by fraction-free elimination: each row is cleared to integers,
+    reduced against the echelon rows kept so far, and kept, divided by its
+    gcd, when something is left of it."""
+    echelon = []
+    for r in a.rows:
+        red, _ = clear_denominators(r)
+        for pc, row in echelon:
+            c = red[pc]
+            if c:
+                red = tuple(row[pc] * x - c * y for x, y in zip(red, row))
+        pc = next((j for j, x in enumerate(red) if x), None)
+        if pc is not None:
+            echelon.append((pc, _reduced(red)))
+            if len(echelon) == a.ncols:
+                break
+    return len(echelon)
 
 
 def solve_linear_system(a: Matrix, b: Vec) -> Vec:

@@ -34,11 +34,11 @@ emptiness is then decided by DD on a column basis of the normals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
-from .numeric import ZERO, Scalar, Vec, clear_denominators, rational
+from .numeric import ZERO, Scalar, Vec, _reduced, clear_denominators, rational
 
 __all__ = [
     "UnboundedError",
@@ -161,12 +161,6 @@ def _homogenized(ints):
     """The integer row c.x <= b, given as ints = (c..., b), as the cone row
     (c..., -b) . (x, t) <= 0."""
     return ints[:-1] + (-ints[-1],)
-
-
-def _reduced(values):
-    """The integer vector values divided by the gcd of its entries."""
-    g = gcd(*values)
-    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
 def _basis(rows, dim):

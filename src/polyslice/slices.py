@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -149,7 +150,9 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     common denominator Q, so each phi.v is an integer dot product of phi's
     integer row (see PolyhedralNormSpace._int_rows) over den * Q.  The vertex
     list is sorted and distinct, so the lex-least vertex among ties is the
-    first index, and comparing index pairs compares vertex pairs.
+    first index, and comparing index pairs compares vertex pairs.  One row per
+    +- generator pair suffices: -phi has phi's width, and its first argmax
+    and first argmin are phi's swapped, so the sorted pair is the same.
     """
     if poly.dim != space.dim:
         raise ValueError("polytope of dimension %d in a space of dimension %d"
@@ -162,7 +165,7 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     best_width = None
     best_pair = None
     for row in rows:
-        vals = [sum(c * p[j] for j, c in row) for p in points]
+        vals = [sum(map(mul, row, p)) for p in points]
         hi = max(vals)
         lo = min(vals)
         width = hi - lo

@@ -10,11 +10,12 @@ A space is a finite symmetric generator set Phi spanning the dual, with
   n >= 2, the ten generators +-e_n, +-e_1 +- (1/3) e_n, +-w_n e_1 +- (1/2) e_n
   with weights w_n in (5/6, 1].
 
-A space also keeps its generators as sparse integer rows over one common
-denominator, so the norm is a max of integer dot products and no rational is
-built per generator.  The unit ball of a space and the extreme points of its
-generator set are cached per space value, so repeated queries share one
-vertex enumeration.
+A space also keeps one dense integer row per +- pair of generators, over one
+common denominator.  The set is symmetric, so the max of |phi.x| over half
+the rows is the max of phi.x over all of them, and the norm is a max of
+integer dot products with no rational built per generator.  The unit ball of
+a space and the extreme points of its generator set are cached per space
+value, so repeated queries share one vertex enumeration.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .numeric import (ONE, ZERO, Matrix, Scalar, Vec, clear_denominators, exact_int, rank,
                       rational, rational_str)
@@ -89,14 +91,21 @@ class PolyhedralNormSpace:
 
     @cached_property
     def _int_rows(self):
-        """(rows, den): generator k is rows[k] / den, with rows[k] the sparse
-        integer pairs (j, c), c != 0, and den > 0 shared by every generator.
-        Not a field, so equality, hashing and repr ignore it."""
+        """(rows, den): one dense integer row per +- pair of generators, the
+        pair's member that comes first in generator order, as rows[k] / den
+        with den > 0 shared by every generator.  Negating phi changes neither
+        |phi.x| nor a width max phi.v - min phi.v, so these rows serve every
+        norm and width.  Not a field, so equality, hashing and repr ignore it."""
         flat, den = clear_denominators([c for g in self.generators for c in g])
         d = self.dim
-        rows = tuple(tuple((j, c) for j, c in enumerate(flat[k:k + d]) if c)
-                     for k in range(0, len(flat), d))
-        return rows, den
+        rows = []
+        seen = set()
+        for k in range(0, len(flat), d):
+            row = flat[k:k + d]
+            if tuple(-c for c in row) not in seen:
+                seen.add(row)
+                rows.append(row)
+        return tuple(rows), den
 
     def param(self, name):
         for key, value in self.params:
@@ -116,18 +125,22 @@ class FaceSet:
     attaining: tuple
 
 
+def _norm_int(space: PolyhedralNormSpace, p) -> int:
+    """den * |||p||| for the integer point p, den being space._int_rows' own."""
+    return max(abs(sum(map(mul, row, p))) for row in space._int_rows[0])
+
+
 def norm(space: PolyhedralNormSpace, x) -> Scalar:
     """Evaluate |||x||| = max over generators of phi.x (exact).
 
-    x is cleared to integers p over q > 0 once; each phi.x is then the integer
-    dot product of phi's integer row with p, all over the same den * q.
+    x is cleared to integers p over q > 0 once; the norm is then
+    _norm_int(space, p) over den * q.
     """
     x = x if isinstance(x, Vec) else Vec(x)
     if len(x) != space.dim:
         raise ValueError("point of length %d in dimension %d" % (len(x), space.dim))
-    rows, den = space._int_rows
     p, q = clear_denominators(x)
-    return Scalar(max(sum(c * p[j] for j, c in row) for row in rows), den * q)
+    return Scalar(_norm_int(space, p), space._int_rows[1] * q)
 
 
 def make_space_II(N: int, r) -> PolyhedralNormSpace:

@@ -121,6 +121,43 @@ def diam_pairs(verts, gens):
     return best, pair
 
 
+def diam_witness(verts, gens):
+    """Diameter as the largest width max g.v - min g.v over every generator
+    g, with the lex-least tie-break: per generator the pair of the lex-least
+    argmax and the lex-least argmin, sorted, and among the widest generators
+    the lex-least such pair.  Returns (diameter, pair)."""
+    verts = sorted(verts)
+    best = None
+    for g in gens:
+        vals = [dot(g, v) for v in verts]
+        hi, lo = max(vals), min(vals)
+        width = hi - lo
+        pair = tuple(sorted((verts[vals.index(hi)], verts[vals.index(lo)])))
+        if best is None or width > best[0] or (width == best[0] and pair < best[1]):
+            best = (width, pair)
+    return best
+
+
+def sandwich_trials(gens, N, r, trials, rng):
+    """The norm sandwich on seeded random points of R^(N+1), in Fraction
+    arithmetic: per coordinate a numerator randint(-50, 50), then a
+    denominator randint(1, 20).  A trial fails unless
+    lower <= |||x||| <= (1+r) lower for lower = max_{i<N} |x_i| + |x_N|.
+    Returns (failures, largest |||x||| / lower over lower > 0, or None)."""
+    r = Fraction(r)
+    failures = 0
+    worst = None
+    for _ in range(trials):
+        x = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(N + 1)]
+        lower = max(abs(c) for c in x[:N]) + abs(x[N])
+        value = norm_eval(gens, x)
+        if not lower <= value <= (1 + r) * lower:
+            failures += 1
+        if lower > 0 and (worst is None or value / lower > worst):
+            worst = value / lower
+    return failures, worst
+
+
 def gens_II(N, r):
     """Generator family for the lifted sup-norm space, beta coordinate last."""
     r = Fraction(r)

@@ -5,7 +5,9 @@ tests run the seed-0 cases of each workload in-process, so a change to vertex
 enumeration, LPs, diameters or norm evaluation that moves a single byte fails
 here and not only in a benchmark run.  lp-certify is also run on seeds 1-9:
 its certificate point x is a degenerate LP optimum that depends on every
-Bland choice, and ten seeds give 60 certificates.  bench/ is only read.
+Bland choice, and ten seeds give 60 certificates.  norm-sandwich is also
+run on seeds 1-4, which pin the integer sandwich trials' failure counts and
+worst ratios on 72 more rows.  bench/ is only read.
 """
 
 import json
@@ -41,3 +43,8 @@ def test_enumeration_and_lp_outputs_match_reference_digests(monkeypatch, workloa
 @pytest.mark.parametrize("seed", range(1, 10))
 def test_lp_certify_outputs_match_reference_digests_on_more_seeds(monkeypatch, seed):
     check_seed(monkeypatch, "lp-certify", seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_norm_sandwich_outputs_match_reference_digests_on_more_seeds(monkeypatch, seed):
+    check_seed(monkeypatch, "norm-sandwich", seed)

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+import oracles
+from polyslice import experiments
 from polyslice.cli import main as cli_main
 from polyslice.experiments import (
     ExperimentConfig,
@@ -14,9 +16,10 @@ from polyslice.experiments import (
     audit_space,
     parse_g,
     run_experiment,
+    sandwich_case,
     thm1_case,
 )
-from polyslice.numeric import Vec, rational, rational_str
+from polyslice.numeric import Scalar, Vec, rational, rational_str
 from polyslice.spaces import PolyhedralNormSpace, make_space_II, make_space_VII, save_space
 
 SEED = 61
@@ -144,6 +147,50 @@ def test_sandwich_reports_worst_ratio_within_cap():
     row = report.rows[0]
     assert row["failures"] == 0
     assert rational(row["worst_ratio"]) <= rational(row["ratio_cap"])
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_sandwich_case_matches_the_fraction_oracle(N):
+    """The integer trials give the Fraction loop's failure count and worst
+    ratio, and draw the same numbers from the rng."""
+    for r in ("1/20", "7/3", "1"):
+        gens = oracles.gens_II(N, r)
+        for seed, trials in ((0, 1), (N + 17, 13), (1000 * N + 5, 60)):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            row = sandwich_case(N, r, trials, rng)
+            failures, worst = oracles.sandwich_trials(gens, N, r, trials, ref_rng)
+            assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
+            assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("scale", ["1/2", "3"])
+def test_sandwich_case_counts_failures_like_the_fraction_oracle(monkeypatch, scale):
+    """Generators scaled off the family II set break the sandwich from below
+    (1/2) or above (3); failures and worst ratio still match the oracle."""
+    def scaled_space_II(N, r):
+        base = make_space_II(N, r)
+        return PolyhedralNormSpace(base.dim, tuple(sorted(g * scale for g in base.generators)),
+                                   "II", base.params)
+
+    monkeypatch.setattr(experiments, "make_space_II", scaled_space_II)
+    for N, r in ((1, "1/20"), (3, "7/3"), (5, "1")):
+        gens = [tuple(c * Scalar(scale) for c in g) for g in oracles.gens_II(N, r)]
+        row = sandwich_case(N, r, 40, random.Random(N))
+        failures, worst = oracles.sandwich_trials(gens, N, r, 40, random.Random(N))
+        assert failures > 0
+        assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
+
+
+def test_sandwich_case_on_zero_vectors_reports_no_ratio():
+    """Every draw a zero numerator: lower and value are both 0, which passes
+    the sandwich and leaves no ratio to report."""
+    class ZeroNumerators(random.Random):
+        def randint(self, a, b):
+            return max(a, 0)
+
+    row = sandwich_case(2, "1/10", 5, ZeroNumerators(0))
+    assert (row["failures"], row["worst_ratio"], row["pass"]) == (0, "", True)
+    assert oracles.sandwich_trials(oracles.gens_II(2, "1/10"), 2, "1/10", 5, ZeroNumerators(0)) == (0, None)
 
 
 def test_reports_are_byte_identical_for_fixed_config():
@@ -341,8 +388,20 @@ def test_cli_rejects_bad_space_file_with_exit_two(tmp_path, capsys, argv, space)
     {"experiment": "verify-ext", "N": 1, "output_path": 5},
     {"experiment": "thm1", "N": 1, "epsilons": "1/5"},
     {"experiment": "prop3", "N": 3, "epsilons": []},
+    {"experiment": "sandwich", "N": 1, "trials": 20, "r": True},
+    {"experiment": "thm1", "N": 1, "epsilon": "1/2", "delta": True},
+    {"experiment": "prop2", "N": 2, "alpha": True},
+    {"experiment": "thm1", "N": 1, "epsilons": ["1/2", True]},
+    {"experiment": "thm1", "N": 1, "epsilon": True},
+    {"experiment": "sandwich", "trials": 20, "space_path": {"kind": "II", "N": 1, "r": True}},
 ])
 def test_cli_rejects_mistyped_config_with_exit_two(tmp_path, capsys, data):
+    """A dict under space_path is written to a space file that the config
+    names, so a mistyped space file entry is refused the same way."""
+    if isinstance(data.get("space_path"), dict):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(data["space_path"]))
+        data = dict(data, space_path=str(space))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     assert_usage_error(["--config", str(path)], capsys)

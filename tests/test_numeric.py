@@ -11,6 +11,7 @@ from polyslice.numeric import (
     SingularError,
     Vec,
     ZERO,
+    _rref,
     nullspace_basis,
     rank,
     rational,
@@ -39,6 +40,15 @@ def test_rational_parses_strings_ints_and_fractions():
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.25)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_rational_rejects_booleans(value):
+    """Fraction(True) is 1, so a JSON true would otherwise pass as a number."""
+    with pytest.raises(TypeError):
+        rational(value)
+    with pytest.raises(TypeError):
+        Vec([1, value])
 
 
 @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
@@ -173,3 +183,25 @@ def test_rank_examples():
     assert rank(Matrix([[1, 1], [2, 2]])) == 1
     assert rank(identity(5)) == 5
     assert rank(Matrix([[0, 0], [0, 0]])) == 0
+
+
+def test_rank_matches_rational_elimination_on_random_matrices():
+    """The fraction-free rank equals the pivot count of the Fraction RREF,
+    also with dependent rows, all-zero rows, sparse rows and no rows."""
+    rng = random.Random(SEED + 3)
+    deficient = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = [[rnd_scalar(rng) if rng.random() < 0.7 else ZERO for _ in range(ncols)]
+                for _ in range(rng.randint(0, 6))]
+        if len(rows) >= 2 and rng.random() < 0.5:
+            a, b = rnd_scalar(rng), rnd_scalar(rng)
+            rows.insert(rng.randint(0, len(rows)), [a * x + b * y for x, y in zip(rows[0], rows[1])])
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [ZERO] * ncols)
+        expected = len(_rref([list(r) for r in rows], ncols))
+        assert rank(Matrix(rows)) == expected
+        deficient += expected < min(len(rows), ncols)
+    assert deficient > 50
+    assert rank(Matrix([])) == 0
+    assert rank(Matrix([[ZERO] * 4] * 3)) == 0

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, vertices
 from polyslice.slices import (
@@ -292,24 +293,11 @@ def test_sampling_oracle_rejects_bad_trials():
 
 
 def rational_diameter(poly, space):
-    """The generator-by-vertex width loop in rationals, the reference that
-    the integer widths of diameter must reproduce exactly."""
+    """The oracle's width loop over every generator on poly's vertices, the
+    reference that the integer widths of diameter must reproduce exactly."""
     verts = vertices(poly).vertices
-    best_width = None
-    best_pair = None
-    for phi in space.generators:
-        hi = lo = arg_hi = arg_lo = None
-        for v in verts:
-            val = phi.dot(v)
-            if hi is None or val > hi or (val == hi and v < arg_hi):
-                hi, arg_hi = val, v
-            if lo is None or val < lo or (val == lo and v < arg_lo):
-                lo, arg_lo = val, v
-        pair = tuple(sorted((arg_hi, arg_lo)))
-        width = hi - lo
-        if best_width is None or width > best_width or (width == best_width and pair < best_pair):
-            best_width, best_pair = width, pair
-    return DiameterResult(value=best_width, witness_pair=best_pair, vertex_count=len(verts))
+    value, pair = oracles.diam_witness(verts, space.generators)
+    return DiameterResult(value=value, witness_pair=pair, vertex_count=len(verts))
 
 
 def widest_generators(poly, space):
@@ -350,3 +338,35 @@ def test_integer_widths_break_ties_like_rational_loop_on_box_slices():
 def test_diameter_rejects_a_polytope_of_another_dimension():
     with pytest.raises(ValueError):
         diameter(unit_ball(make_space_II(1, R10)), make_space_VII(3))
+
+
+def _custom_space(dim, gens):
+    return PolyhedralNormSpace(dim, tuple(sorted(s * Vec(g) for g in gens for s in (1, -1))), "custom")
+
+
+HEXAGON = _custom_space(2, ([1, 0], [0, 1], [1, 1]))
+SKEW = _custom_space(3, (["2/3", "1/5", 0], [0, "5/4", "-3/7"], ["1/6", 0, "7/9"], [1, 1, 1]))
+
+
+@pytest.mark.parametrize("space,f,alphas", [
+    (make_space_II(1, R10), Vec([0, "11/10"]), ("1/40", "3/5")),
+    (make_space_II(2, "3/7"), Vec([0, 0, "10/7"]), ("1/7",)),
+    (make_space_II(2, R10), Vec([1, 0, 0]), ("1/2",)),
+    (make_space_VII(2), Vec([1, 0]), ("1/10", "1/2")),
+    (make_space_VII(3, ["7/8", "11/12"]), Vec([1, "1/2", 0]), ("1/9",)),
+    (HEXAGON, Vec([1, 0]), ("1/3", "3/2")),
+    (HEXAGON, Vec([1, 1]), ("1/2",)),
+    (SKEW, Vec([1, 0, 0]), ("1/4",)),
+    (SKEW, Vec([0, 1, "-1/2"]), ("1/3",)),
+])
+def test_diameter_witness_pair_matches_brute_force_over_every_generator(space, f, alphas):
+    """diameter reads one row per +- generator pair; the oracle takes every
+    generator over its own subset-enumerated vertices, with the documented
+    lex-least tie-break, and must give the same value and witness pair."""
+    gens = [tuple(g) for g in space.generators]
+    for alpha in alphas:
+        rows, _ = oracles.slice_rows(gens, tuple(f), rational(alpha))
+        verts = oracles.enum_vertices(rows, space.dim)
+        value, pair = oracles.diam_witness(verts, gens)
+        res = diameter(make_slice(space, SliceSpec(f, alpha)), space)
+        assert (res.value, res.witness_pair, res.vertex_count) == (value, pair, len(verts))

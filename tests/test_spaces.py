@@ -10,6 +10,7 @@ from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, extreme_points, vertices
 from polyslice.spaces import (
     PolyhedralNormSpace,
+    _norm_int,
     attaining_set,
     default_omega,
     dual_ball_vertices,
@@ -176,6 +177,31 @@ def test_integer_norm_matches_the_generator_loop():
             value = norm(sp, x)
             assert value == _generator_loop_norm(sp, x)
             assert type(value) is Scalar
+
+
+def test_integer_rows_keep_one_row_per_generator_pair():
+    """Each +- pair of generators leaves the member that comes first in
+    generator order, as one dense integer row over den."""
+    custom = PolyhedralNormSpace(2, tuple(Vec(g) for g in (
+        ["-1/2", 1], [1, 0], ["1/2", -1], [-1, 0])), "custom")
+    for sp in (make_space_II(3, "3/7"), make_space_VII(3, ("71/72", "61/72")), custom):
+        rows, den = sp._int_rows
+        cleared = [tuple(int(c * den) for c in g) for g in sp.generators]
+        firsts = [row for k, row in enumerate(cleared) if tuple(-c for c in row) not in cleared[:k]]
+        assert list(rows) == firsts
+        assert len(rows) == len(sp.generators) // 2
+    assert custom._int_rows == (((-1, 2), (2, 0)), 2)
+
+
+def test_norm_kernel_on_integer_points_and_the_zero_vector():
+    rng = random.Random(SEED + 11)
+    for sp in (make_space_II(1, R10), make_space_II(5, "7/3"), make_space_VII(4)):
+        den = sp._int_rows[1]
+        assert _norm_int(sp, (0,) * sp.dim) == 0
+        assert norm(sp, Vec.zero(sp.dim)) == ZERO
+        for _ in range(30):
+            p = tuple(rng.randint(-40, 40) for _ in range(sp.dim))
+            assert _norm_int(sp, p) == den * _generator_loop_norm(sp, Vec(p))
 
 
 def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
