@@ -123,7 +123,7 @@ class ExperimentConfig:
         if self.omega_rule != "default" and not self.omega_rule.startswith("list:"):
             raise ValueError("omega-rule must be 'default' or 'list:w2,w3,...'")
         if self.experiment == "thm1":
-            for eps in _thm1_epsilons(self):
+            for eps in _epsilons(self, DEFAULT_THM1_EPSILONS):
                 r = self.r if self.r is not None else eps / 4
                 delta = self.delta if self.delta is not None else eps / 10
                 if not 2 * r + 3 * delta < eps:
@@ -212,13 +212,14 @@ def _n_grid(config: ExperimentConfig) -> tuple:
     return DEFAULT_PROP3_NS if config.experiment == "prop3" else DEFAULT_N_GRID
 
 
-def _thm1_epsilons(config: ExperimentConfig) -> tuple:
-    """The epsilons a thm1 sweep visits: --epsilons, --epsilon or the default."""
+def _epsilons(config: ExperimentConfig, default: tuple) -> tuple:
+    """The epsilons a thm1 or prop3 sweep visits: --epsilons, --epsilon or
+    the default grid."""
     if config.epsilons is not None:
         return config.epsilons
     if config.epsilon is not None:
         return (config.epsilon,)
-    return tuple(rational(e) for e in DEFAULT_THM1_EPSILONS)
+    return tuple(rational(e) for e in default)
 
 
 def _rs(config: ExperimentConfig, default: tuple) -> tuple:
@@ -269,7 +270,7 @@ def thm1_case(N: int, epsilon, r=None, delta=None) -> tuple:
 
 def _thm1_rows(config: ExperimentConfig):
     for N in _n_grid(config):
-        for eps in _thm1_epsilons(config):
+        for eps in _epsilons(config, DEFAULT_THM1_EPSILONS):
             yield thm1_case(N, eps, config.r, config.delta)[0]
 
 
@@ -400,7 +401,7 @@ def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> tuple:
 
 
 def _prop3_rows(config: ExperimentConfig):
-    epsilons = config.epsilons if config.epsilons is not None else tuple(rational(e) for e in DEFAULT_PROP3_EPSILONS)
+    epsilons = _epsilons(config, DEFAULT_PROP3_EPSILONS)
     for N in _n_grid(config):
         space = make_space_VII(N, _omega_for(config, N))
         s = support_value(space, Vec.unit(N, 0))

@@ -32,11 +32,15 @@ this form (polytope.HPolytope._int_rows), so the support and probe LPs of
 slices and the DD in polytope.vertices share one clearing.  Because the
 tableau depends on a row only up to a positive scale, rows cleared with any
 positive q give the same pivots, point and value as rows cleared cold.
-polytope.extreme_points uses this for its hull tests: it clears coordinate
-row i once over all points, and the test of point t takes row i without
-column t, with column t's entry as the right-hand side.  That is the row a
-cold clear of (others' coordinates i, point t's coordinate i) would give,
-since both clear the same numbers.
+polytope.extreme_points uses this for its hull tests, which run only for
+the points that fail its LP-free pre-test (no family II generator does):
+it clears coordinate row i once over all points, and the test of point t
+takes row i without column t, with column t's entry as the right-hand
+side.  That is the row a cold clear of (others' coordinates i, point t's
+coordinate i) would give, since both clear the same numbers.  The
+value-only probe LPs of slices.lower_bound_certificate likewise take the
+ball's rows restricted to the probe's support columns, each with its full
+row's q.
 """
 
 from __future__ import annotations

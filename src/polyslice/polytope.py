@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
@@ -385,6 +386,12 @@ def extreme_points(points) -> VPolytope:
 
     Exact duplicates are collapsed first.  Tests are independent: removing a
     non-extreme point never changes the hull, so no iteration is needed.
+    The points are cleared once over one denominator, and a point p with
+    p.p > p.q for every other point q is the unique maximizer of x -> p.x
+    over the set, so it is kept without an LP.  Every family II generator
+    passes this test; a family VII generator (+-1, +-1/3 e_j) fails it once
+    its weight reaches 17/18, as the default weights do from n = 3 on.  A
+    point that fails it gets the hull LP of _in_hull.
     """
     pts = [p if isinstance(p, Vec) else Vec(p) for p in points]
     if not pts:
@@ -394,6 +401,18 @@ def extreme_points(points) -> VPolytope:
         raise ValueError("points of mixed dimensions: %s" % sorted(dims))
     dim = dims.pop()
     uniq = sorted(set(pts))
-    coords = [clear_denominators([p[i] for p in uniq]) for i in range(dim)]
-    keep = tuple(p for t, p in enumerate(uniq) if not _in_hull(coords, t))
-    return VPolytope(keep, dim)
+    flat, _ = clear_denominators([c for p in uniq for c in p])
+    ints = [flat[k:k + dim] for k in range(0, len(flat), dim)]
+    coords = None
+    keep = []
+    for t, a in enumerate(ints):
+        dots = [sum(map(mul, a, b)) for b in ints]
+        own = dots[t]
+        if all(v < own for k, v in enumerate(dots) if k != t):
+            keep.append(uniq[t])
+            continue
+        if coords is None:
+            coords = [clear_denominators([p[i] for p in uniq]) for i in range(dim)]
+        if not _in_hull(coords, t):
+            keep.append(uniq[t])
+    return VPolytope(tuple(keep), dim)

@@ -183,6 +183,17 @@ def _probe_subsets(dim):
         yield from itertools.combinations(range(dim), size)
 
 
+def _probe_value(g, ball_rows, support) -> Scalar:
+    """max g.x over the ball with x_j = 0 off support, by the LP over the
+    support's columns alone: the ball's rows restricted to them.  Every
+    right-hand side is positive, so there is no phase one, and the optimal
+    value, unlike the point, does not depend on which LP finds it."""
+    if not support:
+        return ZERO
+    rows = ClearedRows((tuple(ints[j] for j in support) + (ints[-1],), q) for ints, q in ball_rows)
+    return solve_lp([g[j] for j in support], leq=rows, maximize=True).value
+
+
 def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBoundCertificate:
     """Search the slice S = {x in ball : g.x >= s - alpha} for a certificate
     point whose active dual set leaves room for a kernel direction.
@@ -197,8 +208,12 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     with g spans the whole dual, no certificate exists at this dimension and
     DimensionTooSmall is raised.
 
-    The ball's rows and the x_j = 0 rows are cleared once, and every probe LP
-    takes them as they are.
+    A probe's value is found first by the small LP over the support's
+    columns (_probe_value).  Only a probe whose value reaches s - alpha
+    solves the full LP, over the ball's rows and the x_j = 0 rows off the
+    support, whose Bland optimum is the probe point x.  The ball's rows, the
+    x_j = 0 rows and the dual vertices are cleared once per call, and A is
+    found in integers.
     """
     g = g if isinstance(g, Vec) else Vec(g)
     if g.is_zero():
@@ -214,17 +229,22 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     ball_rows = unit_ball(space)._int_rows
     duals = dual_ball_vertices(space).vertices
     d = space.dim
+    dflat, dden = clear_denominators([c for phi in duals for c in phi])
+    dual_rows = [dflat[k:k + d] for k in range(0, len(dflat), d)]
     zero_rows = clear_rows((Vec.unit(d, j), ZERO) for j in range(d))
     one_minus_r = ONE - r
     fallback = None
     for allowed in _probe_subsets(d):
+        if _probe_value(g, ball_rows, allowed) < threshold:
+            continue
         allowed_set = set(allowed)
         eqs = ClearedRows(zero_rows[j] for j in range(d) if j not in allowed_set)
-        res = solve_lp(g, leq=ball_rows, eq=eqs, maximize=True)
-        if res.status != OPTIMAL or res.value < threshold:
-            continue
-        x = Vec(res.point)
-        active = tuple(phi for phi in duals if phi.dot(x) > r)
+        x = Vec(solve_lp(g, leq=ball_rows, eq=eqs, maximize=True).point)
+        # phi.x > r for phi = c / dden and x = px / qx, in integers.
+        px, qx = clear_denominators(x)
+        level = r.numerator * dden * qx
+        active = tuple(phi for phi, c in zip(duals, dual_rows)
+                       if r.denominator * sum(map(mul, c, px)) > level)
         kernel_rows = Matrix(tuple(active) + (g,))
         for direction in nullspace_basis(kernel_rows):
             y = direction * (ONE / norm(space, direction))

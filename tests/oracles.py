@@ -5,6 +5,12 @@ fractions.Fraction arithmetic, itertools.combinations subset enumeration,
 quadratic vertex-pair diameter, Caratheodory-style hull membership.  Nothing
 here imports the production package, so agreement between the two code paths
 is a meaningful check.  Run as a script to print the pinned constants.
+
+The one exception is cold_certificate, the lower-bound certificate search
+as it was before its probes got a value-only LP: it solves every probe as
+the full LP through polyslice's own solver, because the certificate point
+is a degenerate optimum that only the same Bland pivots reproduce.  It
+pins the search, not the solver.
 """
 
 from __future__ import annotations
@@ -229,6 +235,58 @@ def slice_diameter(gens, f, alpha):
     verts = enum_vertices(rows, dim)
     best, pair = diam_pairs(verts, gens)
     return best, verts, s
+
+
+def cold_certificate(space, g, alpha, r):
+    """The certificate search of slices.lower_bound_certificate with one cold
+    LP per probe: for every coordinate support S, by size and then
+    lexicographically, maximize g over the ball with x_j = 0 off S, and
+    when the value reaches s - alpha take the active set
+    {phi : phi.x > r} in Fraction arithmetic and try each kernel direction.
+    Returns the first valid certificate's to_dict() form, else the first
+    invalid one's, else None (no kernel direction anywhere)."""
+    from polyslice.linprog import solve_lp
+    from polyslice.numeric import Matrix, nullspace_basis
+    from polyslice.spaces import dual_ball_vertices, norm
+
+    g = tuple(Fraction(c) for c in g)
+    alpha, r = Fraction(alpha), Fraction(r)
+    d = len(g)
+    rows = ball_rows(space.generators)
+    s = solve_lp(g, leq=rows, maximize=True).value
+    cut = (tuple(-c for c in g), alpha - s)
+    duals = [tuple(phi) for phi in dual_ball_vertices(space).vertices]
+
+    def in_slice(p):
+        return all(dot(a, p) <= b for a, b in rows + [cut])
+
+    def text(v):
+        return "%d/%d" % (v.numerator, v.denominator)
+
+    fallback = None
+    for size in range(d + 1):
+        for support in combinations(range(d), size):
+            eqs = [(tuple(Fraction(int(i == j)) for i in range(d)), Fraction(0))
+                   for j in range(d) if j not in support]
+            res = solve_lp(g, leq=rows, eq=eqs, maximize=True)
+            if res.value < s - alpha:
+                continue
+            x = tuple(res.point)
+            active = [phi for phi in duals if dot(phi, x) > r]
+            for direction in nullspace_basis(Matrix(tuple(active) + (g,))):
+                y = tuple(c / norm(space, direction) for c in direction)
+                step = [c * (1 - r) for c in y]
+                checks = [in_slice([a + b for a, b in zip(x, step)]),
+                          in_slice([a - b for a, b in zip(x, step)])]
+                cert = {"x": [text(c) for c in x], "y": [text(c) for c in y], "r": text(r),
+                        "bound": text(2 * (1 - r)), "checks": checks, "g": [text(c) for c in g],
+                        "alpha": text(alpha), "support_value": text(s),
+                        "active": [[text(c) for c in phi] for phi in active]}
+                if all(checks):
+                    return cert
+                if fallback is None:
+                    fallback = cert
+    return fallback
 
 
 def _fmt(v):

@@ -278,6 +278,13 @@ def test_cli_json_format(capsys):
     assert payload["all_pass"] is True
 
 
+def test_cli_prop3_runs_the_one_epsilon_it_is_given(capsys):
+    code = cli_main(["prop3", "--n", "3", "--epsilon", "1/7", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(row["N"], row["epsilon"]) for row in payload["rows"]] == [(3, "1/7")]
+
+
 def test_cli_writes_output_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code = cli_main(["sandwich", "--n", "1", "--trials", "20", "--output", str(target)])

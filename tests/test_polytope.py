@@ -507,3 +507,34 @@ def test_slice_reuses_the_ball_rows_and_clears_only_the_cut():
     assert all(a is b for a, b in zip(piece._int_rows, ball._int_rows))
     assert piece._int_rows == linprog.clear_rows((h.a, h.b) for h in piece.halfspaces)
     assert piece._int_rows is piece._int_rows
+
+
+@pytest.mark.parametrize("space", [make_space_II(N, r) for N in (1, 2, 5, 8) for r in ("1/10", "3/7")]
+                         + [make_space_VII(2), make_space_VII(3, ["11/12", "11/12"])])
+def test_extreme_points_of_generator_sets_solve_no_lp(monkeypatch, space):
+    """Every generator here strictly maximizes its own functional over the
+    set, so the pre-test keeps it without a hull LP."""
+    no_lps(monkeypatch)
+    assert extreme_points(space.generators).vertices == tuple(sorted(space.generators))
+
+
+def counting_lps(monkeypatch):
+    calls = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+def test_extreme_points_keep_an_extreme_point_that_fails_the_pre_test(monkeypatch):
+    """(1, 0) . (2, 1) = 2 > (1, 0) . (1, 0), so only the hull LP keeps it."""
+    calls = counting_lps(monkeypatch)
+    pts = [Vec([0, 0]), Vec([1, 0]), Vec([2, 1])]
+    assert extreme_points(pts).vertices == tuple(pts)
+    assert len(calls) == 2  # (0, 0) and (1, 0); (2, 1) passes the pre-test
+
+
+def test_extreme_points_drop_a_non_extreme_point_by_the_hull_lp(monkeypatch):
+    calls = counting_lps(monkeypatch)
+    pts = [Vec([0, 0]), Vec([1, "1/2"]), Vec([2, 1]), Vec([2, -1])]
+    assert extreme_points(pts).vertices == (Vec([0, 0]), Vec([2, -1]), Vec([2, 1]))
+    assert len(calls) == 2  # (0, 0) and (1, 1/2)

@@ -1,17 +1,21 @@
 """Slice construction, exact diameters, certificates, and the sampling oracle."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import oracles
+from polyslice.linprog import solve_lp
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, vertices
 from polyslice.slices import (
     DiameterResult,
     DimensionTooSmall,
     SliceSpec,
+    _probe_subsets,
+    _probe_value,
     diameter,
     diameter_profile,
     lower_bound_certificate,
@@ -370,3 +374,74 @@ def test_diameter_witness_pair_matches_brute_force_over_every_generator(space, f
         value, pair = oracles.diam_witness(verts, gens)
         res = diameter(make_slice(space, SliceSpec(f, alpha)), space)
         assert (res.value, res.witness_pair, res.vertex_count) == (value, pair, len(verts))
+
+
+def _dense_g(rng, N):
+    coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(N)]
+    coords[rng.randrange(N)] = Fraction(rng.choice((-1, 1)), rng.randint(1, 9))
+    total = sum(abs(c) for c in coords)
+    return [c / total for c in coords] + [Fraction(0)]
+
+
+def _certificate_cases():
+    """(space, g, alpha, r): family II at N = 1..8, several r, e1 and a
+    dense g; functionals with zero coordinates, whose restricted optima on
+    supports holding those coordinates are not unique (e_beta never gets a
+    certificate, and the N = 3 case finds one only after such a probe); two
+    family VII spaces, with r equal to a dual value at the probe point; and
+    two custom spaces."""
+    rng = random.Random(11)
+    cases = []
+    for N in range(1, 9):
+        for r in (R10, rational("1/4"), rational("3/7")):
+            sp = make_space_II(N, r)
+            cases.append((sp, Vec.unit(N + 1, 0), HALF, r))
+            cases.append((sp, Vec(_dense_g(rng, N)), HALF, r))
+    for N in range(1, 5):
+        for r in (R10, rational("3/7")):
+            sp = make_space_II(N, r)
+            cases.append((sp, Vec.unit(N + 1, N), rational("1/10"), r))
+            cases.append((sp, Vec.unit(N + 1, 0) + Vec.unit(N + 1, N) * 2, HALF, r))
+    cases.append((make_space_II(3, R10), Vec([0, "1/3", "-1/2", 2]), rational("5/4"), R10))
+    # The probe {0} reaches s - alpha = 1/2 exactly.
+    cases.append((make_space_II(3, R10), Vec([HALF, "1/4", "1/4", 0]), HALF, R10))
+    for sp in (make_space_VII(3), make_space_VII(4, ["7/8", "11/12", "13/14"])):
+        cases.append((sp, Vec.unit(sp.dim, 0), HALF, R10))
+        cases.append((sp, Vec.unit(sp.dim, 0) + Vec.unit(sp.dim, 1) * HALF, rational("1/3"), rational("1/4")))
+        # x = e2 has dual values 1, 1/2 and 1/3: r = 1/3 and 1/2 tie with
+        # one of them, which must stay out of the active set.
+        for r in (R10, rational("1/3"), HALF):
+            cases.append((sp, Vec.unit(sp.dim, 1), HALF, r))
+    for sp, g in ((HEXAGON, [1, 0]), (SKEW, [1, 0, 0]), (SKEW, [0, 1, "-1/2"])):
+        cases.append((sp, Vec(g), HALF, R10))
+    return cases
+
+
+def test_certificate_matches_the_cold_probe_loop():
+    """Value-only probes change which LPs run, not the certificate: its
+    dict, or DimensionTooSmall, equals a search that solves every probe as
+    the full LP."""
+    cases = _certificate_cases()
+    too_small = 0
+    for sp, g, alpha, r in cases:
+        expected = oracles.cold_certificate(sp, g, alpha, r)
+        if expected is None:
+            too_small += 1
+            with pytest.raises(DimensionTooSmall):
+                lower_bound_certificate(sp, g, alpha, r)
+        else:
+            assert lower_bound_certificate(sp, g, alpha, r).to_dict() == expected
+    assert 0 < too_small < len(cases)
+
+
+@pytest.mark.parametrize("space", [make_space_II(N, r) for N in (1, 2, 3, 4) for r in (R10, "3/7")]
+                         + [make_space_VII(2), make_space_VII(3), make_space_VII(4), HEXAGON, SKEW])
+def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
+    d = space.dim
+    rows = unit_ball(space)._int_rows
+    gs = [Vec.unit(d, 0), Vec.unit(d, d - 1), Vec([Fraction(j % 3 - 1, j + 1) for j in range(d)])]
+    for g in gs:
+        for support in _probe_subsets(d):
+            eqs = [(Vec.unit(d, j), ZERO) for j in range(d) if j not in support]
+            cold = solve_lp(g, leq=rows, eq=eqs, maximize=True)
+            assert _probe_value(g, rows, support) == cold.value
