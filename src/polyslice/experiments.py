@@ -21,7 +21,7 @@ from math import lcm
 from typing import Callable
 
 from .numeric import ONE, Scalar, Vec, ZERO, exact_int, rational, rational_str
-from .polytope import vertices
+from .polytope import _enumeration
 from .slices import (
     DimensionTooSmall,
     SliceSpec,
@@ -70,6 +70,12 @@ class ExperimentConfig:
     N bounds the grid (None means the experiment's default grid); epsilon and
     epsilons are exact rationals; g is a functional spec for the certificate
     experiment ("e1", "e1+e2", "random", or comma-separated rationals).
+
+    Each experiment reads only some of the parameters (its table entry names
+    them); setting any other one away from its default is an error rather
+    than a flag silently dropped.  The run-level fields in _RUN_FIELDS, the
+    seed among them, are accepted by every experiment, so a report's config
+    echo, which always holds the seed, reads back as the same config.
     """
 
     experiment: str
@@ -90,6 +96,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment %r; expected one of %s" % (self.experiment, ", ".join(EXPERIMENTS)))
+        reads = _TABLE[self.experiment].reads
+        for f in fields(self):
+            if f.name in reads or f.name in _RUN_FIELDS:
+                continue
+            if getattr(self, f.name) != f.default:
+                raise ValueError("%s does not use %r; it reads %s"
+                                 % (self.experiment, f.name, ", ".join(reads)))
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         exact_int(self.seed, "seed")
@@ -379,10 +392,11 @@ def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> tuple:
         s = support_value(space, f)
     slice_poly = make_slice(space, SliceSpec(f, epsilon), s)
     result = diameter(slice_poly, space)
-    verts = vertices(slice_poly).vertices
+    # The estimates read the vertex keys p / den that diameter enumerated.
+    keys, den = _enumeration(slice_poly)[:2]
     tail_bound = 3 * epsilon
-    max_tail = max((max((abs(c) for c in v[1:]), default=ZERO) for v in verts))
-    min_head = min(v[0] for v in verts)
+    max_tail = Scalar(max(max((abs(c) for c in p[1:]), default=0) for p in keys), den)
+    min_head = Scalar(min(p[0] for p in keys), den)
     row = {
         "experiment": "prop3",
         "N": N,
@@ -498,35 +512,42 @@ def _sandwich_rows(config: ExperimentConfig):
 
 @dataclass(frozen=True)
 class _Experiment:
-    """Report columns, the rows of a config's grid, and their summary.  The
-    row generators call the case functions by their module-level names, so a
-    caller that rebinds a case function sees every call."""
+    """Report columns, the rows of a config's grid, their summary, and the
+    config fields the rows read.  The row generators call the case functions
+    by their module-level names, so a caller that rebinds a case function
+    sees every call."""
 
     columns: tuple
     rows: Callable
     summary: Callable
+    reads: tuple
 
+
+# Config fields that every experiment accepts: the experiment name, the seed
+# and where and how the report goes.
+_RUN_FIELDS = ("experiment", "seed", "space_path", "output_path", "format")
 
 _TABLE = {
     "thm1": _Experiment(
         ("experiment", "N", "epsilon", "r", "delta", "exact_value", "decimal_value", "bound",
          "vertex_count", "pass"),
         _thm1_rows,
-        lambda rows: {"check_all_bounds": all(row["pass"] for row in rows)}),
+        lambda rows: {"check_all_bounds": all(row["pass"] for row in rows)},
+        ("N", "r", "delta", "epsilon", "epsilons")),
     "prop2": _Experiment(
         ("experiment", "N", "r", "g", "alpha", "outcome", "checks", "exact_value",
          "decimal_value", "bound", "pass"),
-        _prop2_rows, _prop2_summary),
+        _prop2_rows, _prop2_summary, ("N", "r", "alpha", "g")),
     "prop3": _Experiment(
         ("experiment", "N", "epsilon", "exact_value", "decimal_value", "bound", "ratio",
          "four_epsilon", "max_tail", "tail_bound", "vertex_count", "pass"),
-        _prop3_rows, _prop3_summary),
+        _prop3_rows, _prop3_summary, ("N", "epsilon", "epsilons", "omega_rule")),
     "verify-ext": _Experiment(
         ("experiment", "N", "r", "extreme_count", "expected_count", "set_equal", "pass"),
-        _verify_ext_rows, _check_rows),
+        _verify_ext_rows, _check_rows, ("N", "r")),
     "sandwich": _Experiment(
         ("experiment", "N", "r", "trials", "failures", "worst_ratio", "ratio_cap", "pass"),
-        _sandwich_rows, _check_rows),
+        _sandwich_rows, _check_rows, ("N", "r", "trials")),
 }
 
 EXPERIMENTS = tuple(_TABLE)

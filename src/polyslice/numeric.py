@@ -194,13 +194,14 @@ def _rref(rows, width):
     return pivots
 
 
-def rank(a: Matrix) -> int:
-    """Rank by fraction-free elimination: each row is cleared to integers,
-    reduced against the echelon rows kept so far, and kept, divided by its
-    gcd, when something is left of it."""
+def _independent_rows(rows, limit):
+    """Fraction-free forward elimination over integer rows, in order: yields
+    (k, pc) for each row k independent of the rows before it, pc being the
+    first nonzero column its reduction leaves, and stops after limit such
+    rows.  Each row is reduced against the echelon rows kept so far and kept,
+    divided by its gcd, when something is left of it."""
     echelon = []
-    for r in a.rows:
-        red, _ = clear_denominators(r)
+    for k, red in enumerate(rows):
         for pc, row in echelon:
             c = red[pc]
             if c:
@@ -208,9 +209,20 @@ def rank(a: Matrix) -> int:
         pc = next((j for j, x in enumerate(red) if x), None)
         if pc is not None:
             echelon.append((pc, _reduced(red)))
-            if len(echelon) == a.ncols:
-                break
-    return len(echelon)
+            yield k, pc
+            if len(echelon) == limit:
+                return
+
+
+def _int_rank(rows, width) -> int:
+    """Rank of integer rows of the given width, by _independent_rows."""
+    return sum(1 for _ in _independent_rows(rows, width))
+
+
+def rank(a: Matrix) -> int:
+    """Rank by fraction-free elimination: each row is cleared to integers
+    and the integer rows go through _int_rank."""
+    return _int_rank((clear_denominators(r)[0] for r in a.rows), a.ncols)
 
 
 def solve_linear_system(a: Matrix, b: Vec) -> Vec:

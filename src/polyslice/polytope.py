@@ -19,27 +19,36 @@ divided by its gcd.  Adjacency is decided on zero-set bitmasks (bit 0 for
 t >= 0, bit i + 1 for row i): the zero sets of p and q share at least
 dim - 1 rows and no third ray's zero set contains that intersection.  The
 extreme rays with t > 0 are the vertices, each as the canonical key (p, t),
-integer numerators over a denominator t > 0 with gcd(p..., t) = 1, and
-rationals are built only for those.
+integer numerators over a denominator t > 0 with gcd(p..., t) = 1.
 
-The final rays and zero sets stay in the polytope's cache next to its
-vertex list, so a polytope that appends rows to a base polytope (a slice of
-a norm ball) costs one more DD step per appended row.  Emptiness and
-unboundedness are read off the rays exactly, without LPs: no ray with t > 0
-means empty, a ray with t = 0 a recession direction.  When the normals have
-rank below dim the cone is not pointed and a nonempty polytope holds a line;
-emptiness is then decided by DD on a column basis of the normals.
+The enumeration stays in integers.  The polytope caches its vertices as
+sorted integer numerators over one common denominator den (the vertex keys),
+next to the final rays and zero sets; the duplicate check runs on those
+keys, and slices.diameter and the prop3 estimates read them directly.  The
+VPolytope of rationals is built only when vertices() is called on that
+polytope, once.  A polytope that appends rows to a base polytope (a slice of
+a norm ball) costs one more DD step per appended row, and its base gets the
+integer cache only: enumerating a slice builds no rationals for its ball.
+
+Emptiness and unboundedness are read off the rays exactly, without LPs: no
+ray with t > 0 means empty, a ray with t = 0 a recession direction.  When
+the normals have rank below dim the cone is not pointed and a nonempty
+polytope holds a line; emptiness is then decided by DD on a column basis of
+the normals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
-from .numeric import ZERO, Scalar, Vec, _reduced, clear_denominators, rational
+from .numeric import (ZERO, Scalar, Vec, _independent_rows, _reduced, clear_denominators,
+                      rational)
 
 __all__ = [
     "UnboundedError",
@@ -81,13 +90,14 @@ class HPolytope:
     """Halfspace-list polytope {x : a.x <= b for every listed halfspace}.
 
     The halfspace list and dimension are immutable.  The integer rows and
-    the vertex enumeration are cached on first use, the latter with the
-    final DD rays and zero sets.  A polytope built by appending rows to a
-    base polytope records that base, so it clears only its appended rows
-    and enumeration continues from the base's rays.
+    the vertex enumeration (an _Enumeration: vertex keys and final DD rays)
+    are cached on first use, and the VPolytope of rationals when vertices()
+    first asks for it.  A polytope built by appending rows to a base
+    polytope records that base, so it clears only its appended rows and
+    enumeration continues from the base's rays.
     """
 
-    __slots__ = ("halfspaces", "dim", "_vcache", "_base", "_rows")
+    __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_rows")
 
     def __init__(self, halfspaces, dim, _base=None):
         halfspaces = tuple(
@@ -101,6 +111,7 @@ class HPolytope:
         object.__setattr__(self, "halfspaces", halfspaces)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_vcache", None)
+        object.__setattr__(self, "_vpoly", None)
         object.__setattr__(self, "_rows", None)
         if _base is not None:
             base, k = _base
@@ -158,6 +169,16 @@ class VPolytope:
             raise ValueError("duplicate vertices")
 
 
+class _Enumeration(NamedTuple):
+    """A polytope's vertices as keys[i] / den, sorted and distinct, with the
+    final DD rays and zero-set masks that a slice's enumeration continues."""
+
+    keys: tuple
+    den: int
+    rays: list
+    masks: list
+
+
 def _homogenized(ints):
     """The integer row c.x <= b, given as ints = (c..., b), as the cone row
     (c..., -b) . (x, t) <= 0."""
@@ -168,22 +189,11 @@ def _basis(rows, dim):
     """Rows independent of t >= 0 and of each other, taken greedily in order
     until there are dim of them, and the pivot columns of the normals that
     elimination met on the way.  Fewer than dim rows means the normals have
-    rank below dim; the pivot columns are then a column basis of them."""
-    echelon = [(dim, (0,) * dim + (-1,))]
-    picked = []
-    for i, (ints, _) in enumerate(rows):
-        red = _homogenized(ints)
-        for pc, row in echelon:
-            a = red[pc]
-            if a:
-                red = tuple(row[pc] * x - a * y for x, y in zip(red, row))
-        pc = next((j for j, x in enumerate(red) if x), None)
-        if pc is not None:
-            echelon.append((pc, _reduced(red)))
-            picked.append(i)
-            if len(picked) == dim:
-                break
-    return picked, sorted(pc for pc, _ in echelon[1:])
+    rank below dim; the pivot columns are then a column basis of them.  The
+    elimination is numeric's rank kernel, with the row of t >= 0 first."""
+    homogenized = chain([(0,) * dim + (-1,)], (_homogenized(ints) for ints, _ in rows))
+    found = list(_independent_rows(homogenized, dim + 1))[1:]
+    return [k - 1 for k, _ in found], sorted(pc for _, pc in found)
 
 
 def _start(rows, picked, dim):
@@ -268,24 +278,18 @@ def _cone(rows, dim):
     return rays, masks
 
 
-def vertices(poly: HPolytope) -> VPolytope:
-    """Enumerate all vertices of a bounded H-polytope.
-
-    The vertices are the rays with t > 0 of the homogenized cone (see the
-    module docstring), each as (p, t) over one denominator.  Output is
-    sorted lexicographically.  Errors, in this order: DegenerateError when
-    the system is empty; UnboundedError when it has a recession direction
-    (a ray with t = 0, or normals of rank below dim); DegenerateError when
-    there are fewer than dim+1 vertices (empty interior).  No LP is solved.
-    """
+def _enumeration(poly: HPolytope) -> _Enumeration:
+    """The polytope's cached _Enumeration, computed on first use: DD on its
+    rows, or one more DD step per appended row on its base's enumeration.
+    The vertex keys are sorted, and checked distinct, as integer tuples.
+    Raises what vertices() documents."""
     if poly._vcache is not None:
-        return poly._vcache[0]
+        return poly._vcache
     dim = poly.dim
     rows = poly._int_rows
     if poly._base is not None:
         base, k = poly._base
-        vertices(base)
-        _, rays, masks = base._vcache
+        _, _, rays, masks = _enumeration(base)
         for i in range(k, len(rows)):
             rays, masks = _cut(rays, masks, rows[i], 2 << i, dim)
     else:
@@ -312,10 +316,38 @@ def vertices(poly: HPolytope) -> VPolytope:
     # Over the common denominator den the lexicographic order of the points
     # is that of their integer numerators.
     den = lcm(*(q for _, q in found))
-    found.sort(key=lambda key: [c * (den // key[1]) for c in key[0]])
-    result = VPolytope(tuple(Vec(Scalar(c, q) for c in p) for p, q in found), dim)
-    object.__setattr__(poly, "_vcache", (result, rays, masks))
-    return result
+    keys = sorted(tuple(c * (den // q) for c in p) for p, q in found)
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        raise ValueError("duplicate vertices")
+    enum = _Enumeration(tuple(keys), den, rays, masks)
+    object.__setattr__(poly, "_vcache", enum)
+    return enum
+
+
+def vertices(poly: HPolytope) -> VPolytope:
+    """Enumerate all vertices of a bounded H-polytope.
+
+    The vertices are the rays with t > 0 of the homogenized cone (see the
+    module docstring), kept as integer keys over one denominator in the
+    polytope's cache; the VPolytope of rationals is built from those keys on
+    the first call, and every later call returns that same object.  Output
+    is sorted lexicographically.  Errors, in this order: DegenerateError
+    when the system is empty; UnboundedError when it has a recession
+    direction (a ray with t = 0, or normals of rank below dim);
+    DegenerateError when there are fewer than dim+1 vertices (empty
+    interior).  No LP is solved.
+    """
+    vpoly = poly._vpoly
+    if vpoly is None:
+        keys, den = _enumeration(poly)[:2]
+        # The keys are distinct and of length dim, so VPolytope's own checks
+        # are skipped.
+        vpoly = object.__new__(VPolytope)
+        object.__setattr__(vpoly, "vertices", tuple(
+            tuple.__new__(Vec, [Scalar(c, den) for c in p]) for p in keys))
+        object.__setattr__(vpoly, "dim", poly.dim)
+        object.__setattr__(poly, "_vpoly", vpoly)
+    return vpoly
 
 
 def contains(poly: HPolytope, x) -> bool:

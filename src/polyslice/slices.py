@@ -22,7 +22,7 @@ import numpy as np
 from .linprog import OPTIMAL, ClearedRows, clear_rows, solve_lp
 from .numeric import (Matrix, ONE, Scalar, Vec, ZERO, clear_denominators, nullspace_basis,
                       rational, rational_str)
-from .polytope import HalfSpace, HPolytope, contains, vertices
+from .polytope import HalfSpace, HPolytope, _enumeration, contains, vertices
 from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
 
 __all__ = [
@@ -146,21 +146,21 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     canonical pair (lex-least argmax, lex-least argmin) attains it, and the
     lexicographically least canonical pair is returned.
 
-    The widths are taken in integers: the vertices are cleared once over one
-    common denominator Q, so each phi.v is an integer dot product of phi's
-    integer row (see PolyhedralNormSpace._int_rows) over den * Q.  The vertex
-    list is sorted and distinct, so the lex-least vertex among ties is the
-    first index, and comparing index pairs compares vertex pairs.  One row per
-    +- generator pair suffices: -phi has phi's width, and its first argmax
-    and first argmin are phi's swapped, so the sorted pair is the same.
+    The widths are taken in integers, on the vertex keys that enumeration
+    caches (see the polytope module docstring): integer numerators over one
+    common denominator Q, in the order of the vertex list.  Each phi.v is
+    then an integer dot product of phi's integer row (see
+    PolyhedralNormSpace._int_rows) over den * Q.  The vertex list is sorted
+    and distinct, so the lex-least vertex among ties is the first index, and
+    comparing index pairs compares vertex pairs.  One row per +- generator
+    pair suffices: -phi has phi's width, and its first argmax and first
+    argmin are phi's swapped, so the sorted pair is the same.
     """
     if poly.dim != space.dim:
         raise ValueError("polytope of dimension %d in a space of dimension %d"
                          % (poly.dim, space.dim))
     verts = vertices(poly).vertices
-    d = space.dim
-    flat, q = clear_denominators([c for v in verts for c in v])
-    points = [flat[k:k + d] for k in range(0, len(flat), d)]
+    points, q = _enumeration(poly)[:2]
     rows, den = space._int_rows
     best_width = None
     best_pair = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .numeric import (ONE, ZERO, Matrix, Scalar, Vec, clear_denominators, exact_int, rank,
+from .numeric import (ONE, ZERO, Scalar, Vec, _int_rank, clear_denominators, exact_int,
                       rational, rational_str)
 from .polytope import HalfSpace, HPolytope, VPolytope, extreme_points
 
@@ -54,6 +54,15 @@ class PolyhedralNormSpace:
 
     Generators must be symmetric (closed under negation) and span the dual,
     so the induced gauge is a genuine norm and the unit ball is bounded.
+
+    The generators are cleared to integers once, over one common denominator
+    den.  The duplicate, symmetry and rank checks run on those integer rows,
+    and the same clearing gives _int_rows: (rows, den), one dense integer row
+    per +- pair of generators, the pair's member that comes first in
+    generator order, as rows[k] / den.  Negating phi changes neither |phi.x|
+    nor a width max phi.v - min phi.v, so these rows serve every norm and
+    width.  _int_rows is not a field, so equality, hashing and repr ignore
+    it.
     """
 
     dim: int
@@ -64,21 +73,31 @@ class PolyhedralNormSpace:
     def __post_init__(self):
         gens = tuple(g if isinstance(g, Vec) else Vec(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        if self.dim < 1:
+        d = self.dim
+        if d < 1:
             raise ValueError("dimension must be positive")
         for g in gens:
-            if len(g) != self.dim:
-                raise ValueError("generator of length %d in dimension %d" % (len(g), self.dim))
+            if len(g) != d:
+                raise ValueError("generator of length %d in dimension %d" % (len(g), d))
             if g.is_zero():
                 raise ValueError("zero generator")
-        if len(set(gens)) != len(gens):
+        flat, den = clear_denominators([c for g in gens for c in g])
+        cleared = [flat[k:k + d] for k in range(0, len(flat), d)]
+        cleared_set = set(cleared)
+        if len(cleared_set) != len(cleared):
             raise ValueError("duplicate generators")
-        gen_set = set(gens)
-        for g in gens:
-            if -g not in gen_set:
+        rows = []
+        kept = set()
+        for g, row in zip(gens, cleared):
+            neg = tuple(-c for c in row)
+            if neg not in cleared_set:
                 raise ValueError("generator set is not symmetric: missing %r" % (-g,))
-        if rank(Matrix(gens)) != self.dim:
+            if neg not in kept:
+                kept.add(row)
+                rows.append(row)
+        if _int_rank(rows, d) != d:
             raise ValueError("generators do not span the dual; the gauge is not a norm")
+        object.__setattr__(self, "_int_rows", (tuple(rows), den))
 
     def __hash__(self):
         return self._hash
@@ -88,24 +107,6 @@ class PolyhedralNormSpace:
         """The dataclass hash of the field tuple, computed once rather than
         over every generator coordinate on each cache lookup."""
         return hash((self.dim, self.generators, self.label, self.params))
-
-    @cached_property
-    def _int_rows(self):
-        """(rows, den): one dense integer row per +- pair of generators, the
-        pair's member that comes first in generator order, as rows[k] / den
-        with den > 0 shared by every generator.  Negating phi changes neither
-        |phi.x| nor a width max phi.v - min phi.v, so these rows serve every
-        norm and width.  Not a field, so equality, hashing and repr ignore it."""
-        flat, den = clear_denominators([c for g in self.generators for c in g])
-        d = self.dim
-        rows = []
-        seen = set()
-        for k in range(0, len(flat), d):
-            row = flat[k:k + d]
-            if tuple(-c for c in row) not in seen:
-                seen.add(row)
-                rows.append(row)
-        return tuple(rows), den
 
     def param(self, name):
         for key, value in self.params:

@@ -7,9 +7,12 @@ here and not only in a benchmark run.  lp-certify is also run on seeds 1-9:
 its certificate point x is a degenerate LP optimum that depends on every
 Bland choice, and ten seeds give 60 certificates.  norm-sandwich is also
 run on seeds 1-4, which pin the integer sandwich trials' failure counts and
-worst ratios on 72 more rows.  The seed-0 lp-certify cases also pin their
-LP count, so a change that brings back LPs the certificates do not need
-fails here.  bench/ is only read.
+worst ratios on 72 more rows.  family2-slices and family7-shrink are also
+run on seeds 1-4, whose epsilons and family VII weights differ from seed
+0's, so the vertex keys that diameters and the prop3 estimates read are
+pinned on other slices and other balls.  The seed-0 lp-certify cases also
+pin their LP count, so a change that brings back LPs the certificates do
+not need fails here.  bench/ is only read.
 """
 
 import json
@@ -48,6 +51,12 @@ def test_norm_sandwich_outputs_match_reference_digests(monkeypatch):
 @pytest.mark.parametrize("workload", ["family2-slices", "family7-shrink", "lp-certify"])
 def test_enumeration_and_lp_outputs_match_reference_digests(monkeypatch, workload):
     check_seed(monkeypatch, workload)
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+@pytest.mark.parametrize("workload", ["family2-slices", "family7-shrink"])
+def test_enumeration_outputs_match_reference_digests_on_more_seeds(monkeypatch, workload, seed):
+    check_seed(monkeypatch, workload, seed)
 
 
 @pytest.mark.parametrize("seed", range(1, 10))

@@ -5,8 +5,9 @@ wherever the package binds the original.  A case function that is renamed,
 or called through a value stored in a table, escapes that rebinding: the
 traced run then fails to install or records no case spans.  This test runs
 bench/child.py traced on three small CLI cases, in a fresh interpreter as the
-benchmark does, and counts the case spans under each report.  bench/ is only
-read.
+benchmark does, and counts the case spans under each report.  The thm1 case
+must also record a polytope.vertices.slice span, so the slice's vertex
+enumeration stays where the tracer sees it.  bench/ is only read.
 """
 
 import json
@@ -55,3 +56,9 @@ def test_traced_child_records_case_spans_for_every_row(tmp_path):
     assert rows == [1, 1, 1]
     for main, n_rows in zip(mains, rows):
         assert per_report[main] >= n_rows
+
+    # The thm1 slice's DD runs inside the traced vertices call, which the
+    # tracer names by the slice that make_slice returned.
+    thm1_vertex_spans = [s["name"] for s in spans
+                         if s["name"].startswith("polytope.vertices.") and report_of(s) == mains[0]]
+    assert "polytope.vertices.slice" in thm1_vertex_spans

@@ -473,3 +473,29 @@ def test_config_checks_g_and_weights_against_every_grid_n():
         ExperimentConfig.from_dict({"experiment": "prop3", "omega_rule": "list:9/10,9/10"})
     ExperimentConfig.from_dict({"experiment": "prop2", "N": 1, "g": "1,0"})
     ExperimentConfig.from_dict({"experiment": "prop3", "N": 3, "omega_rule": "list:9/10,9/10"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--n", "2", "--epsilon", "1/3"],
+    ["sandwich", "--n", "1", "--delta", "1/3"],
+    ["sandwich", "--n", "1", "--g", "e1"],
+    ["thm1", "--n", "2", "--g", "e1"],
+    ["thm1", "--n", "1", "--trials", "5"],
+    ["thm1", "--n", "1", "--omega-rule", "list:9/10"],
+    ["prop2", "--n", "2", "--trials", "5"],
+    ["prop2", "--n", "2", "--epsilon", "1/2"],
+    ["prop3", "--n", "3", "--r", "1/10"],
+    ["prop3", "--n", "3", "--alpha", "1/2"],
+    ["verify-ext", "--n", "2", "--epsilon", "1/2"],
+    ["verify-ext", "--n", "2", "--epsilons", "1/2,1/3"],
+])
+def test_cli_rejects_a_flag_the_experiment_ignores(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+def test_config_file_field_the_experiment_ignores_is_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "sandwich", "N": 1, "trials": 20, "alpha": "1/2"}))
+    assert_usage_error(["--config", str(path)], capsys)
+    with pytest.raises(ValueError, match="^sandwich does not use 'alpha'; it reads N, r, trials$"):
+        ExperimentConfig(experiment="sandwich", alpha="1/2")

@@ -1,9 +1,12 @@
 """Report bytes pinned by sha256.
 
-Each experiment's default-grid report, and the verify-ext audit of two
-explicit space files, must render to exactly these CSV and JSON bytes.  The
-digests were recorded before the experiment loop was rewritten, so any
-change to a row, a column, a summary key or the config echo fails here.
+Each experiment's default-grid report, the thm1 and prop2 reports at N = 8,
+and the verify-ext audit of two explicit space files, must render to exactly
+these CSV and JSON bytes.  The default-grid digests were recorded before the
+experiment loop was rewritten, and the N = 8 digests before vertex
+enumeration stopped building rationals for the ball, so any change to a
+row, a column, a summary key or the config echo fails here.  The N = 8 ball
+has 768 vertices, the largest enumeration the pins reach.
 """
 
 import hashlib
@@ -28,6 +31,14 @@ DEFAULT_GRID = {
                  "9b329ca80d1a76db0fe0fb8e78e8c7d928bdf00fed6f3fce676889809222ba10"),
 }
 
+# experiment at N = 8 -> (sha256 of to_csv_text(), sha256 of to_json_text())
+N8 = {
+    "thm1": ("78fdcb3fcb72c169734a33c6dab8a933df32bb4ab662b3cc2dec4f2144eea741",
+             "8b277a3cef3d292d3c97e103c5a9715221dc0f7cf4a7ef71929cb08fcf73b581"),
+    "prop2": ("cbff6b88b7106ff4a43dd7b3e371c2ab54803b5d0e3f754ec329c4f247995c3f",
+              "f03dd9b1922005110fe0ab9d6d3eb52cf9e2d8eae278be230fdaea7b605f9857"),
+}
+
 # space file -> (sha256 of to_csv_text(), sha256 of to_json_text())
 AUDITS = {
     "II.json": ("ca7f9a816e9725fb94baa9a6e5260cd783b1fa423fa055c35996e141c8671246",
@@ -45,6 +56,11 @@ def digests(report):
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_default_grid_report_bytes(experiment):
     assert digests(run_experiment(ExperimentConfig(experiment=experiment))) == DEFAULT_GRID[experiment]
+
+
+@pytest.mark.parametrize("experiment", sorted(N8))
+def test_n8_report_bytes(experiment):
+    assert digests(run_experiment(ExperimentConfig(experiment=experiment, N=8))) == N8[experiment]
 
 
 def audit_spaces():

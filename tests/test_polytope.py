@@ -230,6 +230,26 @@ def test_base_extension_matches_scratch_enumeration():
         assert got == vertices(scratch).vertices
 
 
+def test_a_slice_enumerates_its_ball_without_building_its_vertex_list():
+    """Enumerating a slice caches its ball's integer vertex keys and rays but
+    builds no VPolytope for the ball.  vertices(ball) builds it later from
+    those keys, once, equal to a cold enumeration of the same rows."""
+    space = make_space_II(3, "5/13")
+    rows = [HalfSpace(g, ONE) for g in space.generators]
+    ball = HPolytope(rows, space.dim)
+    cut = HalfSpace(-Vec.unit(space.dim, space.dim - 1), rational("-1/2"))
+    piece = HPolytope(rows + [cut], space.dim, _base=(ball, len(rows)))
+    got = vertices(piece)
+    assert ball._vcache is not None and ball._vpoly is None
+    for poly, verts in ((piece, got), (ball, vertices(ball))):
+        keys, den = poly._vcache.keys, poly._vcache.den
+        assert keys == tuple(sorted(keys)) and len(set(keys)) == len(keys)
+        assert verts.vertices == tuple(Vec([Fraction(c, den) for c in p]) for p in keys)
+        assert vertices(poly) is verts
+    assert vertices(ball) == vertices(HPolytope(rows, space.dim))
+    assert len(vertices(ball).vertices) == 3 * 2 ** 3
+
+
 def oracle_vertices(poly):
     rows = [(tuple(as_fraction(c) for c in h.a), as_fraction(h.b)) for h in poly.halfspaces]
     return oracles.enum_vertices(rows, poly.dim)
@@ -404,7 +424,7 @@ def test_vertices_match_subset_oracle_without_lps(monkeypatch, build):
                 vertices(poly)
             continue
         assert fraction_vertices(poly) == expected
-        rays = poly._vcache[1]
+        rays = poly._vcache.rays
         assert len(rays) == len(expected)
         for ray in rays:
             assert ray[dim] > 0 and gcd(*ray) == 1

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from polyslice import slices
 from polyslice.linprog import solve_lp
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, vertices
@@ -337,6 +338,16 @@ def test_integer_widths_break_ties_like_rational_loop_on_box_slices():
             piece = make_slice(cube, SliceSpec(f, alpha))
             assert widest_generators(piece, cube) > 1
             assert diameter(piece, cube) == rational_diameter(piece, cube)
+
+
+def test_diameter_reads_the_vertex_keys_without_clearing_the_vertices(monkeypatch):
+    """The widths come from the integer keys that enumeration cached, so
+    diameter clears no rationals; the value and witness are unchanged."""
+    space = make_space_VII(3, ("53/54", "47/48"))
+    spec = SliceSpec(Vec.unit(3, 0), "1/11")
+    expected = rational_diameter(make_slice(space, spec), space)
+    monkeypatch.setattr(slices, "clear_denominators", None)
+    assert diameter(make_slice(space, spec), space) == expected
 
 
 def test_diameter_rejects_a_polytope_of_another_dimension():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from polyslice.cli import main as cli_main
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, extreme_points, vertices
 from polyslice.spaces import (
@@ -215,6 +216,22 @@ def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
         assert unit_ball(b) is unit_ball(a)
 
 
+def test_generators_are_cleared_once_for_the_checks_and_the_rows(monkeypatch):
+    """The duplicate, symmetry and rank checks and _int_rows share one
+    clearing of the generators: the rank check clears no row of its own."""
+    import polyslice.numeric
+    import polyslice.spaces
+
+    calls = []
+    clear = polyslice.numeric.clear_denominators
+    for module in (polyslice.numeric, polyslice.spaces):
+        monkeypatch.setattr(module, "clear_denominators",
+                            lambda values: calls.append(1) or clear(values))
+    sp = make_space_VII(4, ("71/72", "61/72", "67/72"))
+    assert sp._int_rows[1] == 72 and len(sp._int_rows[0]) == len(sp.generators) // 2
+    assert len(calls) == 1
+
+
 def test_hash_is_the_field_tuple_hash_computed_once():
     """The cached hash equals the dataclass hash of (dim, generators, label,
     params) and is not a field, so fields and repr are unchanged."""
@@ -353,3 +370,53 @@ def test_extra_point_is_dropped_from_dual_ball():
     padded = list(sp.generators) + [Vec.zero(3)]
     got = extreme_points(padded)
     assert set(got.vertices) == set(sp.generators)
+
+
+# (dimension, generators, the one-line message) for each check of
+# PolyhedralNormSpace, in the order the checks run.
+BAD_GENERATOR_SETS = [
+    (2, [[1, 0], [-1, 0], [1, 0, 0]], "generator of length 3 in dimension 2"),
+    (2, [[1, 0], [-1, 0], [0, 0]], "zero generator"),
+    (2, [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 1]], "duplicate generators"),
+    (2, [[1, 0], [-1, 0], ["1/2", "1/3"]],
+     "generator set is not symmetric: missing Vec(-1/2, -1/3)"),
+    (2, [[1, 0], [-1, 0]], "generators do not span the dual; the gauge is not a norm"),
+    (3, [["1/2", 1, 0], ["-1/2", -1, 0], [1, 2, 0], [-1, -2, 0], [0, 0, 1], [0, 0, -1]],
+     "generators do not span the dual; the gauge is not a norm"),
+    # The first failing check wins.
+    (2, [[0, 0], [1, 0, 0]], "zero generator"),
+    (2, [[1, 0], [1, 0], [0, 1]], "duplicate generators"),
+    (2, [[1, 0]], "generator set is not symmetric: missing Vec(-1, 0)"),
+]
+
+
+@pytest.mark.parametrize("dim, gens, message", BAD_GENERATOR_SETS)
+def test_space_validation_messages(dim, gens, message):
+    with pytest.raises(ValueError) as info:
+        PolyhedralNormSpace(dim, tuple(Vec(g) for g in gens), "custom")
+    assert str(info.value) == message
+
+
+def test_space_validation_rejects_a_nonpositive_dimension():
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        PolyhedralNormSpace(0, (), "custom")
+
+
+@pytest.mark.parametrize("dim, gens, message", BAD_GENERATOR_SETS)
+def test_space_file_validation_messages(tmp_path, capsys, dim, gens, message):
+    """The same messages from space_from_dict, which sorts the generators
+    and takes the dimension from the first one listed, and from --space,
+    where each is one error line and exit 2."""
+    data = {"kind": "custom", "generators": [[str(c) for c in g] for g in gens]}
+    with pytest.raises(ValueError) as info:
+        space_from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as info:
+        cli_main(["verify-ext", "--space", str(path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert errors == ["polyslice: error: " + message]
