@@ -16,8 +16,16 @@ from .experiments import EXPERIMENTS, ExperimentConfig, apply_space_file, run_ex
 __all__ = ["build_parser", "main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 with one message line: a line break or other unprintable
+        character in the message (from a bad argument, say) is escaped."""
+        super().error("".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                              for c in message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyslice",
         description="Exact slice-diameter experiments on polyhedral norm balls.",
     )

@@ -116,14 +116,14 @@ class ExperimentConfig:
         for name in ("r", "delta", "epsilon", "alpha"):
             value = getattr(self, name)
             if value is not None:
-                value = rational(value)
+                value = rational(value, name)
                 object.__setattr__(self, name, value)
                 if value <= 0:
                     raise ValueError("%s must be positive" % name)
         if self.epsilons is not None:
             if not isinstance(self.epsilons, (list, tuple)) or not self.epsilons:
                 raise ValueError("'epsilons' must be a nonempty list, got %r" % (self.epsilons,))
-            eps = tuple(rational(e) for e in self.epsilons)
+            eps = tuple(rational(e, "epsilons entry %d" % i) for i, e in enumerate(self.epsilons, 1))
             if any(e <= 0 for e in eps):
                 raise ValueError("epsilons must be positive")
             if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -243,7 +243,8 @@ def _rs(config: ExperimentConfig, default: tuple) -> tuple:
 def _omega_for(config: ExperimentConfig, N: int):
     if config.omega_rule == "default":
         return None
-    return tuple(rational(w) for w in config.omega_rule[len("list:"):].split(","))
+    weights = config.omega_rule[len("list:"):].split(",")
+    return tuple(rational(w, "omega-rule weight %d" % i) for i, w in enumerate(weights, 1))
 
 
 def _check_rows(rows) -> dict:
@@ -313,7 +314,10 @@ def parse_g(g_spec: str, N: int, rng: random.Random) -> Vec:
         coords.append(ZERO)
         return Vec(coords)
     parts = [p.strip() for p in g_spec.split(",")]
-    coords = [rational(p) for p in parts]
+    try:
+        coords = [rational(p, "g entry %d" % i) for i, p in enumerate(parts, 1)]
+    except ValueError as exc:
+        raise ValueError("%s; g is e1, e1+e2, random or comma-separated rationals" % exc) from None
     if len(coords) != d:
         raise ValueError("explicit g has %d coordinates, expected %d" % (len(coords), d))
     if not any(coords):
@@ -464,6 +468,23 @@ def _verify_ext_rows(config: ExperimentConfig):
             yield verify_ext_case(N, r)
 
 
+def _sandwich_draw(bits, d: int) -> tuple:
+    """One sandwich trial's d numerators and d denominators, drawn a_i then
+    q_i per coordinate with bits = rng.getrandbits (see sandwich_case)."""
+    A = []
+    Q = []
+    for _ in range(d):
+        a = bits(7)
+        while a > 100:
+            a = bits(7)
+        q = bits(5)
+        while q > 19:
+            q = bits(5)
+        A.append(a - 50)
+        Q.append(q + 1)
+    return A, Q
+
+
 def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     """Random vectors through the norm sandwich: the lifted norm lies between
     the product reference norm and (1+r) times it.
@@ -472,18 +493,27 @@ def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     L = lcm(q).  The reference norm max_{i<N} |P_i| + |P_N| and the kernel's
     den * |||P||| are then integers, so both checks and the worst ratio are
     integer comparisons; one Fraction is built per row.
+
+    Per coordinate, the numerator a_i is uniform on -50..50 and then the
+    denominator q_i uniform on 1..20, each drawn by rejection from
+    rng.getrandbits(7) or rng.getrandbits(5): a word above 100, or above 19,
+    is drawn again.  CPython 3.11's randint(-50, 50) and randint(1, 20)
+    follow the same rule, so the values and the rng state after each trial
+    equal theirs; the reports depend only on getrandbits, not on
+    random.randint.
     """
     r = rational(r)
     space = make_space_II(N, r)
     d = space.dim
     den = space._int_rows[1]
     cap = r.denominator + r.numerator
+    bits = rng.getrandbits
     failures = 0
     worst = None  # (value, lower) with ratio value / lower, both over L * den
     for _ in range(trials):
-        draws = [(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(d)]
-        L = lcm(*(q for _, q in draws))
-        P = [a * (L // q) for a, q in draws]
+        A, Q = _sandwich_draw(bits, d)
+        L = lcm(*Q)
+        P = [a * (L // q) for a, q in zip(A, Q)]
         low = (max(abs(c) for c in P[:N]) + abs(P[N])) * den
         val = _norm_int(space, P)
         if not low <= val or val * r.denominator > cap * low:

@@ -27,23 +27,31 @@ class SingularError(ValueError):
     """Square system has no unique solution (zero determinant)."""
 
 
-def rational(value):
+def rational(value, name=None):
     """Coerce an int, "p/q" string or Fraction to a Scalar.
 
     Floats are rejected so that inexact values cannot slip in silently, and
     so are booleans, which Fraction would take as 0 and 1.  A zero
-    denominator ("p/0") raises ValueError like any other bad value.
+    denominator ("p/0") raises ValueError like any other bad value.  name,
+    when given, says which input the value is (say "epsilons entry 2"), and
+    the error message then starts with it.
     """
     if type(value) is Scalar:
         return value
     if isinstance(value, float):
-        raise TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
-    if isinstance(value, bool):
-        raise TypeError("refusing to coerce bool %r; pass an int, string or Fraction" % (value,))
-    try:
-        return Scalar(value)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (value,)) from None
+        error = TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
+    elif isinstance(value, bool):
+        error = TypeError("refusing to coerce bool %r; pass an int, string or Fraction" % (value,))
+    else:
+        try:
+            return Scalar(value)
+        except ZeroDivisionError:
+            error = ValueError("zero denominator in %r" % (value,))
+        except (TypeError, ValueError) as exc:
+            error = type(exc)("%r is not a rational p/q" % (value,))
+    if name is not None:
+        error = type(error)("%s: %s" % (name, error))
+    raise error
 
 
 def exact_int(value, name):

@@ -306,11 +306,11 @@ def space_from_dict(data: dict) -> PolyhedralNormSpace:
         return data[key]
 
     if kind == "II":
-        return make_space_II(exact_int(need("N"), "N"), rational(need("r")))
+        return make_space_II(exact_int(need("N"), "N"), rational(need("r"), "space file r"))
     if kind == "VII":
         omega = data.get("omega")
         if omega is not None:
-            omega = [rational(w) for w in omega]
+            omega = [rational(w, "space file omega entry %d" % i) for i, w in enumerate(omega, 1)]
         return make_space_VII(exact_int(need("N"), "N"), omega)
     if kind != "custom":
         raise ValueError("unknown space kind %r" % (kind,))
@@ -321,7 +321,7 @@ def space_from_dict(data: dict) -> PolyhedralNormSpace:
     if "N" in data:
         params.append(("N", exact_int(data["N"], "N")))
     if "r" in data:
-        params.append(("r", rational(data["r"])))
+        params.append(("r", rational(data["r"], "space file r")))
     return PolyhedralNormSpace(len(gens[0]), tuple(sorted(gens)), "custom", tuple(params))
 
 

@@ -161,6 +161,26 @@ def test_sandwich_case_matches_the_fraction_oracle(N):
             failures, worst = oracles.sandwich_trials(gens, N, r, trials, ref_rng)
             assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
             assert rng.getstate() == ref_rng.getstate()
+    if N == 6:
+        gens = oracles.gens_II(N, "1/20")
+        rng, ref_rng = random.Random(6006), random.Random(6006)
+        row = sandwich_case(N, "1/20", 1000, rng)
+        failures, worst = oracles.sandwich_trials(gens, N, "1/20", 1000, ref_rng)
+        assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_sandwich_draw_is_randint_on_the_same_stream():
+    """The getrandbits rejection draw of one trial gives the numbers of
+    randint(-50, 50), randint(1, 20) per coordinate and leaves the rng in
+    the same state, trial after trial on one stream."""
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for d in range(1, 8):
+            A, Q = experiments._sandwich_draw(rng.getrandbits, d)
+            pairs = [(ref_rng.randint(-50, 50), ref_rng.randint(1, 20)) for _ in range(d)]
+            assert list(zip(A, Q)) == pairs
+            assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("scale", ["1/2", "3"])
@@ -185,8 +205,8 @@ def test_sandwich_case_on_zero_vectors_reports_no_ratio():
     """Every draw a zero numerator: lower and value are both 0, which passes
     the sandwich and leaves no ratio to report."""
     class ZeroNumerators(random.Random):
-        def randint(self, a, b):
-            return max(a, 0)
+        def getrandbits(self, k):
+            return 50 if k == 7 else 0
 
     row = sandwich_case(2, "1/10", 5, ZeroNumerators(0))
     assert (row["failures"], row["worst_ratio"], row["pass"]) == (0, "", True)
@@ -415,14 +435,17 @@ def test_cli_rejects_mistyped_config_with_exit_two(tmp_path, capsys, data):
 
 
 def assert_usage_error(argv, capsys):
-    """argv is refused before any work: exit 2, one message line, no traceback."""
+    """argv is refused before any work: exit 2, one message line, no
+    traceback.  Returns the message line."""
     with pytest.raises(SystemExit) as info:
         cli_main(argv)
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert captured.err.strip().splitlines()[-1].startswith("polyslice: error: ")
+    message = captured.err.strip().splitlines()[-1]
+    assert message.startswith("polyslice: error: ")
+    return message
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,6 +459,35 @@ def assert_usage_error(argv, capsys):
 ])
 def test_cli_rejects_zero_denominators_with_exit_two(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thm1", "--n", "1", "--epsilons", ","], "epsilons entry 1: '' is not a rational p/q"),
+    (["thm1", "--epsilons", "1/2,,1/3"], "epsilons entry 2: '' is not a rational p/q"),
+    (["prop2", "--n", "1", "--g", "e3"], "g entry 1: 'e3' is not a rational p/q; g is e1, e1+e2,"),
+    (["prop2", "--n", "2", "--g", "e1+e3"], "g entry 1: 'e1+e3' is not a rational p/q"),
+    (["prop2", "--n", "2", "--g", "1,x,0"], "g entry 2: 'x' is not a rational p/q"),
+    (["prop3", "--n", "2", "--omega-rule", "list:"], "omega-rule weight 1: '' is not a rational p/q"),
+    (["prop3", "--n", "3", "--omega-rule", "list:9/10,1/0"],
+     "omega-rule weight 2: zero denominator in '1/0'"),
+    (["thm1", "--n", "1", "--r", "abc"], "r: 'abc' is not a rational p/q"),
+    (["prop2", "--n", "1", "--alpha", "1/2/3"], "alpha: '1/2/3' is not a rational p/q"),
+])
+def test_cli_names_the_flag_and_entry_of_a_bad_rational(argv, message, capsys):
+    assert message in assert_usage_error(argv, capsys)
+
+
+def test_config_and_space_file_name_a_bad_rational(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "thm1", "N": 1, "epsilons": ["1/2", "x"]}))
+    assert "epsilons entry 2: 'x' is not a rational p/q" in assert_usage_error(["--config", str(cfg)], capsys)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"kind": "II", "N": 1, "r": "1/0"}))
+    message = assert_usage_error(["thm1", "--epsilon", "1/2", "--space", str(space)], capsys)
+    assert "space file r: zero denominator in '1/0'" in message
+    space.write_text(json.dumps({"kind": "VII", "N": 3, "omega": ["9/10", True]}))
+    message = assert_usage_error(["prop3", "--space", str(space)], capsys)
+    assert "space file omega entry 2: refusing to coerce bool True" in message
 
 
 def test_cli_rejects_zero_denominator_in_config_and_space_file(tmp_path, capsys):

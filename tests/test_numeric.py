@@ -57,6 +57,18 @@ def test_rational_rejects_zero_denominators_as_bad_values(text):
         rational(text)
 
 
+def test_rational_names_the_input_in_its_message():
+    with pytest.raises(ValueError, match="^'x' is not a rational p/q$"):
+        rational("x")
+    with pytest.raises(ValueError, match="^epsilons entry 2: 'x' is not a rational p/q$"):
+        rational("x", "epsilons entry 2")
+    with pytest.raises(ValueError, match="^g entry 1: zero denominator in '1/0'$"):
+        rational("1/0", "g entry 1")
+    with pytest.raises(TypeError, match="^r: refusing to coerce float 0.5"):
+        rational(0.5, "r")
+    assert rational("3/6", "r") == Scalar(1, 2)
+
+
 def test_rational_str_always_carries_denominator():
     assert rational_str(Scalar(2)) == "2/1"
     assert rational_str(Scalar(-3, 7)) == "-3/7"
