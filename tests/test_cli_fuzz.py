@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from polyslice.cli import main as cli_main  # noqa: E402

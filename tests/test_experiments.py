@@ -152,20 +152,16 @@ def test_sandwich_reports_worst_ratio_within_cap():
 @pytest.mark.parametrize("N", range(1, 7))
 def test_sandwich_case_matches_the_fraction_oracle(N):
     """The integer trials give the Fraction loop's failure count and worst
-    ratio, and draw the same numbers from the rng."""
-    for r in ("1/20", "7/3", "1"):
-        gens = oracles.gens_II(N, r)
-        for seed, trials in ((0, 1), (N + 17, 13), (1000 * N + 5, 60)):
-            rng, ref_rng = random.Random(seed), random.Random(seed)
-            row = sandwich_case(N, r, trials, rng)
-            failures, worst = oracles.sandwich_trials(gens, N, r, trials, ref_rng)
-            assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
-            assert rng.getstate() == ref_rng.getstate()
+    ratio, and draw the same numbers from the rng; at N = 6 also over one
+    run of 1000 trials."""
+    runs = [(r, seed, trials) for r in ("1/20", "7/3", "1")
+            for seed, trials in ((0, 1), (N + 17, 13), (1000 * N + 5, 60))]
     if N == 6:
-        gens = oracles.gens_II(N, "1/20")
-        rng, ref_rng = random.Random(6006), random.Random(6006)
-        row = sandwich_case(N, "1/20", 1000, rng)
-        failures, worst = oracles.sandwich_trials(gens, N, "1/20", 1000, ref_rng)
+        runs.append(("1/20", 6006, 1000))
+    for r, seed, trials in runs:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        row = sandwich_case(N, r, trials, rng)
+        failures, worst = oracles.sandwich_trials(oracles.gens_II(N, r), N, r, trials, ref_rng)
         assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
         assert rng.getstate() == ref_rng.getstate()
 
