@@ -589,10 +589,13 @@ def apply_space_file(config: ExperimentConfig):
     Kind II files supply N and r to the lifted-space experiments; kind VII
     files supply N and the weight list to the shrinking-slice experiment;
     explicit flags still win.  Any kind can feed the verify-ext audit, which
-    then runs on the file's generators directly.
+    then runs on the file's generators directly, so N and r cannot be set
+    next to it.
     """
     if config.space_path is None:
         return config, None
+    if config.experiment == "verify-ext" and (config.N is not None or config.r is not None):
+        raise ValueError("verify-ext audits the space file as it is; drop N and r")
     space = load_space(config.space_path)
     if config.experiment == "verify-ext":
         return config, space

@@ -3,8 +3,11 @@
 All geometry in this package runs on arbitrary-precision rationals; floating
 point appears only in the stochastic sampling oracle.  The scalar type is the
 standard library's fractions.Fraction; the hot loops (the simplex tableau,
-vertex enumeration, norm evaluation, rank) run on Python ints over cleared
-denominators and build Fractions only at their boundaries.
+vertex enumeration, norm evaluation, elimination) run on Python ints over
+cleared denominators and build Fractions only at their boundaries.
+
+Rank, nullspace, solve and the start cone of vertex enumeration share one
+elimination kernel, _echelon: fraction-free Gauss-Jordan on integer rows.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ def rational(value, name=None):
     """Coerce an int, "p/q" string or Fraction to a Scalar.
 
     Floats are rejected so that inexact values cannot slip in silently, and
-    so are booleans, which Fraction would take as 0 and 1.  A zero
-    denominator ("p/0") raises ValueError like any other bad value.  name,
-    when given, says which input the value is (say "epsilons entry 2"), and
-    the error message then starts with it.
+    so are booleans, which Fraction would take as 0 and 1.  So are strings
+    in exponent notation: Fraction("1e999999999") would compute the power
+    of ten before anything could refuse it, and 1e-5000 has a denominator
+    too long to print.  A zero denominator ("p/0") raises ValueError like
+    any other bad value.  name, when given, says which input the value is
+    (say "epsilons entry 2"), and the error message then starts with it.
     """
     if type(value) is Scalar:
         return value
@@ -42,6 +47,8 @@ def rational(value, name=None):
         error = TypeError("refusing to coerce float %r; pass a string or Fraction" % (value,))
     elif isinstance(value, bool):
         error = TypeError("refusing to coerce bool %r; pass an int, string or Fraction" % (value,))
+    elif isinstance(value, str) and ("e" in value or "E" in value):
+        error = ValueError("%r is not a rational p/q" % (value,))
     else:
         try:
             return Scalar(value)
@@ -172,59 +179,39 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
 
-def _rref(rows, width):
-    """Reduced row echelon form in place; returns the pivot column list.
-
-    Pivot choice is the first row with a nonzero entry in the current column,
-    scanning columns left to right, so the result is deterministic.
-    """
-    pivots = []
-    rank = 0
-    nrows = len(rows)
-    for col in range(width):
-        piv = None
-        for k in range(rank, nrows):
-            if rows[k][col] != 0:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        prow = rows[rank]
-        for k in range(nrows):
-            if k != rank and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], prow)]
-        pivots.append(col)
-        rank += 1
-    return pivots
-
-
-def _independent_rows(rows, limit):
-    """Fraction-free forward elimination over integer rows, in order: yields
-    (k, pc) for each row k independent of the rows before it, pc being the
-    first nonzero column its reduction leaves, and stops after limit such
-    rows.  Each row is reduced against the echelon rows kept so far and kept,
-    divided by its gcd, when something is left of it."""
-    echelon = []
+def _echelon(rows, limit):
+    """Fraction-free Gauss-Jordan over integer rows, taken in order (Bareiss
+    1968): the list of (k, pc, row) for each row k independent of the rows
+    before it, stopping after limit such rows.  Each row is reduced against
+    the rows kept so far, and kept, divided by its gcd, when something is
+    left of it; pc is its first nonzero column, and that column is then
+    eliminated from the rows kept before.  So every kept row is zero on the
+    other kept pivot columns, and row / row[pc] is the RREF row of column
+    pc: rank, nullspace, solve and the DD start cone all read it."""
+    kept = []
     for k, red in enumerate(rows):
-        for pc, row in echelon:
+        for _, pc, row in kept:
             c = red[pc]
             if c:
                 red = tuple(row[pc] * x - c * y for x, y in zip(red, row))
         pc = next((j for j, x in enumerate(red) if x), None)
-        if pc is not None:
-            echelon.append((pc, _reduced(red)))
-            yield k, pc
-            if len(echelon) == limit:
-                return
+        if pc is None:
+            continue
+        red = _reduced(red)
+        p = red[pc]
+        for i, (ki, pi, row) in enumerate(kept):
+            c = row[pc]
+            if c:
+                kept[i] = (ki, pi, _reduced([p * x - c * y for x, y in zip(row, red)]))
+        kept.append((k, pc, red))
+        if len(kept) == limit:
+            break
+    return kept
 
 
 def _int_rank(rows, width) -> int:
-    """Rank of integer rows of the given width, by _independent_rows."""
-    return sum(1 for _ in _independent_rows(rows, width))
+    """Rank of integer rows of the given width, by _echelon."""
+    return len(_echelon(rows, width))
 
 
 def rank(a: Matrix) -> int:
@@ -243,11 +230,11 @@ def solve_linear_system(a: Matrix, b: Vec) -> Vec:
         raise ValueError("matrix must be square and nonempty, got %d x %d" % (a.nrows, a.ncols))
     if len(b) != n:
         raise ValueError("rhs length %d does not match dimension %d" % (len(b), n))
-    rows = [list(r) + [b[i]] for i, r in enumerate(a.rows)]
-    pivots = _rref(rows, n)
+    found = _echelon((clear_denominators((*r, rational(c)))[0] for r, c in zip(a.rows, b)), n)
+    pivots = {pc: row for _, pc, row in found if pc < n}
     if len(pivots) < n:
         raise SingularError("matrix of rank %d < %d has no unique solution" % (len(pivots), n))
-    return Vec(rows[i][n] for i in range(n))
+    return Vec(Scalar(pivots[j][n], pivots[j][j]) for j in range(n))
 
 
 def nullspace_basis(a: Matrix, dim=None) -> list:
@@ -265,16 +252,15 @@ def nullspace_basis(a: Matrix, dim=None) -> list:
     if dim is not None and dim != a.ncols:
         raise ValueError("dim %d does not match matrix width %d" % (dim, a.ncols))
     width = a.ncols
-    rows = [list(r) for r in a.rows]
-    pivots = _rref(rows, width)
-    pivot_set = set(pivots)
+    found = _echelon((clear_denominators(r)[0] for r in a.rows), width)
+    pivots = {pc: row for _, pc, row in found}
     basis = []
     for free in range(width):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [ZERO] * width
         v[free] = ONE
-        for i, col in enumerate(pivots):
-            v[col] = -rows[i][free]
+        for col, row in pivots.items():
+            v[col] = Scalar(-row[free], row[col])
         basis.append(Vec(v))
     return basis

@@ -47,8 +47,7 @@ from typing import NamedTuple
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
-from .numeric import (ZERO, Scalar, Vec, _independent_rows, _reduced, clear_denominators,
-                      rational)
+from .numeric import ZERO, Scalar, Vec, _echelon, _reduced, clear_denominators, rational
 
 __all__ = [
     "UnboundedError",
@@ -190,33 +189,26 @@ def _basis(rows, dim):
     until there are dim of them, and the pivot columns of the normals that
     elimination met on the way.  Fewer than dim rows means the normals have
     rank below dim; the pivot columns are then a column basis of them.  The
-    elimination is numeric's rank kernel, with the row of t >= 0 first."""
+    elimination is numeric._echelon, the kernel of rank and nullspace, run
+    on the homogenized rows with the row of t >= 0 first."""
     homogenized = chain([(0,) * dim + (-1,)], (_homogenized(ints) for ints, _ in rows))
-    found = list(_independent_rows(homogenized, dim + 1))[1:]
-    return [k - 1 for k, _ in found], sorted(pc for _, pc in found)
+    found = _echelon(homogenized, dim + 1)[1:]
+    return [k - 1 for k, _, _ in found], sorted(pc for _, pc, _ in found)
 
 
 def _start(rows, picked, dim):
     """Rays and zero-set masks of the simplicial cone of t >= 0 and the picked
     rows.  Its rays are the columns of -B^-1 for the basis matrix B: ray k is
-    tight on every basis row but row k.  B^-1 is taken by fraction-free
-    Gauss-Jordan on [B | I], which leaves D B^-1 = N with D diagonal, so ray
-    k is -N[j][k] / D[j] scaled by lcm |D| to integers."""
+    tight on every basis row but row k.  numeric._echelon on [B | I] leaves,
+    for each column j of B, a row d_j (e_j | N_j) with N_j = d_j (B^-1)_j, so
+    ray k is -N_j[k] / d_j over j, scaled by lcm |d_j| to integers."""
     n = dim + 1
     basis = [(0,) * dim + (-1,)] + [_homogenized(rows[i][0]) for i in picked]
     bits = [1] + [2 << i for i in picked]
     aug = [row + tuple(int(k == i) for k in range(n)) for i, row in enumerate(basis)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        for i in range(n):
-            a = aug[i][col]
-            if i != col and a:
-                aug[i] = _reduced([p * x - a * y for x, y in zip(aug[i], prow)])
-    scale = lcm(*(aug[j][j] for j in range(n)))
-    rays = [_reduced([-aug[j][n + k] * (scale // aug[j][j]) for j in range(n)]) for k in range(n)]
+    inverse = sorted((pc, row[pc], row[n:]) for _, pc, row in _echelon(aug, n))
+    scale = lcm(*(d for _, d, _ in inverse))
+    rays = [_reduced([-inv[k] * (scale // d) for _, d, inv in inverse]) for k in range(n)]
     done = sum(bits)
     return rays, [done ^ bit for bit in bits]
 

@@ -78,6 +78,35 @@ def solve_rect(rows, rhs):
     return x
 
 
+def _rref(rows, width):
+    """Reduced row echelon form of Fraction rows, in place; returns the pivot
+    column list.
+
+    Pivot choice is the first row with a nonzero entry in the current column,
+    scanning columns left to right, so the result is deterministic.  It is
+    the reference for the rank, nullspace and solve of numeric's integer
+    kernel.
+    """
+    pivots = []
+    rank = 0
+    nrows = len(rows)
+    for col in range(width):
+        piv = next((k for k in range(rank, nrows) if rows[k][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        prow = rows[rank]
+        for k in range(nrows):
+            if k != rank and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], prow)]
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
 def enum_vertices(halfspaces, dim):
     """All vertices of {x : a.x <= b} by checking every dim-subset.
 

@@ -22,7 +22,9 @@ from polyslice.experiments import EXPERIMENTS  # noqa: E402
 from polyslice.numeric import Vec  # noqa: E402
 from polyslice.spaces import PolyhedralNormSpace, make_space_II, make_space_VII, save_space  # noqa: E402
 
-small_rational = st.builds("{}/{}".format, st.integers(-1, 6), st.integers(0, 12))
+# Exponent notation is drawn too: 1e-5000 has a denominator too long to print.
+small_rational = st.one_of(st.builds("{}/{}".format, st.integers(-1, 6), st.integers(0, 12)),
+                           st.sampled_from(["1e-5000", "2E3"]))
 rational_list = st.lists(small_rational, min_size=1, max_size=3).map(",".join)
 
 FLAGS = {
@@ -113,6 +115,7 @@ def scratch_cwd(tmp_path_factory):
 @example(argv=["verify-ext", "--space", "custom.json", "--format", "json"])
 @example(argv=["sandwich", "\r", "--n", "1", "--trials", "1", "a\u2028b", "--format", "json"])
 @example(argv=["thm1", "-h"])
+@example(argv=["verify-ext", "--space", "II.json", "--r", "1/7", "--format", "json"])
 def test_cli_ends_in_a_report_or_one_usage_line(scratch_cwd, argv):
     code, out, err, exited = run(argv)
     assert code in (0, 1, 2)

@@ -331,6 +331,21 @@ def test_cli_exit_one_on_failed_audit(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_ext_space_file_refuses_n_and_r(tmp_path, capsys):
+    """The audit runs on the file's space as it is, so an N or r next to
+    it would be dropped; it is refused instead, from flags or config."""
+    path = tmp_path / "space.json"
+    save_space(make_space_II(2, "1/10"), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "verify-ext", "N": 3, "space_path": str(path)}))
+    for argv in (["verify-ext", "--n", "3", "--space", str(path)],
+                 ["verify-ext", "--r", "1/7", "--space", str(path)],
+                 ["--config", str(cfg)]):
+        message = assert_usage_error(argv, capsys)
+        assert message.endswith("verify-ext audits the space file as it is; drop N and r")
+    assert cli_main(["verify-ext", "--space", str(path)]) == 0
+
+
 def test_cli_rejects_missing_experiment():
     with pytest.raises(SystemExit):
         cli_main([])
@@ -417,6 +432,7 @@ def test_cli_rejects_bad_space_file_with_exit_two(tmp_path, capsys, argv, space)
     {"experiment": "thm1", "N": 1, "epsilons": ["1/2", True]},
     {"experiment": "thm1", "N": 1, "epsilon": True},
     {"experiment": "sandwich", "trials": 20, "space_path": {"kind": "II", "N": 1, "r": True}},
+    {"experiment": "sandwich", "N": 1, "trials": 2, "r": "1e-5000"},
 ])
 def test_cli_rejects_mistyped_config_with_exit_two(tmp_path, capsys, data):
     """A dict under space_path is written to a space file that the config
@@ -468,6 +484,7 @@ def test_cli_rejects_zero_denominators_with_exit_two(argv, capsys):
      "omega-rule weight 2: zero denominator in '1/0'"),
     (["thm1", "--n", "1", "--r", "abc"], "r: 'abc' is not a rational p/q"),
     (["prop2", "--n", "1", "--alpha", "1/2/3"], "alpha: '1/2/3' is not a rational p/q"),
+    (["sandwich", "--n", "1", "--trials", "2", "--r", "1e-5000"], "r: '1e-5000' is not a rational p/q"),
 ])
 def test_cli_names_the_flag_and_entry_of_a_bad_rational(argv, message, capsys):
     assert message in assert_usage_error(argv, capsys)

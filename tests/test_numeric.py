@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import _rref
 from polyslice.numeric import (
     Matrix,
     ONE,
@@ -11,7 +12,6 @@ from polyslice.numeric import (
     SingularError,
     Vec,
     ZERO,
-    _rref,
     nullspace_basis,
     rank,
     rational,
@@ -67,6 +67,14 @@ def test_rational_names_the_input_in_its_message():
     with pytest.raises(TypeError, match="^r: refusing to coerce float 0.5"):
         rational(0.5, "r")
     assert rational("3/6", "r") == Scalar(1, 2)
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1e-5000", "2E3", "-1/3e2"])
+def test_rational_refuses_exponents_before_parsing_them(text):
+    """Fraction("1e999999999") would compute the power of ten first; the
+    string is refused at once, with the message of any bad rational."""
+    with pytest.raises(ValueError, match="^r: %r is not a rational p/q$" % text):
+        rational(text, "r")
 
 
 def test_rational_str_always_carries_denominator():
@@ -197,11 +205,29 @@ def test_rank_examples():
     assert rank(Matrix([[0, 0], [0, 0]])) == 0
 
 
+def oracle_nullspace(reduced, pivots, width):
+    """The kernel basis read off a Fraction RREF: for each free column f,
+    the vector with 1 at f and minus column f of the RREF at the pivots."""
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            v = [ZERO] * width
+            v[free] = ONE
+            for row, col in zip(reduced, pivots):
+                v[col] = -row[free]
+            basis.append(Vec(v))
+    return basis
+
+
 def test_rank_matches_rational_elimination_on_random_matrices():
-    """The fraction-free rank equals the pivot count of the Fraction RREF,
-    also with dependent rows, all-zero rows, sparse rows and no rows."""
+    """The fraction-free kernel against the Fraction RREF of the oracles:
+    the rank is its pivot count, the nullspace basis has one vector per
+    free column, and a square system's solution is its last column (or
+    SingularError), also with dependent rows, all-zero rows, sparse rows
+    and no rows."""
     rng = random.Random(SEED + 3)
-    deficient = 0
+    rhs_rng = random.Random(SEED + 4)
+    deficient = squares = singular = 0
     for _ in range(300):
         ncols = rng.randint(1, 6)
         rows = [[rnd_scalar(rng) if rng.random() < 0.7 else ZERO for _ in range(ncols)]
@@ -211,9 +237,23 @@ def test_rank_matches_rational_elimination_on_random_matrices():
             rows.insert(rng.randint(0, len(rows)), [a * x + b * y for x, y in zip(rows[0], rows[1])])
         if rng.random() < 0.3:
             rows.insert(rng.randint(0, len(rows)), [ZERO] * ncols)
-        expected = len(_rref([list(r) for r in rows], ncols))
+        reduced = [list(r) for r in rows]
+        pivots = _rref(reduced, ncols)
+        expected = len(pivots)
         assert rank(Matrix(rows)) == expected
         deficient += expected < min(len(rows), ncols)
-    assert deficient > 50
+        if rows:
+            assert nullspace_basis(Matrix(rows)) == oracle_nullspace(reduced, pivots, ncols)
+        if len(rows) == ncols:
+            rhs = [rnd_scalar(rhs_rng) for _ in range(ncols)]
+            augmented = [list(r) + [c] for r, c in zip(rows, rhs)]
+            if len(_rref(augmented, ncols)) < ncols:
+                with pytest.raises(SingularError):
+                    solve_linear_system(Matrix(rows), rhs)
+                singular += 1
+            else:
+                assert solve_linear_system(Matrix(rows), rhs) == Vec(r[ncols] for r in augmented)
+            squares += 1
+    assert deficient > 50 and singular > 5 and squares - singular > 5
     assert rank(Matrix([])) == 0
     assert rank(Matrix([[ZERO] * 4] * 3)) == 0
