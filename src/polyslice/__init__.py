@@ -3,113 +3,27 @@
 Everything geometric runs in arbitrary-precision rational arithmetic; the
 only floating point lives in the seeded sampling oracle and in decimal
 columns of reports.
+
+The package root exports the names of the README's "Library use" example;
+everything else lives in its layer module (numeric, linprog, polytope,
+spaces, slices, experiments, cli).
 """
 
-from .numeric import (
-    Matrix,
-    Scalar,
-    SingularError,
-    Vec,
-    nullspace_basis,
-    rank,
-    rational,
-    rational_str,
-    solve_linear_system,
-)
-from .polytope import (
-    DegenerateError,
-    HalfSpace,
-    HPolytope,
-    UnboundedError,
-    VPolytope,
-    contains,
-    extreme_points,
-    lp_feasible,
-    support,
-    vertices,
-)
-from .spaces import (
-    FaceSet,
-    PolyhedralNormSpace,
-    attaining_set,
-    default_omega,
-    dual_ball_vertices,
-    load_space,
-    make_space_II,
-    make_space_VII,
-    norm,
-    reference_product_norm,
-    save_space,
-    space_from_dict,
-    space_to_dict,
-    unit_ball,
-)
-from .slices import (
-    DiameterResult,
-    DimensionTooSmall,
-    LowerBoundCertificate,
-    SliceSpec,
-    diameter,
-    diameter_profile,
-    lower_bound_certificate,
-    make_slice,
-    sample_diameter_lower_bound,
-    support_value,
-)
-from .experiments import (
-    ExperimentConfig,
-    Report,
-    run_experiment,
-)
+from .numeric import rational
+from .polytope import vertices
+from .spaces import make_space_II, norm
+from .slices import SliceSpec, diameter, lower_bound_certificate, make_slice
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar",
-    "Vec",
-    "Matrix",
-    "SingularError",
-    "rational",
-    "rational_str",
-    "rank",
-    "solve_linear_system",
-    "nullspace_basis",
-    "HalfSpace",
-    "HPolytope",
-    "VPolytope",
-    "UnboundedError",
-    "DegenerateError",
-    "vertices",
-    "extreme_points",
-    "contains",
-    "support",
-    "lp_feasible",
-    "PolyhedralNormSpace",
-    "FaceSet",
-    "norm",
-    "make_space_II",
-    "make_space_VII",
-    "default_omega",
-    "reference_product_norm",
-    "unit_ball",
-    "dual_ball_vertices",
-    "attaining_set",
-    "space_to_dict",
-    "space_from_dict",
-    "save_space",
-    "load_space",
     "SliceSpec",
-    "DiameterResult",
-    "LowerBoundCertificate",
-    "DimensionTooSmall",
-    "make_slice",
-    "support_value",
     "diameter",
     "lower_bound_certificate",
-    "diameter_profile",
-    "sample_diameter_lower_bound",
-    "ExperimentConfig",
-    "Report",
-    "run_experiment",
+    "make_slice",
+    "make_space_II",
+    "norm",
+    "rational",
+    "vertices",
     "__version__",
 ]

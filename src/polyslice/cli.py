@@ -60,7 +60,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("config file %s nests too deeply to parse" % args.config) from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
     flags = vars(args)

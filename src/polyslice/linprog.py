@@ -37,10 +37,10 @@ the points that fail its LP-free pre-test (no family II generator does):
 it clears coordinate row i once over all points, and the test of point t
 takes row i without column t, with column t's entry as the right-hand
 side.  That is the row a cold clear of (others' coordinates i, point t's
-coordinate i) would give, since both clear the same numbers.  The
-value-only probe LPs of slices.lower_bound_certificate likewise take the
-ball's rows restricted to the probe's support columns, each with its full
-row's q.
+coordinate i) would give, since both clear the same numbers.  The probe
+LPs of slices.lower_bound_certificate likewise take the ball's rows
+restricted to the probe's support columns, each with its full row's q; one
+such LP gives both a probe's value and its point (see slices._probe).
 """
 
 from __future__ import annotations

@@ -144,39 +144,15 @@ class Vec(tuple):
         return "Vec(%s)" % (", ".join(str(c) for c in self),)
 
 
-class Matrix:
-    """Immutable rectangular matrix of exact rationals (a tuple of Vec rows)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(r if isinstance(r, Vec) else Vec(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise ValueError("ragged rows: %d vs %d" % (len(r), width))
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "Matrix(%d x %d)" % (self.nrows, self.ncols)
+def _rows(a):
+    """The rational rows a as Vecs, and their common width (0 without rows);
+    ragged rows raise ValueError."""
+    rows = [r if isinstance(r, Vec) else Vec(r) for r in a]
+    width = len(rows[0]) if rows else 0
+    for r in rows:
+        if len(r) != width:
+            raise ValueError("ragged rows: %d vs %d" % (len(r), width))
+    return rows, width
 
 
 def _echelon(rows, limit):
@@ -214,45 +190,48 @@ def _int_rank(rows, width) -> int:
     return len(_echelon(rows, width))
 
 
-def rank(a: Matrix) -> int:
-    """Rank by fraction-free elimination: each row is cleared to integers
-    and the integer rows go through _int_rank."""
-    return _int_rank((clear_denominators(r)[0] for r in a.rows), a.ncols)
+def rank(a) -> int:
+    """Rank of the rational rows a by fraction-free elimination: each row is
+    cleared to integers and the integer rows go through _int_rank."""
+    rows, width = _rows(a)
+    return _int_rank((clear_denominators(r)[0] for r in rows), width)
 
 
-def solve_linear_system(a: Matrix, b: Vec) -> Vec:
-    """Solve the square system a.x = b exactly.
+def solve_linear_system(a, b: Vec) -> Vec:
+    """Solve the square system a.x = b exactly, a given by its rows.
 
     Raises SingularError when the matrix is not invertible.
     """
-    n = a.nrows
-    if n == 0 or a.ncols != n:
-        raise ValueError("matrix must be square and nonempty, got %d x %d" % (a.nrows, a.ncols))
+    rows, width = _rows(a)
+    n = len(rows)
+    if n == 0 or width != n:
+        raise ValueError("matrix must be square and nonempty, got %d x %d" % (n, width))
     if len(b) != n:
         raise ValueError("rhs length %d does not match dimension %d" % (len(b), n))
-    found = _echelon((clear_denominators((*r, rational(c)))[0] for r, c in zip(a.rows, b)), n)
+    found = _echelon((clear_denominators((*r, rational(c)))[0] for r, c in zip(rows, b)), n)
     pivots = {pc: row for _, pc, row in found if pc < n}
     if len(pivots) < n:
         raise SingularError("matrix of rank %d < %d has no unique solution" % (len(pivots), n))
     return Vec(Scalar(pivots[j][n], pivots[j][j]) for j in range(n))
 
 
-def nullspace_basis(a: Matrix, dim=None) -> list:
-    """Exact basis of {x : a.x = 0}, one vector per free column of the RREF.
+def nullspace_basis(a, dim=None) -> list:
+    """Exact basis of {x : a.x = 0} for the rational rows a, one vector per
+    free column of the RREF.
 
     Free columns are visited in increasing order, which fixes the basis and
-    its order.  Returns an empty list when the matrix has full column rank.
-    A rowless matrix carries no width, so dim is required in that case and
-    the basis is the standard one.
+    its order.  Returns an empty list when the rows have full column rank.
+    No rows give no width, so dim is required in that case and the basis is
+    the standard one.
     """
-    if a.nrows == 0:
+    rows, width = _rows(a)
+    if not rows:
         if dim is None:
             raise ValueError("a rowless matrix needs an explicit dim")
         return [Vec.unit(dim, i) for i in range(dim)]
-    if dim is not None and dim != a.ncols:
-        raise ValueError("dim %d does not match matrix width %d" % (dim, a.ncols))
-    width = a.ncols
-    found = _echelon((clear_denominators(r)[0] for r in a.rows), width)
+    if dim is not None and dim != width:
+        raise ValueError("dim %d does not match matrix width %d" % (dim, width))
+    found = _echelon((clear_denominators(r)[0] for r in rows), width)
     pivots = {pc: row for _, pc, row in found}
     basis = []
     for free in range(width):

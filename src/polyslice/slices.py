@@ -19,9 +19,9 @@ from operator import mul
 
 import numpy as np
 
-from .linprog import OPTIMAL, ClearedRows, clear_rows, solve_lp
-from .numeric import (Matrix, ONE, Scalar, Vec, ZERO, clear_denominators, nullspace_basis,
-                      rational, rational_str)
+from .linprog import OPTIMAL, ClearedRows, solve_lp
+from .numeric import (ONE, Scalar, Vec, ZERO, clear_denominators, nullspace_basis, rational,
+                      rational_str)
 from .polytope import HalfSpace, HPolytope, _enumeration, contains, vertices
 from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
 
@@ -183,15 +183,30 @@ def _probe_subsets(dim):
         yield from itertools.combinations(range(dim), size)
 
 
-def _probe_value(g, ball_rows, support) -> Scalar:
-    """max g.x over the ball with x_j = 0 off support, by the LP over the
-    support's columns alone: the ball's rows restricted to them.  Every
-    right-hand side is positive, so there is no phase one, and the optimal
-    value, unlike the point, does not depend on which LP finds it."""
+def _probe(g, ball_rows, support, dim):
+    """(max g.x, its Bland maximizer) over the ball with x_j = 0 off support,
+    by the LP over the support's columns alone: the ball's rows restricted to
+    them, each with its full row's q.  Every right-hand side is positive, so
+    there is no phase one.
+
+    The point is the one the full-width LP (the ball's rows plus the x_j = 0
+    equality rows off support) returns, padded with zeros.  In that LP's
+    phase one, Bland's rule enters x+_j for the first j off support, and its
+    x_j = 0 row, with ratio 0, leaves; the pivot is 1, so it zeroes x+-_j in
+    every ball row and leaves the support columns, the slacks and the
+    right-hand sides as they were.  So phase one ends on the support LP's
+    tableau, with x+_j basic at 0 for each j off support, and x+-_j then
+    keep reduced cost 0, so they never enter.  Phase two is Bland's rule on
+    the same support-column tableau, with the columns and the slack basis in
+    the same relative order, and ends at the same point."""
+    point = [ZERO] * dim
     if not support:
-        return ZERO
+        return ZERO, Vec(point)
     rows = ClearedRows((tuple(ints[j] for j in support) + (ints[-1],), q) for ints, q in ball_rows)
-    return solve_lp([g[j] for j in support], leq=rows, maximize=True).value
+    res = solve_lp([g[j] for j in support], leq=rows, maximize=True)
+    for j, c in zip(support, res.point):
+        point[j] = c
+    return res.value, Vec(point)
 
 
 def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBoundCertificate:
@@ -208,12 +223,10 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     with g spans the whole dual, no certificate exists at this dimension and
     DimensionTooSmall is raised.
 
-    A probe's value is found first by the small LP over the support's
-    columns (_probe_value).  Only a probe whose value reaches s - alpha
-    solves the full LP, over the ball's rows and the x_j = 0 rows off the
-    support, whose Bland optimum is the probe point x.  The ball's rows, the
-    x_j = 0 rows and the dual vertices are cleared once per call, and A is
-    found in integers.
+    Each probe is one LP, over the support's columns alone (_probe), which
+    gives both the value and the point x that the full LP with x_j = 0 rows
+    off the support would give.  The ball's rows and the dual vertices are
+    cleared once per call, and A is found in integers.
     """
     g = g if isinstance(g, Vec) else Vec(g)
     if g.is_zero():
@@ -231,22 +244,18 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     d = space.dim
     dflat, dden = clear_denominators([c for phi in duals for c in phi])
     dual_rows = [dflat[k:k + d] for k in range(0, len(dflat), d)]
-    zero_rows = clear_rows((Vec.unit(d, j), ZERO) for j in range(d))
     one_minus_r = ONE - r
     fallback = None
     for allowed in _probe_subsets(d):
-        if _probe_value(g, ball_rows, allowed) < threshold:
+        value, x = _probe(g, ball_rows, allowed, d)
+        if value < threshold:
             continue
-        allowed_set = set(allowed)
-        eqs = ClearedRows(zero_rows[j] for j in range(d) if j not in allowed_set)
-        x = Vec(solve_lp(g, leq=ball_rows, eq=eqs, maximize=True).point)
         # phi.x > r for phi = c / dden and x = px / qx, in integers.
         px, qx = clear_denominators(x)
         level = r.numerator * dden * qx
         active = tuple(phi for phi, c in zip(duals, dual_rows)
                        if r.denominator * sum(map(mul, c, px)) > level)
-        kernel_rows = Matrix(tuple(active) + (g,))
-        for direction in nullspace_basis(kernel_rows):
+        for direction in nullspace_basis(active + (g,)):
             y = direction * (ONE / norm(space, direction))
             step = y * one_minus_r
             checks = (contains(slice_poly, x + step), contains(slice_poly, x - step))

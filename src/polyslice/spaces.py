@@ -333,4 +333,8 @@ def save_space(space: PolyhedralNormSpace, path) -> None:
 
 def load_space(path) -> PolyhedralNormSpace:
     with open(path, "r", encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("space file %s nests too deeply to parse" % path) from None
+    return space_from_dict(data)

@@ -275,7 +275,7 @@ def cold_certificate(space, g, alpha, r):
     Returns the first valid certificate's to_dict() form, else the first
     invalid one's, else None (no kernel direction anywhere)."""
     from polyslice.linprog import solve_lp
-    from polyslice.numeric import Matrix, nullspace_basis
+    from polyslice.numeric import nullspace_basis
     from polyslice.spaces import dual_ball_vertices, norm
 
     g = tuple(Fraction(c) for c in g)
@@ -302,7 +302,7 @@ def cold_certificate(space, g, alpha, r):
                 continue
             x = tuple(res.point)
             active = [phi for phi in duals if dot(phi, x) > r]
-            for direction in nullspace_basis(Matrix(tuple(active) + (g,))):
+            for direction in nullspace_basis(tuple(active) + (g,)):
                 y = tuple(c / norm(space, direction) for c in direction)
                 step = [c * (1 - r) for c in y]
                 checks = [in_slice([a + b for a, b in zip(x, step)]),

@@ -16,7 +16,7 @@ from polyslice.experiments import (
     run_experiment,
     thm1_case,
 )
-from polyslice.numeric import Matrix, ONE, Scalar, Vec, ZERO, rank, rational
+from polyslice.numeric import ONE, Scalar, Vec, ZERO, rank, rational
 from polyslice.polytope import HalfSpace, HPolytope, contains, extreme_points, lp_feasible, vertices
 from polyslice.slices import (
     DimensionTooSmall,
@@ -198,7 +198,7 @@ def test_criterion_6_property_suites():
         assert set(extreme_points(verts.vertices).vertices) == set(verts.vertices)
         for v in verts.vertices[:4]:
             tight = [h.a for h in poly.halfspaces if h.a.dot(v) == h.b]
-            assert rank(Matrix(tight)) == dim
+            assert rank(tight) == dim
             assert contains(poly, v) and lp_membership(poly, v)
             inside = v * HALF
             assert contains(poly, inside) and lp_membership(poly, inside)

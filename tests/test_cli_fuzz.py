@@ -1,10 +1,11 @@
-"""Property test of the command line over generated argv.
+"""Property test of the command line over generated argv, config files and
+space files.
 
-Whatever the argv, `cli.main` ends in one of three ways: a report with exit
-0 exactly when every check passed, a report with exit 1 when some check
-failed, or a usage error with exit 2, one `polyslice: error:` line and
-nothing on stdout.  argparse's own help (a junk token such as `-h`) is the
-one other exit 0, and prints usage.
+Whatever the argv and the files it names, `cli.main` ends in one of three
+ways: a report with exit 0 exactly when every check passed, a report with
+exit 1 when some check failed, or a usage error with exit 2, one
+`polyslice: error:` line and nothing on stdout.  argparse's own help (a junk
+token such as `-h`) is the one other exit 0, and prints usage.
 """
 
 import contextlib
@@ -54,6 +55,15 @@ READS = {
     "sandwich": ["--n", "--r", "--trials", "--seed", "--space"],
 }
 
+# The space files of scratch_cwd that each experiment can run on.
+SPACE_FILES = {
+    "thm1": ["II.json"],
+    "prop2": ["II.json"],
+    "prop3": ["VII.json"],
+    "verify-ext": ["II.json", "VII.json", "custom.json"],
+    "sandwich": ["II.json"],
+}
+
 # Junk tokens: anything argparse might see, short of a prefix of --output,
 # --config or --space, which would write or read files named by the junk.
 junk = st.one_of(
@@ -68,9 +78,14 @@ def argvs(draw):
     experiment = draw(st.sampled_from(EXPERIMENTS + (None,)))
     if experiment is not None:
         argv.append(experiment)
-    # A small N first, and few trials for sandwich, so that no default grid
-    # runs; the drawn flags below may still override either.
-    argv += ["--n", draw(st.integers(1, 3).map(str))]
+    # A small N first, or a space file that the experiment reads and that
+    # supplies N (verify-ext audits the file, and refuses N next to it), and
+    # few trials for sandwich, so that no default grid runs; the drawn flags
+    # below may still override any of them.
+    if experiment is not None and draw(st.booleans()):
+        argv += ["--space", draw(st.sampled_from(SPACE_FILES[experiment]))]
+    else:
+        argv += ["--n", draw(st.integers(1, 3).map(str))]
     if experiment == "sandwich":
         argv += ["--trials", draw(st.integers(1, 20).map(str))]
     pool = READS.get(experiment, []) * 4 + sorted(FLAGS)
@@ -83,6 +98,67 @@ def argvs(draw):
     return argv + ["--format", "json"]
 
 
+# JSON values of the wrong type for any config field or space file entry.
+# null is left out where it would mean "the default grid" or "1000 trials".
+json_junk = st.sampled_from([True, 0.5, "x", "1e-5000", [], {}, [1], {"a": 1}])
+small_n = st.one_of(st.integers(0, 3), json_junk)
+rational_value = st.one_of(small_rational, st.integers(-2, 3), json_junk, st.none())
+
+CONFIG_VALUES = {
+    "N": small_n,
+    "r": rational_value,
+    "delta": rational_value,
+    "epsilon": rational_value,
+    "epsilons": st.one_of(st.lists(small_rational, max_size=3), json_junk),
+    "omega_rule": st.one_of(FLAGS["--omega-rule"], json_junk),
+    "alpha": rational_value,
+    "g": st.one_of(FLAGS["--g"], json_junk),
+    "trials": st.one_of(st.integers(0, 20), json_junk),
+    "seed": st.one_of(st.integers(0, 1000), json_junk),
+    "bogus": json_junk,
+}
+CONFIG_KEY = {"--n": "N", "--omega-rule": "omega_rule"}
+
+
+@st.composite
+def config_dicts(draw):
+    """A config object, mostly of fields its experiment reads.  Like argvs,
+    it always sets N or a space file, and trials for sandwich."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    config = {"experiment": experiment}
+    space = draw(st.sampled_from([None, None, "space.json", "space.json", "II.json", "VII.json",
+                                  "missing.json", 7]))
+    if space is None:
+        config["N"] = draw(small_n)
+    else:
+        config["space_path"] = space
+    if experiment == "sandwich":
+        config["trials"] = draw(CONFIG_VALUES["trials"])
+    reads = [CONFIG_KEY.get(flag, flag[2:]) for flag in READS[experiment] if flag != "--space"]
+    for key in draw(st.lists(st.sampled_from(reads * 4 + sorted(CONFIG_VALUES)), max_size=3)):
+        config[key] = draw(CONFIG_VALUES[key])
+    return config
+
+
+# Generator entries as (p, q), so that a set can be closed under negation.
+entry = st.tuples(st.integers(-2, 2), st.integers(1, 3))
+symmetric_generators = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=3)
+).map(lambda half: [["%d/%d" % (s * p, q) for p, q in g] for g in half for s in (1, -1)])
+space_values = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("II"), "N": small_n, "r": rational_value}),
+    st.fixed_dictionaries({"kind": st.just("VII"), "N": small_n},
+                          optional={"omega": st.one_of(st.lists(rational_value, max_size=3), json_junk)}),
+    st.fixed_dictionaries(
+        {"generators": st.one_of(symmetric_generators, st.lists(st.lists(small_rational, max_size=3),
+                                                                max_size=3), json_junk)},
+        optional={"kind": st.sampled_from(["custom", "III"]), "N": small_n, "r": rational_value}),
+    json_junk,
+)
+
+DEEP = "[" * 1000 + "]" * 1000
+
+
 def run(argv):
     """(exit code, stdout, stderr, whether argparse exited) of cli.main."""
     out, err = io.StringIO(), io.StringIO()
@@ -92,6 +168,21 @@ def run(argv):
         except SystemExit as exc:
             code, exited = exc.code, True
     return code, out.getvalue(), err.getvalue(), exited
+
+
+def assert_report_or_one_usage_line(argv):
+    code, out, err, exited = run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert exited
+        assert "Traceback" not in err
+        assert out == ""
+        assert err.strip().splitlines()[-1].startswith("polyslice: error: ")
+    elif exited:
+        assert code == 0 and out.startswith("usage: polyslice")
+    else:
+        assert json.loads(out)["all_pass"] is (code == 0)
+        assert err == ""
 
 
 @pytest.fixture(scope="module")
@@ -117,15 +208,21 @@ def scratch_cwd(tmp_path_factory):
 @example(argv=["thm1", "-h"])
 @example(argv=["verify-ext", "--space", "II.json", "--r", "1/7", "--format", "json"])
 def test_cli_ends_in_a_report_or_one_usage_line(scratch_cwd, argv):
-    code, out, err, exited = run(argv)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert exited
-        assert "Traceback" not in err
-        assert out == ""
-        assert err.strip().splitlines()[-1].startswith("polyslice: error: ")
-    elif exited:
-        assert code == 0 and out.startswith("usage: polyslice")
-    else:
-        assert json.loads(out)["all_pass"] is (code == 0)
-        assert err == ""
+    assert_report_or_one_usage_line(argv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(config=st.one_of(config_dicts(), config_dicts(), config_dicts(), json_junk).map(json.dumps),
+       space=space_values.map(json.dumps))
+@example(config=DEEP, space="{}")
+@example(config=json.dumps({"experiment": "verify-ext", "space_path": "space.json"}), space=DEEP)
+@example(config='{"experiment": "thm1", "N": 1, "epsilon": %s}' % ("[" * 5000 + "]" * 5000),
+         space="{}")
+def test_config_and_space_files_end_in_a_report_or_one_usage_line(scratch_cwd, config, space):
+    """config is written to cfg.json and space to space.json, which the
+    config may name; the argv itself only asks for a JSON report."""
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        fh.write(config)
+    with open("space.json", "w", encoding="utf-8") as fh:
+        fh.write(space)
+    assert_report_or_one_usage_line(["--config", "cfg.json", "--format", "json"])

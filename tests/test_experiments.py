@@ -512,6 +512,20 @@ def test_cli_rejects_zero_denominator_in_config_and_space_file(tmp_path, capsys)
     assert_usage_error(["thm1", "--epsilon", "1/2", "--space", str(space)], capsys)
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["thm1", "--config"], "[" * 1000 + "]" * 1000),
+    (["--config"], '{"experiment": "thm1", "N": 1, "epsilon": %s}' % ("[" * 5000 + "]" * 5000)),
+    (["verify-ext", "--space"], "[" * 1000 + "]" * 1000),
+], ids=["config", "config-entry", "space"])
+def test_cli_refuses_too_deeply_nested_json_with_exit_two(tmp_path, capsys, argv, text):
+    """json.load gives up on deep nesting with a RecursionError; the CLI
+    names the file instead."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    message = assert_usage_error(argv + [str(path)], capsys)
+    assert message.endswith("file %s nests too deeply to parse" % path)
+
+
 def test_cli_rejects_unwritable_output_before_running(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "x.csv"
     assert_usage_error(["verify-ext", "--n", "1", "--output", str(missing)], capsys)

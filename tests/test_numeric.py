@@ -6,7 +6,6 @@ import pytest
 
 from oracles import _rref
 from polyslice.numeric import (
-    Matrix,
     ONE,
     Scalar,
     SingularError,
@@ -23,7 +22,7 @@ SEED = 1201
 
 
 def identity(dim):
-    return Matrix(Vec.unit(dim, i) for i in range(dim))
+    return [Vec.unit(dim, i) for i in range(dim)]
 
 
 def rnd_scalar(rng, span=30, den=12):
@@ -109,10 +108,10 @@ def test_vec_constructors():
     assert not Vec.unit(2, 0).is_zero()
 
 
-def test_matrix_is_immutable():
-    m = Matrix([[1, 0], [0, 1]])
-    with pytest.raises(AttributeError):
-        m.rows = ()
+def test_ragged_rows_are_refused():
+    for call in (rank, nullspace_basis, lambda a: solve_linear_system(a, Vec([1, 1]))):
+        with pytest.raises(ValueError, match="ragged rows: 1 vs 2"):
+            call([[1, 0], [1]])
 
 
 def test_solve_identity():
@@ -120,18 +119,18 @@ def test_solve_identity():
 
 
 def test_solve_diagonal():
-    got = solve_linear_system(Matrix([[2, 0], [0, 4]]), Vec([1, 1]))
+    got = solve_linear_system([[2, 0], [0, 4]], Vec([1, 1]))
     assert got == Vec([Scalar(1, 2), Scalar(1, 4)])
 
 
 def test_solve_rank_deficient_raises():
     with pytest.raises(SingularError):
-        solve_linear_system(Matrix([[1, 1], [1, 1]]), Vec([1, 0]))
+        solve_linear_system([[1, 1], [1, 1]], Vec([1, 0]))
 
 
 def test_solve_requires_square():
     with pytest.raises(ValueError):
-        solve_linear_system(Matrix([[1, 0, 0], [0, 1, 0]]), Vec([1, 2]))
+        solve_linear_system([[1, 0, 0], [0, 1, 0]], Vec([1, 2]))
 
 
 def test_solve_random_systems_reproduce_rhs():
@@ -139,18 +138,18 @@ def test_solve_random_systems_reproduce_rhs():
     solved = 0
     while solved < 25:
         d = rng.randint(1, 5)
-        a = Matrix([[rnd_scalar(rng) for _ in range(d)] for _ in range(d)])
+        a = [Vec([rnd_scalar(rng) for _ in range(d)]) for _ in range(d)]
         b = Vec([rnd_scalar(rng) for _ in range(d)])
         try:
             x = solve_linear_system(a, b)
         except SingularError:
             continue
-        assert Vec([row.dot(x) for row in a.rows]) == b
+        assert Vec([row.dot(x) for row in a]) == b
         solved += 1
 
 
 def test_nullspace_coordinate_kernel():
-    basis = nullspace_basis(Matrix([[1, 0, 0]]))
+    basis = nullspace_basis([[1, 0, 0]])
     assert len(basis) == 2
     for v in basis:
         assert v[0] == ZERO
@@ -161,16 +160,16 @@ def test_nullspace_full_rank_is_empty():
 
 
 def test_nullspace_duplicate_rows():
-    basis = nullspace_basis(Matrix([[1, 1], [2, 2]]))
+    basis = nullspace_basis([[1, 1], [2, 2]])
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == -v[1] and not v.is_zero()
 
 
 def test_nullspace_of_rowless_matrix_needs_dim():
-    assert nullspace_basis(Matrix([]), dim=3) == [Vec.unit(3, i) for i in range(3)]
+    assert nullspace_basis([], dim=3) == [Vec.unit(3, i) for i in range(3)]
     with pytest.raises(ValueError):
-        nullspace_basis(Matrix([]))
+        nullspace_basis([])
 
 
 def test_nullspace_vectors_are_kernel_and_independent():
@@ -178,13 +177,13 @@ def test_nullspace_vectors_are_kernel_and_independent():
     for _ in range(40):
         k = rng.randint(1, 4)
         d = rng.randint(1, 5)
-        a = Matrix([[rnd_scalar(rng, span=6, den=4) for _ in range(d)] for _ in range(k)])
+        a = [Vec([rnd_scalar(rng, span=6, den=4) for _ in range(d)]) for _ in range(k)]
         basis = nullspace_basis(a)
         assert len(basis) == d - rank(a)
         for v in basis:
-            assert all(row.dot(v) == ZERO for row in a.rows)
+            assert all(row.dot(v) == ZERO for row in a)
         if basis:
-            assert rank(Matrix(basis)) == len(basis)
+            assert rank(basis) == len(basis)
 
 
 def test_scalar_field_axioms_on_random_triples():
@@ -200,9 +199,9 @@ def test_scalar_field_axioms_on_random_triples():
 
 
 def test_rank_examples():
-    assert rank(Matrix([[1, 1], [2, 2]])) == 1
+    assert rank([[1, 1], [2, 2]]) == 1
     assert rank(identity(5)) == 5
-    assert rank(Matrix([[0, 0], [0, 0]])) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
 
 
 def oracle_nullspace(reduced, pivots, width):
@@ -240,20 +239,20 @@ def test_rank_matches_rational_elimination_on_random_matrices():
         reduced = [list(r) for r in rows]
         pivots = _rref(reduced, ncols)
         expected = len(pivots)
-        assert rank(Matrix(rows)) == expected
+        assert rank(rows) == expected
         deficient += expected < min(len(rows), ncols)
         if rows:
-            assert nullspace_basis(Matrix(rows)) == oracle_nullspace(reduced, pivots, ncols)
+            assert nullspace_basis(rows) == oracle_nullspace(reduced, pivots, ncols)
         if len(rows) == ncols:
             rhs = [rnd_scalar(rhs_rng) for _ in range(ncols)]
             augmented = [list(r) + [c] for r, c in zip(rows, rhs)]
             if len(_rref(augmented, ncols)) < ncols:
                 with pytest.raises(SingularError):
-                    solve_linear_system(Matrix(rows), rhs)
+                    solve_linear_system(rows, rhs)
                 singular += 1
             else:
-                assert solve_linear_system(Matrix(rows), rhs) == Vec(r[ncols] for r in augmented)
+                assert solve_linear_system(rows, rhs) == Vec(r[ncols] for r in augmented)
             squares += 1
     assert deficient > 50 and singular > 5 and squares - singular > 5
-    assert rank(Matrix([])) == 0
-    assert rank(Matrix([[ZERO] * 4] * 3)) == 0
+    assert rank([]) == 0
+    assert rank([[ZERO] * 4] * 3) == 0

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from polyslice import linprog
-from polyslice.numeric import Matrix, ONE, Scalar, Vec, ZERO, rank, rational
+from polyslice.numeric import ONE, Scalar, Vec, ZERO, rank, rational
 from polyslice.polytope import (
     DegenerateError,
     HalfSpace,
@@ -185,7 +185,7 @@ def test_vertex_invariants_on_random_polytopes():
         for v in verts.vertices:
             assert contains(poly, v)
             tight = [h.a for h in poly.halfspaces if h.a.dot(v) == h.b]
-            assert rank(Matrix(tight)) == dim
+            assert rank(tight) == dim
         assert set(extreme_points(verts.vertices).vertices) == set(verts.vertices)
 
 

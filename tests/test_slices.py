@@ -16,7 +16,7 @@ from polyslice.slices import (
     DimensionTooSmall,
     SliceSpec,
     _probe_subsets,
-    _probe_value,
+    _probe,
     diameter,
     diameter_profile,
     lower_bound_certificate,
@@ -448,6 +448,8 @@ def test_certificate_matches_the_cold_probe_loop():
 @pytest.mark.parametrize("space", [make_space_II(N, r) for N in (1, 2, 3, 4) for r in (R10, "3/7")]
                          + [make_space_VII(2), make_space_VII(3), make_space_VII(4), HEXAGON, SKEW])
 def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
+    """The support-column LP gives the full LP's value and its Bland point,
+    zero off the support (the argument is in _probe's docstring)."""
     d = space.dim
     rows = unit_ball(space)._int_rows
     gs = [Vec.unit(d, 0), Vec.unit(d, d - 1), Vec([Fraction(j % 3 - 1, j + 1) for j in range(d)])]
@@ -455,4 +457,4 @@ def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
         for support in _probe_subsets(d):
             eqs = [(Vec.unit(d, j), ZERO) for j in range(d) if j not in support]
             cold = solve_lp(g, leq=rows, eq=eqs, maximize=True)
-            assert _probe_value(g, rows, support) == cold.value
+            assert _probe(g, rows, support, d) == (cold.value, Vec(cold.point))
