@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .experiments import EXPERIMENTS, ExperimentConfig, apply_space_file, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 __all__ = ["build_parser", "main"]
 
@@ -64,6 +64,8 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
                 data = json.load(fh)
             except RecursionError:
                 raise ValueError("config file %s nests too deeply to parse" % args.config) from None
+            except json.JSONDecodeError as exc:
+                raise ValueError("config file %s is not valid JSON: %s" % (args.config, exc)) from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
     flags = vars(args)
@@ -92,9 +94,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-        # Folding the space file here makes a bad file a usage error;
-        # run_experiment folds it again, which rereads one small file.
-        config, _ = apply_space_file(config)
         if config.output_path:
             _check_output_path(config.output_path)
     except (ValueError, TypeError, OSError) as exc:

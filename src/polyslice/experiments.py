@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from math import lcm
 from typing import Callable
 
@@ -44,7 +44,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "Report",
-    "apply_space_file",
     "run_experiment",
 ]
 
@@ -76,6 +75,9 @@ class ExperimentConfig:
     than a flag silently dropped.  The run-level fields in _RUN_FIELDS, the
     seed among them, are accepted by every experiment, so a report's config
     echo, which always holds the seed, reads back as the same config.
+
+    A space_path file is read once, here, and folded in (see
+    _fold_space_file); the config echo holds the folded values.
     """
 
     experiment: str
@@ -135,25 +137,55 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.omega_rule != "default" and not self.omega_rule.startswith("list:"):
             raise ValueError("omega-rule must be 'default' or 'list:w2,w3,...'")
+        # The checks below read N, r and the weights, which the file may set.
+        object.__setattr__(self, "_space", None)
+        if self.space_path is not None:
+            self._fold_space_file()
         if self.experiment == "thm1":
             for eps in _epsilons(self, DEFAULT_THM1_EPSILONS):
-                r = self.r if self.r is not None else eps / 4
-                delta = self.delta if self.delta is not None else eps / 10
-                if not 2 * r + 3 * delta < eps:
-                    raise ValueError("thm1 needs 2r + 3delta < epsilon for epsilon = %s"
-                                     % rational_str(eps))
+                _thm1_params(eps, self.r, self.delta)
         if self.experiment == "prop2" and self.r is not None and self.r >= 1:
             raise ValueError("prop2 needs r strictly below 1")
         if self.experiment == "prop3" and self.N is not None and self.N < 2:
             raise ValueError("prop3 needs N at least 2")
-        if self.N is not None or self.space_path is None:
-            # Without N a space file may still supply it; replace() re-runs
-            # these checks once it has.
-            for N in _n_grid(self):
-                if self.experiment == "prop2" and self.g not in (None, "random"):
-                    parse_g(self.g, N, None)
-                if self.experiment == "prop3":
-                    check_omega(N, _omega_for(self, N))
+        for N in _n_grid(self):
+            if self.experiment == "prop2" and self.g not in (None, "random"):
+                parse_g(self.g, N, None)
+            if self.experiment == "prop3":
+                check_omega(N, _omega_for(self, N))
+
+    def _fold_space_file(self):
+        """Read the space file and fold it into the config.
+
+        Kind II files supply N and r to the lifted-space experiments; kind
+        VII files supply N and the weight list to the shrinking-slice
+        experiment; values set in the config still win.  Any kind can feed
+        the verify-ext audit, which then runs on the file's generators
+        directly, so N and r cannot be set next to it.  That space is kept
+        as _space, which is not a field, so equality, hashing and the config
+        echo ignore it.
+        """
+        if self.experiment == "verify-ext" and (self.N is not None or self.r is not None):
+            raise ValueError("verify-ext audits the space file as it is; drop N and r")
+        space = load_space(self.space_path)
+        if self.experiment == "verify-ext":
+            object.__setattr__(self, "_space", space)
+            return
+        if space.label == "II":
+            if self.experiment not in ("thm1", "prop2", "sandwich"):
+                raise ValueError("a lifted-space file cannot drive %s" % self.experiment)
+            updates = {"N": space.param("N"), "r": space.param("r")}
+        elif space.label == "VII":
+            if self.experiment != "prop3":
+                raise ValueError("a weighted-space file can only drive prop3")
+            updates = {"N": space.param("N"), "omega_rule":
+                       "list:" + ",".join(rational_str(w) for w in space.param("omega"))}
+        else:
+            raise ValueError("explicit-generator spaces only run the verify-ext audit")
+        for name, value in updates.items():
+            # Unset is None for N and r, and "default" for omega_rule.
+            if getattr(self, name) in (None, "default"):
+                object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -251,18 +283,26 @@ def _check_rows(rows) -> dict:
     return {"check_rows": all(row["pass"] for row in rows)}
 
 
-def thm1_case(N: int, epsilon, r=None, delta=None) -> tuple:
-    """One lifted-space slice: exact diameter against the 2r + 3delta bound.
-
-    Defaults r = epsilon/4 and delta = epsilon/10 make the bound 4/5 epsilon.
-    Returns the row dict and the space, slice polytope and DiameterResult.
-    """
-    epsilon = rational(epsilon)
+def _thm1_params(epsilon, r=None, delta=None) -> tuple:
+    """thm1's (r, delta, 2r + 3delta) for epsilon.  Defaults r = epsilon/4
+    and delta = epsilon/10 make the bound 4/5 epsilon; a bound not below
+    epsilon raises ValueError."""
     r = epsilon / 4 if r is None else rational(r)
     delta = epsilon / 10 if delta is None else rational(delta)
     bound = 2 * r + 3 * delta
     if not bound < epsilon:
-        raise ValueError("thm1 needs 2r + 3delta < epsilon")
+        raise ValueError("thm1 needs 2r + 3delta < epsilon for epsilon = %s" % rational_str(epsilon))
+    return r, delta, bound
+
+
+def thm1_case(N: int, epsilon, r=None, delta=None) -> tuple:
+    """One lifted-space slice: exact diameter against the 2r + 3delta bound
+    (r and delta as _thm1_params defaults them).
+
+    Returns the row dict and the space, slice polytope and DiameterResult.
+    """
+    epsilon = rational(epsilon)
+    r, delta, bound = _thm1_params(epsilon, r, delta)
     space = make_space_II(N, r)
     f = Vec.unit(space.dim, space.dim - 1) * (1 + r)
     slice_poly = make_slice(space, SliceSpec(f, delta))
@@ -364,11 +404,10 @@ def prop2_case(N: int, r, g_spec: str, alpha, rng: random.Random) -> dict:
 
 def _prop2_rows(config: ExperimentConfig):
     alpha = config.alpha if config.alpha is not None else rational("1/2")
-    g_spec = config.g if config.g is not None else "e1"
     rng = random.Random(config.seed)
     for N in _n_grid(config):
         for r in _rs(config, DEFAULT_PROP2_RS):
-            yield prop2_case(N, r, g_spec, alpha, rng)
+            yield prop2_case(N, r, config.g, alpha, rng)
 
 
 def _prop2_summary(rows) -> dict:
@@ -583,50 +622,12 @@ _TABLE = {
 EXPERIMENTS = tuple(_TABLE)
 
 
-def apply_space_file(config: ExperimentConfig):
-    """Fold a space description file into the config.
-
-    Kind II files supply N and r to the lifted-space experiments; kind VII
-    files supply N and the weight list to the shrinking-slice experiment;
-    explicit flags still win.  Any kind can feed the verify-ext audit, which
-    then runs on the file's generators directly, so N and r cannot be set
-    next to it.
-    """
-    if config.space_path is None:
-        return config, None
-    if config.experiment == "verify-ext" and (config.N is not None or config.r is not None):
-        raise ValueError("verify-ext audits the space file as it is; drop N and r")
-    space = load_space(config.space_path)
-    if config.experiment == "verify-ext":
-        return config, space
-    if space.label == "II":
-        if config.experiment not in ("thm1", "prop2", "sandwich"):
-            raise ValueError("a lifted-space file cannot drive %s" % config.experiment)
-        updates = {}
-        if config.N is None:
-            updates["N"] = space.param("N")
-        if config.r is None:
-            updates["r"] = space.param("r")
-        return replace(config, **updates), None
-    if space.label == "VII":
-        if config.experiment != "prop3":
-            raise ValueError("a weighted-space file can only drive prop3")
-        updates = {}
-        if config.N is None:
-            updates["N"] = space.param("N")
-        if config.omega_rule == "default":
-            updates["omega_rule"] = "list:" + ",".join(rational_str(w) for w in space.param("omega"))
-        return replace(config, **updates), None
-    raise ValueError("explicit-generator spaces only run the verify-ext audit")
-
-
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the config's grid (or, for a verify-ext space file, audit that
     one space) and summarize the rows."""
-    config, explicit_space = apply_space_file(config)
     entry = _TABLE[config.experiment]
-    if explicit_space is not None:
-        rows = (audit_space(explicit_space),)
+    if config._space is not None:
+        rows = (audit_space(config._space),)
     else:
         rows = tuple(entry.rows(config))
     summary = {"cases": len(rows), **entry.summary(rows)}

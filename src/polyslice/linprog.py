@@ -32,15 +32,6 @@ this form (polytope.HPolytope._int_rows), so the support and probe LPs of
 slices and the DD in polytope.vertices share one clearing.  Because the
 tableau depends on a row only up to a positive scale, rows cleared with any
 positive q give the same pivots, point and value as rows cleared cold.
-polytope.extreme_points uses this for its hull tests, which run only for
-the points that fail its LP-free pre-test (no family II generator does):
-it clears coordinate row i once over all points, and the test of point t
-takes row i without column t, with column t's entry as the right-hand
-side.  That is the row a cold clear of (others' coordinates i, point t's
-coordinate i) would give, since both clear the same numbers.  The probe
-LPs of slices.lower_bound_certificate likewise take the ball's rows
-restricted to the probe's support columns, each with its full row's q; one
-such LP gives both a probe's value and its point (see slices._probe).
 """
 
 from __future__ import annotations
@@ -147,8 +138,8 @@ def _run_simplex(tableau, basis, d, obj, allowed):
     return status, d
 
 
-def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
-    """Exact LP: optimize objective subject to a.x <= b for (a, b) in leq
+def solve_lp(objective, leq=(), eq=(), nonneg=False):
+    """Exact LP: maximize objective subject to a.x <= b for (a, b) in leq
     and a.x = b for (a, b) in eq.  Either system may also be given as
     ClearedRows, which are used as they are instead of being cleared again.
 
@@ -156,10 +147,9 @@ def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
     with nonneg=True they are constrained to x >= 0 instead, which halves the
     tableau.  Returns LPResult(status, point, value) with a rational witness
     point at optimality.  For a pure feasibility question pass a zero
-    objective.
+    objective; to minimize, maximize the negated objective.
     """
     cost, cost_scale = clear_denominators([rational(c) for c in objective])
-    cost = [c if maximize else -c for c in cost]
     dim = len(cost)
     rows = []
     for system, has_slack in ((leq, True), (eq, False)):
@@ -227,7 +217,7 @@ def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
         for c in art_weight:
             allowed[c] = False
 
-    phase2 = (cost if nonneg else cost + [-c for c in cost]) + [0] * (nslack + nart)
+    phase2 = (cost if nonneg else cost + tuple(-c for c in cost)) + (0,) * (nslack + nart)
     status, d = _run_simplex(tableau, basis, d, phase2, allowed)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
@@ -240,5 +230,5 @@ def solve_lp(objective, leq=(), eq=(), maximize=True, nonneg=False):
         values = [u - v for u, v in zip(values[:dim], values[dim:])]
     point = tuple(Scalar(v, d) for v in values)
     total = sum(c * v for c, v in zip(cost, values))
-    value = Scalar(total if maximize else -total, cost_scale * d)
+    value = Scalar(total, cost_scale * d)
     return LPResult(OPTIMAL, point, value)

@@ -215,22 +215,17 @@ def solve_linear_system(a, b: Vec) -> Vec:
     return Vec(Scalar(pivots[j][n], pivots[j][j]) for j in range(n))
 
 
-def nullspace_basis(a, dim=None) -> list:
+def nullspace_basis(a) -> list:
     """Exact basis of {x : a.x = 0} for the rational rows a, one vector per
     free column of the RREF.
 
     Free columns are visited in increasing order, which fixes the basis and
     its order.  Returns an empty list when the rows have full column rank.
-    No rows give no width, so dim is required in that case and the basis is
-    the standard one.
+    No rows give no width, so rowless input raises ValueError.
     """
     rows, width = _rows(a)
     if not rows:
-        if dim is None:
-            raise ValueError("a rowless matrix needs an explicit dim")
-        return [Vec.unit(dim, i) for i in range(dim)]
-    if dim is not None and dim != width:
-        raise ValueError("dim %d does not match matrix width %d" % (dim, width))
+        raise ValueError("a rowless matrix has no width")
     found = _echelon((clear_denominators(r)[0] for r in rows), width)
     pivots = {pc: row for _, pc, row in found}
     basis = []

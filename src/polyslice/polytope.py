@@ -26,9 +26,10 @@ sorted integer numerators over one common denominator den (the vertex keys),
 next to the final rays and zero sets; the duplicate check runs on those
 keys, and slices.diameter and the prop3 estimates read them directly.  The
 VPolytope of rationals is built only when vertices() is called on that
-polytope, once.  A polytope that appends rows to a base polytope (a slice of
-a norm ball) costs one more DD step per appended row, and its base gets the
-integer cache only: enumerating a slice builds no rationals for its ball.
+polytope, once.  A polytope built on a base polytope, as a slice of a norm
+ball is by HPolytope((cut,), dim, _base=ball), clears only its own rows and
+costs one more DD step per own row, and its base gets the integer cache
+only: enumerating a slice builds no rationals for its ball.
 
 Emptiness and unboundedness are read off the rays exactly, without LPs: no
 ray with t > 0 means empty, a ray with t = 0 a recession direction.  When
@@ -88,15 +89,17 @@ class HalfSpace:
 class HPolytope:
     """Halfspace-list polytope {x : a.x <= b for every listed halfspace}.
 
-    The halfspace list and dimension are immutable.  The integer rows and
-    the vertex enumeration (an _Enumeration: vertex keys and final DD rays)
-    are cached on first use, and the VPolytope of rationals when vertices()
-    first asks for it.  A polytope built by appending rows to a base
-    polytope records that base, so it clears only its appended rows and
-    enumeration continues from the base's rays.
+    The halfspace list and dimension are immutable, and the integer rows
+    (_int_rows, see linprog.clear_rows) are cleared when the polytope is
+    built.  The vertex enumeration (an _Enumeration: vertex keys and final
+    DD rays) is cached on first use, and the VPolytope of rationals when
+    vertices() first asks for it.  HPolytope(rows, dim, _base=base) is base
+    cut by rows: its halfspaces are base's followed by rows, it clears only
+    rows and reuses base's integer rows, and enumeration continues from
+    base's rays.
     """
 
-    __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_rows")
+    __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_int_rows")
 
     def __init__(self, halfspaces, dim, _base=None):
         halfspaces = tuple(
@@ -107,44 +110,19 @@ class HPolytope:
         for h in halfspaces:
             if len(h.a) != dim:
                 raise ValueError("normal of length %d in dimension %d" % (len(h.a), dim))
+        rows = clear_rows((h.a, h.b) for h in halfspaces)
+        if _base is not None:
+            halfspaces = _base.halfspaces + halfspaces
+            rows = ClearedRows(_base._int_rows + rows)
         object.__setattr__(self, "halfspaces", halfspaces)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_vcache", None)
         object.__setattr__(self, "_vpoly", None)
-        object.__setattr__(self, "_rows", None)
-        if _base is not None:
-            base, k = _base
-            if base.halfspaces != halfspaces[:k]:
-                raise ValueError("base polytope rows must be a prefix of this polytope's rows")
         object.__setattr__(self, "_base", _base)
+        object.__setattr__(self, "_int_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
-
-    @property
-    def _int_rows(self) -> ClearedRows:
-        """The halfspaces as ClearedRows (see linprog.clear_rows), cleared on
-        first use; a polytope with a base reuses the base's rows."""
-        rows = self._rows
-        if rows is None:
-            if self._base is None:
-                rows = clear_rows((h.a, h.b) for h in self.halfspaces)
-            else:
-                base, k = self._base
-                cut = clear_rows((h.a, h.b) for h in self.halfspaces[k:])
-                rows = ClearedRows(base._int_rows + cut)
-            object.__setattr__(self, "_rows", rows)
-        return rows
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HPolytope)
-            and self.dim == other.dim
-            and self.halfspaces == other.halfspaces
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.halfspaces))
 
     def __repr__(self):
         return "HPolytope(dim=%d, m=%d)" % (self.dim, len(self.halfspaces))
@@ -279,10 +257,10 @@ def _enumeration(poly: HPolytope) -> _Enumeration:
         return poly._vcache
     dim = poly.dim
     rows = poly._int_rows
-    if poly._base is not None:
-        base, k = poly._base
+    base = poly._base
+    if base is not None:
         _, _, rays, masks = _enumeration(base)
-        for i in range(k, len(rows)):
+        for i in range(len(base._int_rows), len(rows)):
             rays, masks = _cut(rays, masks, rows[i], 2 << i, dim)
     else:
         cone = _cone(rows, dim)
@@ -394,8 +372,10 @@ def _in_hull(coords, t):
     """Exact membership of point t in the hull of the other points, via an LP
     over barycentric weights (nonnegative, summing to one).  coords[i] is
     coordinate i of every point, cleared once (ints, q); the test takes it
-    without column t and with column t's entry as the right-hand side (see
-    the linprog module docstring for why that is a cold solve's row)."""
+    without column t and with column t's entry as the right-hand side.  That
+    is the row a cold clear of (others' coordinates i, point t's coordinate
+    i) would give, since both clear the same numbers, so the LP is the cold
+    solve's (see the linprog module docstring)."""
     k = len(coords[0][0]) - 1
     if not k:
         return False

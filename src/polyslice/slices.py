@@ -41,7 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """Slicing functional and depth; the slice keeps f.x >= (sup f) - alpha."""
+    """Slicing functional and depth; the slice keeps f.x >= (sup f) - alpha.
+    f must be nonzero and alpha positive."""
 
     f: Vec
     alpha: Scalar
@@ -49,6 +50,8 @@ class SliceSpec:
     def __post_init__(self):
         object.__setattr__(self, "f", self.f if isinstance(self.f, Vec) else Vec(self.f))
         object.__setattr__(self, "alpha", rational(self.alpha))
+        if self.f.is_zero():
+            raise ValueError("slicing functional must be nonzero")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -112,7 +115,7 @@ def support_value(space: PolyhedralNormSpace, f) -> Scalar:
     f = f if isinstance(f, Vec) else Vec(f)
     if len(f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(f), space.dim))
-    res = solve_lp(f, leq=unit_ball(space)._int_rows, maximize=True)
+    res = solve_lp(f, leq=unit_ball(space)._int_rows)
     if res.status != OPTIMAL:
         raise RuntimeError("support LP did not terminate at an optimum: %s" % res.status)
     return res.value
@@ -126,15 +129,13 @@ def make_slice(space: PolyhedralNormSpace, spec: SliceSpec, s=None) -> HPolytope
     base lets vertex enumeration of the slice continue from the ball's
     final rays with one more step instead of starting from scratch.
     """
-    if spec.f.is_zero():
-        raise ValueError("slicing functional must be nonzero")
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))
     ball = unit_ball(space)
     if s is None:
         s = support_value(space, spec.f)
     cut = HalfSpace(-spec.f, spec.alpha - s)
-    return HPolytope(tuple(ball.halfspaces) + (cut,), space.dim, _base=(ball, len(ball.halfspaces)))
+    return HPolytope((cut,), space.dim, _base=ball)
 
 
 def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
@@ -186,8 +187,10 @@ def _probe_subsets(dim):
 def _probe(g, ball_rows, support, dim):
     """(max g.x, its Bland maximizer) over the ball with x_j = 0 off support,
     by the LP over the support's columns alone: the ball's rows restricted to
-    them, each with its full row's q.  Every right-hand side is positive, so
-    there is no phase one.
+    them, each with its full row's q.  That q is a positive multiple of the
+    restricted row's own, which changes no pivot (see the linprog module
+    docstring), so the rows are not cleared again.  Every right-hand side is
+    positive, so there is no phase one.
 
     The point is the one the full-width LP (the ball's rows plus the x_j = 0
     equality rows off support) returns, padded with zeros.  In that LP's
@@ -203,7 +206,7 @@ def _probe(g, ball_rows, support, dim):
     if not support:
         return ZERO, Vec(point)
     rows = ClearedRows((tuple(ints[j] for j in support) + (ints[-1],), q) for ints, q in ball_rows)
-    res = solve_lp([g[j] for j in support], leq=rows, maximize=True)
+    res = solve_lp([g[j] for j in support], leq=rows)
     for j, c in zip(support, res.point):
         point[j] = c
     return res.value, Vec(point)
@@ -228,14 +231,11 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     off the support would give.  The ball's rows and the dual vertices are
     cleared once per call, and A is found in integers.
     """
-    g = g if isinstance(g, Vec) else Vec(g)
-    if g.is_zero():
-        raise ValueError("slicing functional must be nonzero")
+    spec = SliceSpec(g, alpha)
+    g, alpha = spec.f, spec.alpha
     r = rational(r)
     if not 0 < r < 1:
         raise ValueError("r must lie strictly between 0 and 1")
-    alpha = rational(alpha)
-    spec = SliceSpec(g, alpha)
     s = support_value(space, g)
     slice_poly = make_slice(space, spec, s)
     threshold = s - alpha

@@ -337,4 +337,6 @@ def load_space(path) -> PolyhedralNormSpace:
             data = json.load(fh)
         except RecursionError:
             raise ValueError("space file %s nests too deeply to parse" % path) from None
+        except json.JSONDecodeError as exc:
+            raise ValueError("space file %s is not valid JSON: %s" % (path, exc)) from None
     return space_from_dict(data)

@@ -282,7 +282,7 @@ def cold_certificate(space, g, alpha, r):
     alpha, r = Fraction(alpha), Fraction(r)
     d = len(g)
     rows = ball_rows(space.generators)
-    s = solve_lp(g, leq=rows, maximize=True).value
+    s = solve_lp(g, leq=rows).value
     cut = (tuple(-c for c in g), alpha - s)
     duals = [tuple(phi) for phi in dual_ball_vertices(space).vertices]
 
@@ -297,7 +297,7 @@ def cold_certificate(space, g, alpha, r):
         for support in combinations(range(d), size):
             eqs = [(tuple(Fraction(int(i == j)) for i in range(d)), Fraction(0))
                    for j in range(d) if j not in support]
-            res = solve_lp(g, leq=rows, eq=eqs, maximize=True)
+            res = solve_lp(g, leq=rows, eq=eqs)
             if res.value < s - alpha:
                 continue
             x = tuple(res.point)

@@ -274,9 +274,8 @@ def test_space_file_fills_parameters(tmp_path):
 def test_space_file_kind_mismatch_is_rejected(tmp_path):
     path = tmp_path / "space.json"
     save_space(make_space_VII(3), path)
-    cfg = ExperimentConfig(experiment="thm1", epsilon="1/2", space_path=str(path))
     with pytest.raises(ValueError):
-        run_experiment(cfg)
+        ExperimentConfig(experiment="thm1", epsilon="1/2", space_path=str(path))
 
 
 def test_cli_runs_and_exits_zero(capsys):
@@ -524,6 +523,42 @@ def test_cli_refuses_too_deeply_nested_json_with_exit_two(tmp_path, capsys, argv
     path.write_text(text)
     message = assert_usage_error(argv + [str(path)], capsys)
     assert message.endswith("file %s nests too deeply to parse" % path)
+
+
+@pytest.mark.parametrize("argv", [["thm1", "--config"], ["thm1", "--space"]],
+                         ids=["config", "space"])
+def test_cli_names_a_file_that_is_not_valid_json(tmp_path, capsys, argv):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    message = assert_usage_error(argv + [str(path)], capsys)
+    assert "file %s is not valid JSON: " % path in message
+
+
+def test_cli_reads_a_space_file_once(tmp_path, capsys, monkeypatch):
+    """The space file is folded into the config once, and the run uses that
+    config: a kind II file for thm1 and a custom file for the audit are
+    each read once."""
+    from polyslice import cli, spaces
+
+    reads = []
+    load_space = spaces.load_space
+
+    def counting_load_space(path):
+        reads.append(path)
+        return load_space(path)
+
+    for module in (spaces, experiments, cli):
+        if hasattr(module, "load_space"):
+            monkeypatch.setattr(module, "load_space", counting_load_space)
+    save_space(make_space_II(2, "1/8"), tmp_path / "II.json")
+    square = [Vec([1, 0]), Vec([-1, 0]), Vec([0, 1]), Vec([0, -1])]
+    save_space(PolyhedralNormSpace(2, tuple(sorted(square)), "custom"), tmp_path / "custom.json")
+    for argv in (["thm1", "--epsilon", "1/2", "--space", str(tmp_path / "II.json")],
+                 ["verify-ext", "--space", str(tmp_path / "custom.json")]):
+        reads.clear()
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert reads == [argv[-1]]
 
 
 def test_cli_rejects_unwritable_output_before_running(tmp_path, capsys):

@@ -12,7 +12,8 @@ SEED = 3301
 # (name, objective, leq, eq, options, expected status, point, value).  The
 # expected triples were recorded from the earlier Fraction-tableau solver;
 # the witness on a degenerate optimum depends on every Bland choice, so a
-# change of pivot order shows here.
+# change of pivot order shows here.  The minimize_* and bounded_nonneg_min
+# cases minimize by maximizing the negated objective.
 PINNED = [
     ("ratio_tie", [1, 1], [([1, 0], 1), ([1, 1], 1), ([0, 1], 1)], [], {},
      OPTIMAL, ("1", "0"), "1"),
@@ -36,10 +37,10 @@ PINNED = [
      {"nonneg": True}, OPTIMAL, ("1/2", "0"), "1"),
     ("negative_cleanup_pivot_free", [2], [([-1], 0)], [([-1], 0)], {},
      OPTIMAL, ("0",), "0"),
-    ("minimize_free", ["1/3", "-1/2"], [([1, 1], 4), (["-1/2", 1], 1), ([-1, 0], 0)], [],
-     {"maximize": False}, OPTIMAL, ("0", "1"), "-1/2"),
-    ("minimize_nonneg", [1, 1, 0], [([1, 1, 1], 5)], [([1, 0, -1], -2), ([0, 1, 1], 3)],
-     {"maximize": False, "nonneg": True}, OPTIMAL, ("0", "1", "2"), "1"),
+    ("minimize_free", ["-1/3", "1/2"], [([1, 1], 4), (["-1/2", 1], 1), ([-1, 0], 0)], [],
+     {}, OPTIMAL, ("0", "1"), "1/2"),
+    ("minimize_nonneg", [-1, -1, 0], [([1, 1, 1], 5)], [([1, 0, -1], -2), ([0, 1, 1], 3)],
+     {"nonneg": True}, OPTIMAL, ("0", "1", "2"), "-1"),
     ("nonneg_degenerate", [1, 1, 1],
      [([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 0, 1], 1), ([1, 1, 1], "3/2")], [],
      {"nonneg": True}, OPTIMAL, ("1/2", "1/2", "1/2"), "3/2"),
@@ -47,7 +48,7 @@ PINNED = [
     ("infeasible_equalities", [0, 0], [], [([1, 1], 1), ([2, 2], 3)], {"nonneg": True},
      INFEASIBLE, None, None),
     ("unbounded", [1, 1], [([1, -1], 1)], [], {}, UNBOUNDED, None, None),
-    ("bounded_nonneg_min", [-1, 1], [([1, -1], 0)], [], {"nonneg": True, "maximize": False},
+    ("bounded_nonneg_min", [1, -1], [([1, -1], 0)], [], {"nonneg": True},
      OPTIMAL, ("0", "0"), "0"),
     ("feasibility_only", [0, 0, 0], [([1, 1, 1], 1), (["-1/7", 0, 0], "-1/10")],
      [([0, 1, -1], "1/5")], {}, OPTIMAL, ("7/10", "1/5", "0"), "0"),
@@ -77,7 +78,7 @@ def test_no_rows_left(nonneg):
     assert (res.status, res.point, res.value) == (OPTIMAL, zero, 0)
     res = solve_lp([-1, 0], nonneg=nonneg)
     assert res.status == (OPTIMAL if nonneg else UNBOUNDED)
-    res = solve_lp([1, 0], eq=[([0, 0], 0)], nonneg=nonneg, maximize=False)
+    res = solve_lp([-1, 0], eq=[([0, 0], 0)], nonneg=nonneg)
     assert res.status == (OPTIMAL if nonneg else UNBOUNDED)
     if nonneg:
         assert (res.point, res.value) == (zero, 0)
@@ -139,7 +140,7 @@ def test_phase_one_weights_keep_the_witness_under_row_scaling():
            (["1/2", 3, "4/7"], "39/14")]
     eq = [([-1, 1, -1], -4), ([1, -1, "-4/3"], "-16/3")]
     objective = [-2, 2, "4/7"]
-    options = {"maximize": True, "nonneg": True}
+    options = {"nonneg": True}
     rng = random.Random(SEED + 2)
     for _ in range(6):
         got = assert_same_on_cleared_rows(objective, leq, eq, options, rng)
@@ -177,23 +178,26 @@ def _random_lp(rng):
     if eq and rng.random() < 0.3:
         a, b = eq[0]
         eq.append(([2 * c for c in a], 2 * b))
-    options = {"maximize": rng.random() < 0.5, "nonneg": rng.random() < 0.4}
-    return vec(), leq, eq, options
+    # Half the LPs minimize, by maximizing the negated objective.
+    sign = 1 if rng.random() < 0.5 else -1
+    options = {"nonneg": rng.random() < 0.4}
+    return [sign * c for c in vec()], leq, eq, options
 
 
 def test_random_lps_are_unchanged_on_cleared_rows():
-    """Every nonneg/maximize setting of each random LP, equality rows and
-    negative right-hand sides included."""
+    """Each random LP free and nonneg, with its objective and the negated
+    one, equality rows and negative right-hand sides included."""
     rng = random.Random(SEED + 1)
     seen = set()
     negative_rhs = 0
     for _ in range(120):
         objective, leq, eq, _ = _random_lp(rng)
         negative_rhs += any(b < 0 for _, b in leq + eq)
-        for maximize in (False, True):
+        for sign in (-1, 1):
             for nonneg in (False, True):
-                options = {"maximize": maximize, "nonneg": nonneg}
-                seen.add(assert_same_on_cleared_rows(objective, leq, eq, options, rng)[0])
+                cost = [sign * c for c in objective]
+                options = {"nonneg": nonneg}
+                seen.add(assert_same_on_cleared_rows(cost, leq, eq, options, rng)[0])
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert negative_rhs > 10
 
@@ -205,9 +209,8 @@ def test_agrees_with_scipy_on_random_lps():
     for _ in range(300):
         objective, leq, eq, options = _random_lp(rng)
         res = solve_lp(objective, leq=leq, eq=eq, **options)
-        sign = -1 if options["maximize"] else 1
         ref = optimize.linprog(
-            [sign * float(c) for c in objective],
+            [-float(c) for c in objective],
             A_ub=[[float(c) for c in a] for a, _ in leq] or None,
             b_ub=[float(b) for _, b in leq] or None,
             A_eq=[[float(c) for c in a] for a, _ in eq] or None,
@@ -220,7 +223,7 @@ def test_agrees_with_scipy_on_random_lps():
         seen.add(res.status)
         if res.status != OPTIMAL:
             continue
-        assert abs(float(res.value) - sign * ref.fun) <= 1e-9
+        assert abs(float(res.value) + ref.fun) <= 1e-9
         x = res.point
         assert all(sum(c * v for c, v in zip(a, x)) <= b for a, b in leq)
         assert all(sum(c * v for c, v in zip(a, x)) == b for a, b in eq)

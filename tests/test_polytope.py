@@ -218,9 +218,9 @@ def test_base_extension_matches_scratch_enumeration():
             if any(c != 0 for c in normal):
                 break
         cut = HalfSpace(Vec(normal), Scalar(rng.randint(1, 2)))
-        rows = tuple(base.halfspaces) + (cut,)
-        extended = HPolytope(rows, dim, _base=(base, len(base.halfspaces)))
-        scratch = HPolytope(rows, dim)
+        extended = HPolytope((cut,), dim, _base=base)
+        scratch = HPolytope(tuple(base.halfspaces) + (cut,), dim)
+        assert extended.halfspaces == scratch.halfspaces
         try:
             got = vertices(extended).vertices
         except DegenerateError:
@@ -238,7 +238,7 @@ def test_a_slice_enumerates_its_ball_without_building_its_vertex_list():
     rows = [HalfSpace(g, ONE) for g in space.generators]
     ball = HPolytope(rows, space.dim)
     cut = HalfSpace(-Vec.unit(space.dim, space.dim - 1), rational("-1/2"))
-    piece = HPolytope(rows + [cut], space.dim, _base=(ball, len(rows)))
+    piece = HPolytope([cut], space.dim, _base=ball)
     got = vertices(piece)
     assert ball._vcache is not None and ball._vpoly is None
     for poly, verts in ((piece, got), (ball, vertices(ball))):
@@ -306,7 +306,7 @@ def test_degenerate_apex_with_negative_pivots_is_found_once():
     # A cut through the apex makes it a base vertex that the new subsets
     # reach again; it must still be kept exactly once.
     cut = HalfSpace(Vec([1, 0, 0]), rational("1/3"))
-    extended = HPolytope(poly.halfspaces + (cut,), 3, _base=(poly, len(poly.halfspaces)))
+    extended = HPolytope((cut,), 3, _base=poly)
     assert apex in vertices(extended).vertices
     assert fraction_vertices(extended) == oracle_vertices(extended)
 

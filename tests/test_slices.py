@@ -456,5 +456,5 @@ def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
     for g in gs:
         for support in _probe_subsets(d):
             eqs = [(Vec.unit(d, j), ZERO) for j in range(d) if j not in support]
-            cold = solve_lp(g, leq=rows, eq=eqs, maximize=True)
+            cold = solve_lp(g, leq=rows, eq=eqs)
             assert _probe(g, rows, support, d) == (cold.value, Vec(cold.point))
