@@ -17,10 +17,12 @@ import io
 import json
 import random
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from math import lcm
+from operator import add, floordiv, gt, mul, or_
 from typing import Callable
 
-from .numeric import ONE, Scalar, Vec, ZERO, exact_int, rational, rational_str
+from .numeric import ONE, Scalar, Vec, ZERO, _abs_max, exact_int, rational, rational_str
 from .polytope import _enumeration
 from .slices import (
     DimensionTooSmall,
@@ -32,7 +34,7 @@ from .slices import (
 )
 from .spaces import (
     PolyhedralNormSpace,
-    _norm_int,
+    _norm_ints,
     check_omega,
     dual_ball_vertices,
     load_space,
@@ -56,6 +58,8 @@ DEFAULT_EXT_RS = ("1/20", "1/10", "1/4")
 DEFAULT_SANDWICH_RS = ("1/20", "1/10", "1/4")
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 20260816
+#: Trials per column-wise block in sandwich_case; bounds its memory only.
+_SANDWICH_BLOCK = 1024
 
 
 def _decimal(x) -> str:
@@ -524,6 +528,30 @@ def _sandwich_draw(bits, d: int) -> tuple:
     return A, Q
 
 
+def _sandwich_block(space, N: int, r, bits, n: int, worst):
+    """n sandwich trials of the family II space, drawn in stream order and
+    then evaluated column-wise (see sandwich_case): how many fail, and
+    worst, the (value, lower) pair of the largest ratio so far, updated by
+    theirs.  The block's columns are this call's locals, so they are freed
+    before the next block is drawn."""
+    den = space._int_rows[1]
+    rden = r.denominator
+    cap = rden + r.numerator
+    a_rows, q_rows = zip(*(_sandwich_draw(bits, space.dim) for _ in range(n)))
+    A = list(zip(*a_rows))  # A[i]: numerator i of every trial in the block
+    Q = list(zip(*q_rows))
+    L = list(map(lcm, *Q))
+    P = [list(map(mul, a, map(floordiv, L, q))) for a, q in zip(A, Q)]
+    low = list(map(mul, map(add, _abs_max(P[:N], n), map(abs, P[N])), repeat(den)))
+    val = _norm_ints(space, P)
+    failures = sum(map(or_, map(gt, low, val),
+                       map(gt, map(mul, val, repeat(rden)), map(mul, low, repeat(cap)))))
+    for v, lo in zip(val, low):
+        if lo and (worst is None or v * worst[1] > worst[0] * lo):
+            worst = (v, lo)
+    return failures, worst
+
+
 def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     """Random vectors through the norm sandwich: the lifted norm lies between
     the product reference norm and (1+r) times it.
@@ -532,6 +560,15 @@ def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     L = lcm(q).  The reference norm max_{i<N} |P_i| + |P_N| and the kernel's
     den * |||P||| are then integers, so both checks and the worst ratio are
     integer comparisons; one Fraction is built per row.
+
+    The trials run in blocks of _SANDWICH_BLOCK.  A block's trials are
+    drawn one after another, so the stream order is that of one trial at a
+    time, and then evaluated column-wise: L, P, the reference norms and the
+    norms (spaces._norm_ints) of the whole block come from C-level passes
+    over columns, not from one loop step per trial.  failures is a count and
+    the worst ratio a max, so folding them across blocks gives the same
+    report for any block size; the block only bounds memory for large trial
+    counts.
 
     Per coordinate, the numerator a_i is uniform on -50..50 and then the
     denominator q_i uniform on 1..20, each drawn by rejection from
@@ -543,22 +580,13 @@ def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     """
     r = rational(r)
     space = make_space_II(N, r)
-    d = space.dim
-    den = space._int_rows[1]
-    cap = r.denominator + r.numerator
     bits = rng.getrandbits
     failures = 0
     worst = None  # (value, lower) with ratio value / lower, both over L * den
-    for _ in range(trials):
-        A, Q = _sandwich_draw(bits, d)
-        L = lcm(*Q)
-        P = [a * (L // q) for a, q in zip(A, Q)]
-        low = (max(abs(c) for c in P[:N]) + abs(P[N])) * den
-        val = _norm_int(space, P)
-        if not low <= val or val * r.denominator > cap * low:
-            failures += 1
-        if low > 0 and (worst is None or val * worst[1] > worst[0] * low):
-            worst = (val, low)
+    for start in range(0, trials, _SANDWICH_BLOCK):
+        n = min(_SANDWICH_BLOCK, trials - start)
+        block_failures, worst = _sandwich_block(space, N, r, bits, n, worst)
+        failures += block_failures
     return {
         "experiment": "sandwich",
         "N": N,

@@ -8,12 +8,17 @@ cleared denominators and build Fractions only at their boundaries.
 
 Rank, nullspace, solve and the start cone of vertex enumeration share one
 elimination kernel, _echelon: fraction-free Gauss-Jordan on integer rows.
+Norms, diameter widths and the extreme-point Gram matrix evaluate integer
+rows against a batch of integer points through one row kernel, _row_values,
+which takes the points column by column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 
 #: The exact rational scalar type used everywhere.
 Scalar = Fraction
@@ -88,6 +93,36 @@ def _reduced(values):
     """The integer vector values divided by the gcd of its entries."""
     g = gcd(*values)
     return tuple(v // g for v in values) if g > 1 else tuple(values)
+
+
+def _row_values(rows, cols, n):
+    """For each integer row, the list of its dot products with n integer
+    points, the points given column-wise: cols[j] is a sequence holding
+    coordinate j of every point, in point order (zip(*points) gives them).
+
+    A row costs one C-level multiply-add map pass over a whole column per
+    nonzero coefficient, rather than one interpreter round trip per point.
+    Zero coefficients are skipped, so a zero row, or n == 0, gives n zeros."""
+    cols = list(cols)
+    out = []
+    for row in rows:
+        acc = None
+        for c, col in zip(row, cols):
+            if not c:
+                continue
+            terms = map(mul, col, repeat(c))
+            acc = list(terms) if acc is None else list(map(add, acc, terms))
+        out.append([0] * n if acc is None else acc)
+    return out
+
+
+def _abs_max(values, n):
+    """Per point, the largest |v| over the value lists values (each of
+    length n, as _row_values gives them); n zeros when there are none."""
+    values = [map(abs, v) for v in values]
+    if not values:
+        return [0] * n
+    return list(map(max, repeat(0, n), *values))
 
 
 class Vec(tuple):

@@ -43,12 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import lcm
-from operator import mul
 from typing import NamedTuple
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
-from .numeric import ZERO, Scalar, Vec, _echelon, _reduced, clear_denominators, rational
+from .numeric import (ZERO, Scalar, Vec, _echelon, _reduced, _row_values, clear_denominators,
+                      rational)
 
 __all__ = [
     "UnboundedError",
@@ -390,12 +390,13 @@ def extreme_points(points) -> VPolytope:
 
     Exact duplicates are collapsed first.  Tests are independent: removing a
     non-extreme point never changes the hull, so no iteration is needed.
-    The points are cleared once over one denominator, and a point p with
-    p.p > p.q for every other point q is the unique maximizer of x -> p.x
-    over the set, so it is kept without an LP.  Every family II generator
-    passes this test; a family VII generator (+-1, +-1/3 e_j) fails it once
-    its weight reaches 17/18, as the default weights do from n = 3 on.  A
-    point that fails it gets the hull LP of _in_hull.
+    The points are cleared once over one denominator, and their Gram matrix
+    is taken in integers by numeric._row_values, one row per point.  A point
+    p with p.p > p.q for every other point q is the unique maximizer of
+    x -> p.x over the set, so it is kept without an LP.  Every family II
+    generator passes this test; a family VII generator (+-1, +-1/3 e_j)
+    fails it once its weight reaches 17/18, as the default weights do from
+    n = 3 on.  A point that fails it gets the hull LP of _in_hull.
     """
     pts = [p if isinstance(p, Vec) else Vec(p) for p in points]
     if not pts:
@@ -407,10 +408,10 @@ def extreme_points(points) -> VPolytope:
     uniq = sorted(set(pts))
     flat, _ = clear_denominators([c for p in uniq for c in p])
     ints = [flat[k:k + dim] for k in range(0, len(flat), dim)]
+    gram = _row_values(ints, zip(*ints), len(ints))
     coords = None
     keep = []
-    for t, a in enumerate(ints):
-        dots = [sum(map(mul, a, b)) for b in ints]
+    for t, dots in enumerate(gram):
         own = dots[t]
         if all(v < own for k, v in enumerate(dots) if k != t):
             keep.append(uniq[t])

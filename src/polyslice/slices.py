@@ -20,8 +20,8 @@ from operator import mul
 import numpy as np
 
 from .linprog import OPTIMAL, ClearedRows, solve_lp
-from .numeric import (ONE, Scalar, Vec, ZERO, clear_denominators, nullspace_basis, rational,
-                      rational_str)
+from .numeric import (ONE, Scalar, Vec, ZERO, _row_values, clear_denominators, nullspace_basis,
+                      rational, rational_str)
 from .polytope import HalfSpace, HPolytope, _enumeration, contains, vertices
 from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
 
@@ -151,11 +151,13 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     caches (see the polytope module docstring): integer numerators over one
     common denominator Q, in the order of the vertex list.  Each phi.v is
     then an integer dot product of phi's integer row (see
-    PolyhedralNormSpace._int_rows) over den * Q.  The vertex list is sorted
-    and distinct, so the lex-least vertex among ties is the first index, and
-    comparing index pairs compares vertex pairs.  One row per +- generator
-    pair suffices: -phi has phi's width, and its first argmax and first
-    argmin are phi's swapped, so the sorted pair is the same.
+    PolyhedralNormSpace._int_rows) over den * Q; numeric._row_values gives
+    a row's products with all the vertices at once, from passes over the
+    key columns.  The vertex list is sorted and distinct, so the lex-least
+    vertex among ties is the first index, and comparing index pairs compares
+    vertex pairs.  One row per +- generator pair suffices: -phi has phi's
+    width, and its first argmax and first argmin are phi's swapped, so the
+    sorted pair is the same.
     """
     if poly.dim != space.dim:
         raise ValueError("polytope of dimension %d in a space of dimension %d"
@@ -165,8 +167,7 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     rows, den = space._int_rows
     best_width = None
     best_pair = None
-    for row in rows:
-        vals = [sum(map(mul, row, p)) for p in points]
+    for vals in _row_values(rows, zip(*points), len(points)):
         hi = max(vals)
         lo = min(vals)
         width = hi - lo

@@ -13,7 +13,9 @@ A space is a finite symmetric generator set Phi spanning the dual, with
 A space also keeps one dense integer row per +- pair of generators, over one
 common denominator.  The set is symmetric, so the max of |phi.x| over half
 the rows is the max of phi.x over all of them, and the norm is a max of
-integer dot products with no rational built per generator.  The unit ball of
+integer dot products with no rational built per generator.  Norms are
+evaluated row by row over a batch of integer points (_norm_ints, through
+numeric._row_values); norm is a batch of one.  The unit ball of
 a space and the extreme points of its generator set are cached per space
 value, so repeated queries share one vertex enumeration.
 """
@@ -23,10 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
-from .numeric import (ONE, ZERO, Scalar, Vec, _int_rank, clear_denominators, exact_int,
-                      rational, rational_str)
+from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _row_values,
+                      clear_denominators, exact_int, rational, rational_str)
 from .polytope import HalfSpace, HPolytope, VPolytope, extreme_points
 
 __all__ = [
@@ -126,22 +127,26 @@ class FaceSet:
     attaining: tuple
 
 
-def _norm_int(space: PolyhedralNormSpace, p) -> int:
-    """den * |||p||| for the integer point p, den being space._int_rows' own."""
-    return max(abs(sum(map(mul, row, p))) for row in space._int_rows[0])
+def _norm_ints(space: PolyhedralNormSpace, cols) -> list:
+    """den * |||p||| for each integer point p of a batch, den being
+    space._int_rows' own.  The points are given column-wise: cols is the
+    list of the space.dim sequences of their coordinates (see
+    numeric._row_values).  Each value is the max of |row.p| over the rows."""
+    n = len(cols[0])
+    return _abs_max(_row_values(space._int_rows[0], cols, n), n)
 
 
 def norm(space: PolyhedralNormSpace, x) -> Scalar:
     """Evaluate |||x||| = max over generators of phi.x (exact).
 
     x is cleared to integers p over q > 0 once; the norm is then
-    _norm_int(space, p) over den * q.
+    _norm_ints of the batch of one point p, over den * q.
     """
     x = x if isinstance(x, Vec) else Vec(x)
     if len(x) != space.dim:
         raise ValueError("point of length %d in dimension %d" % (len(x), space.dim))
     p, q = clear_denominators(x)
-    return Scalar(_norm_int(space, p), space._int_rows[1] * q)
+    return Scalar(_norm_ints(space, [(c,) for c in p])[0], space._int_rows[1] * q)
 
 
 def make_space_II(N: int, r) -> PolyhedralNormSpace:

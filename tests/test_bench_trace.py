@@ -4,7 +4,7 @@ bench/tracer.py wraps each case function by name and rebinds the wrapper
 wherever the package binds the original.  A case function that is renamed,
 or called through a value stored in a table, escapes that rebinding: the
 traced run then fails to install or records no case spans.  This test runs
-bench/child.py traced on three small CLI cases, in a fresh interpreter as the
+bench/child.py traced on four small CLI cases, in a fresh interpreter as the
 benchmark does, and counts the case spans under each report.  The thm1 case
 must also record a polytope.vertices.slice span, so the slice's vertex
 enumeration stays where the tracer sees it.  bench/ is only read.
@@ -23,6 +23,7 @@ CASES = [
     ["thm1", "--n", "1", "--epsilon", "1/5"],
     ["prop3", "--n", "3", "--epsilons", "1/10"],
     ["verify-ext", "--n", "1", "--r", "1/10"],
+    ["sandwich", "--n", "1", "--trials", "5"],
 ]
 
 
@@ -53,7 +54,7 @@ def test_traced_child_records_case_spans_for_every_row(tmp_path):
         if span["name"] == "experiments.case":
             per_report[report_of(span)] += 1
     rows = [len(out.splitlines()) - 1 for out in record["outputs"]]
-    assert rows == [1, 1, 1]
+    assert rows == [1, 1, 1, 3]
     for main, n_rows in zip(mains, rows):
         assert per_report[main] >= n_rows
 

@@ -150,20 +150,24 @@ def test_sandwich_reports_worst_ratio_within_cap():
 
 
 @pytest.mark.parametrize("N", range(1, 7))
-def test_sandwich_case_matches_the_fraction_oracle(N):
+def test_sandwich_case_matches_the_fraction_oracle(monkeypatch, N):
     """The integer trials give the Fraction loop's failure count and worst
     ratio, and draw the same numbers from the rng; at N = 6 also over one
-    run of 1000 trials."""
+    run of 1000 trials.  Every run is made with the default block size and
+    again with blocks of 7 trials, so that 13, 60 and 1000 trials cross
+    block boundaries."""
     runs = [(r, seed, trials) for r in ("1/20", "7/3", "1")
             for seed, trials in ((0, 1), (N + 17, 13), (1000 * N + 5, 60))]
     if N == 6:
         runs.append(("1/20", 6006, 1000))
-    for r, seed, trials in runs:
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        row = sandwich_case(N, r, trials, rng)
-        failures, worst = oracles.sandwich_trials(oracles.gens_II(N, r), N, r, trials, ref_rng)
-        assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
-        assert rng.getstate() == ref_rng.getstate()
+    for block in (experiments._SANDWICH_BLOCK, 7):
+        monkeypatch.setattr(experiments, "_SANDWICH_BLOCK", block)
+        for r, seed, trials in runs:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            row = sandwich_case(N, r, trials, rng)
+            failures, worst = oracles.sandwich_trials(oracles.gens_II(N, r), N, r, trials, ref_rng)
+            assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_sandwich_draw_is_randint_on_the_same_stream():
@@ -182,19 +186,22 @@ def test_sandwich_draw_is_randint_on_the_same_stream():
 @pytest.mark.parametrize("scale", ["1/2", "3"])
 def test_sandwich_case_counts_failures_like_the_fraction_oracle(monkeypatch, scale):
     """Generators scaled off the family II set break the sandwich from below
-    (1/2) or above (3); failures and worst ratio still match the oracle."""
+    (1/2) or above (3); failures and worst ratio still match the oracle,
+    also when blocks of 7 trials split the 40."""
     def scaled_space_II(N, r):
         base = make_space_II(N, r)
         return PolyhedralNormSpace(base.dim, tuple(sorted(g * scale for g in base.generators)),
                                    "II", base.params)
 
     monkeypatch.setattr(experiments, "make_space_II", scaled_space_II)
-    for N, r in ((1, "1/20"), (3, "7/3"), (5, "1")):
-        gens = [tuple(c * Scalar(scale) for c in g) for g in oracles.gens_II(N, r)]
-        row = sandwich_case(N, r, 40, random.Random(N))
-        failures, worst = oracles.sandwich_trials(gens, N, r, 40, random.Random(N))
-        assert failures > 0
-        assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
+    for block in (experiments._SANDWICH_BLOCK, 7):
+        monkeypatch.setattr(experiments, "_SANDWICH_BLOCK", block)
+        for N, r in ((1, "1/20"), (3, "7/3"), (5, "1")):
+            gens = [tuple(c * Scalar(scale) for c in g) for g in oracles.gens_II(N, r)]
+            row = sandwich_case(N, r, 40, random.Random(N))
+            failures, worst = oracles.sandwich_trials(gens, N, r, 40, random.Random(N))
+            assert failures > 0
+            assert (row["failures"], row["worst_ratio"]) == (failures, rational_str(worst))
 
 
 def test_sandwich_case_on_zero_vectors_reports_no_ratio():

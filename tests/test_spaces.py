@@ -11,7 +11,7 @@ from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, extreme_points, vertices
 from polyslice.spaces import (
     PolyhedralNormSpace,
-    _norm_int,
+    _norm_ints,
     attaining_set,
     default_omega,
     dual_ball_vertices,
@@ -195,14 +195,17 @@ def test_integer_rows_keep_one_row_per_generator_pair():
 
 
 def test_norm_kernel_on_integer_points_and_the_zero_vector():
+    """_norm_ints on a batch of one zero vector, and on the zero vector then
+    30 random integer points as one batch, one value per point."""
     rng = random.Random(SEED + 11)
     for sp in (make_space_II(1, R10), make_space_II(5, "7/3"), make_space_VII(4)):
         den = sp._int_rows[1]
-        assert _norm_int(sp, (0,) * sp.dim) == 0
+        assert _norm_ints(sp, [(0,)] * sp.dim) == [0]
         assert norm(sp, Vec.zero(sp.dim)) == ZERO
-        for _ in range(30):
-            p = tuple(rng.randint(-40, 40) for _ in range(sp.dim))
-            assert _norm_int(sp, p) == den * _generator_loop_norm(sp, Vec(p))
+        pts = [(0,) * sp.dim] + [tuple(rng.randint(-40, 40) for _ in range(sp.dim))
+                                 for _ in range(30)]
+        expected = [den * _generator_loop_norm(sp, Vec(p)) for p in pts]
+        assert _norm_ints(sp, list(zip(*pts))) == expected
 
 
 def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
