@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from . import linprog
 from .linprog import ClearedRows, clear_rows
-from .numeric import (ZERO, Scalar, Vec, _echelon, _reduced, _row_values, clear_denominators,
+from .numeric import (ONE, ZERO, Scalar, Vec, _echelon, _reduced, _row_values, clear_denominators,
                       rational)
 
 __all__ = [
@@ -310,13 +310,19 @@ def vertices(poly: HPolytope) -> VPolytope:
     vpoly = poly._vpoly
     if vpoly is None:
         keys, den = _enumeration(poly)[:2]
-        # The keys are distinct and of length dim, so VPolytope's own checks
-        # are skipped.
-        vpoly = object.__new__(VPolytope)
-        object.__setattr__(vpoly, "vertices", tuple(
-            tuple.__new__(Vec, [Scalar(c, den) for c in p]) for p in keys))
-        object.__setattr__(vpoly, "dim", poly.dim)
+        vpoly = _distinct_vpolytope(
+            tuple(tuple.__new__(Vec, [Scalar(c, den) for c in p]) for p in keys), poly.dim)
         object.__setattr__(poly, "_vpoly", vpoly)
+    return vpoly
+
+
+def _distinct_vpolytope(verts, dim):
+    """VPolytope(verts, dim) for verts already known to be distinct Vecs of
+    length dim, as integer keys show them, so its own checks, which hash
+    every coordinate, are skipped."""
+    vpoly = object.__new__(VPolytope)
+    object.__setattr__(vpoly, "vertices", verts)
+    object.__setattr__(vpoly, "dim", dim)
     return vpoly
 
 
@@ -350,7 +356,12 @@ def support(vpoly: VPolytope, f) -> tuple:
 def lp_feasible(constraints, equalities=()) -> tuple:
     """Exact feasibility of {a.x <= b} together with {c.x = d}.
 
-    Returns (True, witness Vec) or (False, None).
+    Returns (True, witness Vec) or (False, None).  The system is homogenized
+    so that its LP starts feasible at the origin: maximize t over
+    a.x - b.t <= 0, c.x - d.t <= 0, -c.x + d.t <= 0 and t <= 1, with x and t
+    free.  A point with t > 0 scales to one with t = 1, so the maximum is 1
+    exactly when the system is feasible, and x is then a witness; otherwise
+    it is 0.
     """
     constraints = [h if isinstance(h, HalfSpace) else HalfSpace(Vec(h[0]), h[1]) for h in constraints]
     eqs = [(Vec(c), rational(d)) for c, d in equalities]
@@ -358,45 +369,51 @@ def lp_feasible(constraints, equalities=()) -> tuple:
     if len(dims) != 1:
         raise ValueError("constraints of mixed dimensions: %s" % sorted(dims))
     dim = dims.pop()
-    res = linprog.solve_lp(
-        [ZERO] * dim,
-        leq=[(h.a, h.b) for h in constraints],
-        eq=eqs,
-    )
-    if res.status == linprog.INFEASIBLE:
+    rows = [(tuple(h.a) + (-h.b,), ZERO) for h in constraints]
+    for c, d in eqs:
+        rows += [(tuple(c) + (-d,), ZERO), (tuple(-v for v in c) + (d,), ZERO)]
+    rows.append(((ZERO,) * dim + (ONE,), ONE))
+    res = linprog.solve_lp((ZERO,) * dim + (ONE,), leq=rows)
+    if res.value != ONE:
         return False, None
-    return True, Vec(res.point)
+    return True, Vec(res.point[:dim])
 
 
-def _in_hull(coords, t):
-    """Exact membership of point t in the hull of the other points, via an LP
-    over barycentric weights (nonnegative, summing to one).  coords[i] is
-    coordinate i of every point, cleared once (ints, q); the test takes it
-    without column t and with column t's entry as the right-hand side.  That
-    is the row a cold clear of (others' coordinates i, point t's coordinate
-    i) would give, since both clear the same numbers, so the LP is the cold
-    solve's (see the linprog module docstring)."""
-    k = len(coords[0][0]) - 1
-    if not k:
+def _in_hull(ints, t):
+    """Exact membership of point ints[t] in the hull of the other points, all
+    given as integer numerators over one denominator, by an LP that starts
+    feasible at the origin.  Point t is a convex combination of the others
+    exactly when the barycentric system Mw = c, w >= 0 has a solution, M
+    holding the others' coordinates as columns over a row of ones and c
+    being t's coordinates and a 1.  Each row is signed so that its c_i >= 0
+    and divided by the gcd of its entries, which keeps the pivots' integers
+    small; then max 1.Mw subject to Mw <= c and w >= 0 equals 1.c exactly
+    when some w attains Mw = c."""
+    others = ints[:t] + ints[t + 1:]
+    if not others:
         return False
-    eqs = [(ints[:t] + ints[t + 1:] + (ints[t],), q) for ints, q in coords]
-    eqs.append(((1,) * (k + 1), 1))
-    res = linprog.solve_lp([ZERO] * k, eq=ClearedRows(eqs), nonneg=True)
-    return res.status != linprog.INFEASIBLE
+    rows = []
+    for coeffs, c in chain(zip(zip(*others), ints[t]), [((1,) * len(others), 1)]):
+        sign = -1 if c < 0 else 1
+        rows.append((_reduced([sign * v for v in coeffs] + [sign * c]), 1))
+    objective = [sum(col) for col in zip(*(r[:-1] for r, _ in rows))]
+    res = linprog.solve_lp(objective, leq=ClearedRows(rows), nonneg=True)
+    return res.value == sum(r[-1] for r, _ in rows)
 
 
 def extreme_points(points) -> VPolytope:
     """Keep exactly the points that are not convex combinations of the rest.
 
-    Exact duplicates are collapsed first.  Tests are independent: removing a
-    non-extreme point never changes the hull, so no iteration is needed.
-    The points are cleared once over one denominator, and their Gram matrix
-    is taken in integers by numeric._row_values, one row per point.  A point
-    p with p.p > p.q for every other point q is the unique maximizer of
-    x -> p.x over the set, so it is kept without an LP.  Every family II
-    generator passes this test; a family VII generator (+-1, +-1/3 e_j)
-    fails it once its weight reaches 17/18, as the default weights do from
-    n = 3 on.  A point that fails it gets the hull LP of _in_hull.
+    The points are cleared once over one denominator, and exact duplicates
+    are collapsed on those integer keys, whose lexicographic order is the
+    points' own.  Tests are independent: removing a non-extreme point never
+    changes the hull, so no iteration is needed.  The Gram matrix is taken
+    in integers by numeric._row_values, one row per point.  A point p with
+    p.p > p.q for every other point q is the unique maximizer of x -> p.x
+    over the set, so it is kept without an LP.  Every family II generator
+    passes this test; a family VII generator (+-1, +-1/3 e_j) fails it once
+    its weight reaches 17/18, as the default weights do from n = 3 on.  A
+    point that fails it gets the hull LP of _in_hull on the same keys.
     """
     pts = [p if isinstance(p, Vec) else Vec(p) for p in points]
     if not pts:
@@ -405,19 +422,15 @@ def extreme_points(points) -> VPolytope:
     if len(dims) != 1:
         raise ValueError("points of mixed dimensions: %s" % sorted(dims))
     dim = dims.pop()
-    uniq = sorted(set(pts))
-    flat, _ = clear_denominators([c for p in uniq for c in p])
-    ints = [flat[k:k + dim] for k in range(0, len(flat), dim)]
+    flat, _ = clear_denominators([c for p in pts for c in p])
+    first = {}
+    for k, p in zip(range(0, len(flat), dim), pts):
+        first.setdefault(flat[k:k + dim], p)
+    ints = sorted(first)
     gram = _row_values(ints, zip(*ints), len(ints))
-    coords = None
     keep = []
     for t, dots in enumerate(gram):
         own = dots[t]
-        if all(v < own for k, v in enumerate(dots) if k != t):
-            keep.append(uniq[t])
-            continue
-        if coords is None:
-            coords = [clear_denominators([p[i] for p in uniq]) for i in range(dim)]
-        if not _in_hull(coords, t):
-            keep.append(uniq[t])
-    return VPolytope(tuple(keep), dim)
+        if (own == max(dots) and dots.count(own) == 1) or not _in_hull(ints, t):
+            keep.append(first[ints[t]])
+    return _distinct_vpolytope(tuple(keep), dim)

@@ -190,19 +190,10 @@ def _probe(g, ball_rows, support, dim):
     by the LP over the support's columns alone: the ball's rows restricted to
     them, each with its full row's q.  That q is a positive multiple of the
     restricted row's own, which changes no pivot (see the linprog module
-    docstring), so the rows are not cleared again.  Every right-hand side is
-    positive, so there is no phase one.
-
-    The point is the one the full-width LP (the ball's rows plus the x_j = 0
-    equality rows off support) returns, padded with zeros.  In that LP's
-    phase one, Bland's rule enters x+_j for the first j off support, and its
-    x_j = 0 row, with ratio 0, leaves; the pivot is 1, so it zeroes x+-_j in
-    every ball row and leaves the support columns, the slacks and the
-    right-hand sides as they were.  So phase one ends on the support LP's
-    tableau, with x+_j basic at 0 for each j off support, and x+-_j then
-    keep reduced cost 0, so they never enter.  Phase two is Bland's rule on
-    the same support-column tableau, with the columns and the slack basis in
-    the same relative order, and ends at the same point."""
+    docstring), so the rows are not cleared again.  The point is the one the
+    full-width LP with the rows x_j <= 0 and -x_j <= 0 off support gives,
+    padded with zeros, as test_probe_value_on_the_support_columns_equals_the_cold_lp
+    checks on every support."""
     point = [ZERO] * dim
     if not support:
         return ZERO, Vec(point)
@@ -285,27 +276,24 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
 def diameter_profile(space: PolyhedralNormSpace, f, alphas) -> list:
     """Exact diameters of nested slices along f, one per alpha.
 
-    alphas must be positive and strictly decreasing; the returned diameters
-    are nonincreasing because the slices shrink.
+    alphas must be positive, as each SliceSpec checks before any diameter is
+    taken, and strictly decreasing; the returned diameters are nonincreasing
+    because the slices shrink.
     """
-    f = f if isinstance(f, Vec) else Vec(f)
-    alphas = [rational(a) for a in alphas]
-    if not alphas:
+    specs = [SliceSpec(f, a) for a in alphas]
+    if not specs:
         raise ValueError("need at least one alpha")
-    for a in alphas:
-        if a <= 0:
-            raise ValueError("alpha must be positive")
-    for prev, cur in zip(alphas, alphas[1:]):
-        if cur >= prev:
+    for prev, cur in zip(specs, specs[1:]):
+        if cur.alpha >= prev.alpha:
             raise ValueError("alphas must be strictly decreasing")
     out = []
     previous = None
-    for a in alphas:
-        result = diameter(make_slice(space, SliceSpec(f, a)), space)
+    for spec in specs:
+        result = diameter(make_slice(space, spec), space)
         if previous is not None and result.value > previous:
             raise RuntimeError("slice diameters failed to shrink with alpha")
         previous = result.value
-        out.append((a, result))
+        out.append((spec.alpha, result))
     return out
 
 

@@ -295,9 +295,10 @@ def cold_certificate(space, g, alpha, r):
     fallback = None
     for size in range(d + 1):
         for support in combinations(range(d), size):
-            eqs = [(tuple(Fraction(int(i == j)) for i in range(d)), Fraction(0))
-                   for j in range(d) if j not in support]
-            res = solve_lp(g, leq=rows, eq=eqs)
+            # x_j = 0 off the support, as the two rows x_j <= 0 and -x_j <= 0.
+            zero = [(tuple(Fraction(sign * (i == j)) for i in range(d)), Fraction(0))
+                    for j in range(d) if j not in support for sign in (1, -1)]
+            res = solve_lp(g, leq=rows + zero)
             if res.value < s - alpha:
                 continue
             x = tuple(res.point)

@@ -113,6 +113,18 @@ def test_lp_feasible_examples():
     assert not ok
     ok, witness = lp_feasible([HalfSpace(Vec([1]), ONE)], [(Vec([1]), ONE)])
     assert ok and witness == Vec([1])
+    # Unbounded but feasible: {x1 <= 1} in R^2.
+    cons = [HalfSpace(Vec([1, 0]), ONE)]
+    ok, witness = lp_feasible(cons)
+    assert ok and all(h.a.dot(witness) <= h.b for h in cons)
+    # Infeasible with a recession direction: x1 <= -1 and -x1 <= 0, x2 free.
+    ok, witness = lp_feasible([HalfSpace(Vec([1, 0]), -ONE), HalfSpace(Vec([-1, 0]), ZERO)])
+    assert not ok and witness is None
+    # Equalities only: x1 + x2 = 3, x1 - x2 = -1/2.
+    eqs = [(Vec([1, 1]), Scalar(3)), (Vec([1, -1]), rational("-1/2"))]
+    ok, witness = lp_feasible([], eqs)
+    assert ok and all(c.dot(witness) == d for c, d in eqs)
+    assert witness == Vec([rational("5/4"), rational("7/4")])
 
 
 def test_lp_feasible_barycentric_system():
@@ -558,3 +570,25 @@ def test_extreme_points_drop_a_non_extreme_point_by_the_hull_lp(monkeypatch):
     pts = [Vec([0, 0]), Vec([1, "1/2"]), Vec([2, 1]), Vec([2, -1])]
     assert extreme_points(pts).vertices == (Vec([0, 0]), Vec([2, -1]), Vec([2, 1]))
     assert len(calls) == 2  # (0, 0) and (1, 1/2)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_extreme_points_keep_every_family_VII_generator_by_hull_lps(monkeypatch, N):
+    """At the default weights the generators (+-1, +-1/3 e_j) fail the
+    pre-test from n = 3 on; each of the 4(N - 2) gets a hull LP, and every
+    one of the 10(N - 1) generators is kept."""
+    calls = counting_lps(monkeypatch)
+    gens = make_space_VII(N).generators
+    assert len(gens) == 10 * (N - 1)
+    assert extreme_points(gens).vertices == tuple(sorted(gens))
+    assert len(calls) == 4 * (N - 2)
+
+
+def test_extreme_points_drop_the_family_VII_generators_inside_the_hull():
+    """At weight 1 the four points (+-1, +-1/3, 0) are convex combinations
+    of the other generators, and only the hull LP finds it."""
+    gens = make_space_VII(3, ["1", "17/18"]).generators
+    third = rational("1/3")
+    inside = {Vec([a, b * third, 0]) for a in (1, -1) for b in (1, -1)}
+    assert inside <= set(gens) and len(gens) == 20
+    assert extreme_points(gens).vertices == tuple(sorted(set(gens) - inside))

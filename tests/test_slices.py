@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from polyslice import slices
-from polyslice.linprog import solve_lp
+from polyslice.linprog import ClearedRows, clear_rows, solve_lp
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, vertices
 from polyslice.slices import (
@@ -448,13 +448,15 @@ def test_certificate_matches_the_cold_probe_loop():
 @pytest.mark.parametrize("space", [make_space_II(N, r) for N in (1, 2, 3, 4) for r in (R10, "3/7")]
                          + [make_space_VII(2), make_space_VII(3), make_space_VII(4), HEXAGON, SKEW])
 def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
-    """The support-column LP gives the full LP's value and its Bland point,
-    zero off the support (the argument is in _probe's docstring)."""
+    """The support-column LP gives the full-width LP's value and its Bland
+    point, zero off the support, where the full LP writes x_j = 0 off the
+    support as the two rows x_j <= 0 and -x_j <= 0."""
     d = space.dim
     rows = unit_ball(space)._int_rows
     gs = [Vec.unit(d, 0), Vec.unit(d, d - 1), Vec([Fraction(j % 3 - 1, j + 1) for j in range(d)])]
     for g in gs:
         for support in _probe_subsets(d):
-            eqs = [(Vec.unit(d, j), ZERO) for j in range(d) if j not in support]
-            cold = solve_lp(g, leq=rows, eq=eqs)
+            zero = clear_rows((Vec.unit(d, j) * sign, ZERO)
+                              for j in range(d) if j not in support for sign in (1, -1))
+            cold = solve_lp(g, leq=ClearedRows(rows + zero))
             assert _probe(g, rows, support, d) == (cold.value, Vec(cold.point))
