@@ -169,7 +169,7 @@ def _basis(rows, dim):
     rank below dim; the pivot columns are then a column basis of them.  The
     elimination is numeric._echelon, the kernel of rank and nullspace, run
     on the homogenized rows with the row of t >= 0 first."""
-    homogenized = chain([(0,) * dim + (-1,)], (_homogenized(ints) for ints, _ in rows))
+    homogenized = chain([(0,) * dim + (-1,)], map(_homogenized, rows))
     found = _echelon(homogenized, dim + 1)[1:]
     return [k - 1 for k, _, _ in found], sorted(pc for _, pc, _ in found)
 
@@ -181,7 +181,7 @@ def _start(rows, picked, dim):
     for each column j of B, a row d_j (e_j | N_j) with N_j = d_j (B^-1)_j, so
     ray k is -N_j[k] / d_j over j, scaled by lcm |d_j| to integers."""
     n = dim + 1
-    basis = [(0,) * dim + (-1,)] + [_homogenized(rows[i][0]) for i in picked]
+    basis = [(0,) * dim + (-1,)] + [_homogenized(rows[i]) for i in picked]
     bits = [1] + [2 << i for i in picked]
     aug = [row + tuple(int(k == i) for k in range(n)) for i, row in enumerate(basis)]
     inverse = sorted((pc, row[pc], row[n:]) for _, pc, row in _echelon(aug, n))
@@ -191,15 +191,14 @@ def _start(rows, picked, dim):
     return rays, [done ^ bit for bit in bits]
 
 
-def _cut(rays, masks, row, bit, dim):
+def _cut(rays, masks, ints, bit, dim):
     """One double-description step: the extreme rays of the cone (rays,
-    masks) cut by c.x <= b.t for the integer row (ints, q), ints = (c..., b),
-    whose zero sets take bit.  Rays on the feasible side stay; each adjacent
+    masks) cut by c.x <= b.t for the integer row ints = (c..., b), whose
+    zero sets take bit.  Rays on the feasible side stay; each adjacent
     pair of a violating ray p and a feasible ray q gives the ray
     v_p r_q - v_q r_p on the new hyperplane.  Adjacency is combinatorial:
     the zero sets of p and q share at least dim - 1 rows, and no third ray's
     zero set contains that intersection."""
-    ints = row[0]
     rhs = ints[dim]
     sparse = [(j, c) for j, c in enumerate(ints[:dim]) if c]
     vals = []
@@ -234,9 +233,9 @@ def _cut(rays, masks, row, bit, dim):
 
 def _cone(rows, dim):
     """Extreme rays and zero-set masks of {(x, t) : c.x <= b.t, t >= 0} for
-    the integer rows (ints, q), ints = (c..., b): DD from a basis, then every
-    other row in order.  None when the normals have rank below dim and the
-    cone is not pointed."""
+    the integer rows (c..., b): DD from a basis, then every other row in
+    order.  None when the normals have rank below dim and the cone is not
+    pointed."""
     picked, _ = _basis(rows, dim)
     if len(picked) < dim:
         return None
@@ -269,7 +268,7 @@ def _enumeration(poly: HPolytope) -> _Enumeration:
             # its restriction to a column basis of the normals is, and that
             # system's cone is pointed.
             pivots = _basis(rows, dim)[1]
-            sub = [(tuple(ints[j] for j in pivots) + (ints[-1],), q) for ints, q in rows]
+            sub = [tuple(ints[j] for j in pivots) + (ints[-1],) for ints in rows]
             if any(r[-1] > 0 for r in _cone(sub, len(pivots))[0]):
                 raise UnboundedError("normals span less than dimension %d" % dim)
             raise DegenerateError("halfspace system is infeasible")
@@ -334,7 +333,7 @@ def contains(poly: HPolytope, x) -> bool:
     if len(x) != poly.dim:
         raise ValueError("point of length %d in dimension %d" % (len(x), poly.dim))
     p, q = clear_denominators(x)
-    return all(sum(c * v for c, v in zip(ints, p)) <= ints[-1] * q for ints, _ in poly._int_rows)
+    return all(sum(c * v for c, v in zip(ints, p)) <= ints[-1] * q for ints in poly._int_rows)
 
 
 def support(vpoly: VPolytope, f) -> tuple:
@@ -395,10 +394,10 @@ def _in_hull(ints, t):
     rows = []
     for coeffs, c in chain(zip(zip(*others), ints[t]), [((1,) * len(others), 1)]):
         sign = -1 if c < 0 else 1
-        rows.append((_reduced([sign * v for v in coeffs] + [sign * c]), 1))
-    objective = [sum(col) for col in zip(*(r[:-1] for r, _ in rows))]
+        rows.append(_reduced([sign * v for v in coeffs] + [sign * c]))
+    objective = [sum(col) for col in zip(*(r[:-1] for r in rows))]
     res = linprog.solve_lp(objective, leq=ClearedRows(rows), nonneg=True)
-    return res.value == sum(r[-1] for r, _ in rows)
+    return res.value == sum(r[-1] for r in rows)
 
 
 def extreme_points(points) -> VPolytope:

@@ -185,19 +185,23 @@ def _probe_subsets(dim):
         yield from itertools.combinations(range(dim), size)
 
 
-def _probe(g, ball_rows, support, dim):
+def _probe(g, ball_cols, support, dim):
     """(max g.x, its Bland maximizer) over the ball with x_j = 0 off support,
-    by the LP over the support's columns alone: the ball's rows restricted to
-    them, each with its full row's q.  That q is a positive multiple of the
-    restricted row's own, which changes no pivot (see the linprog module
-    docstring), so the rows are not cleared again.  The point is the one the
-    full-width LP with the rows x_j <= 0 and -x_j <= 0 off support gives,
-    padded with zeros, as test_probe_value_on_the_support_columns_equals_the_cold_lp
-    checks on every support."""
+    by the LP over the support's columns alone.  ball_cols holds the ball's
+    integer rows transposed, one tuple per coordinate and the right-hand
+    sides last, so the restricted rows are the support's columns zipped with
+    the right-hand sides.  A restricted row is a positive multiple of the
+    rational row it restricts, which changes no pivot (see the linprog
+    module docstring), so the rows are not cleared again; the many zero and
+    repeated rows a small support leaves are dropped inside solve_lp.  The
+    point is the one the full-width LP with the rows x_j <= 0 and -x_j <= 0
+    off support gives, padded with zeros, as
+    test_probe_value_on_the_support_columns_equals_the_cold_lp checks on
+    every support."""
     point = [ZERO] * dim
     if not support:
         return ZERO, Vec(point)
-    rows = ClearedRows((tuple(ints[j] for j in support) + (ints[-1],), q) for ints, q in ball_rows)
+    rows = ClearedRows(zip(*[ball_cols[j] for j in support], ball_cols[-1]))
     res = solve_lp([g[j] for j in support], leq=rows)
     for j, c in zip(support, res.point):
         point[j] = c
@@ -220,8 +224,10 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
 
     Each probe is one LP, over the support's columns alone (_probe), which
     gives both the value and the point x that the full LP with x_j = 0 rows
-    off the support would give.  The ball's rows and the dual vertices are
-    cleared once per call, and A is found in integers.
+    off the support would give.  The ball's integer rows are transposed
+    once per call, and each probe restricts them by taking the support's
+    columns; the dual vertices are cleared once per call, and A is found in
+    integers.
     """
     spec = SliceSpec(g, alpha)
     g, alpha = spec.f, spec.alpha
@@ -231,7 +237,7 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     s = support_value(space, g)
     slice_poly = make_slice(space, spec, s)
     threshold = s - alpha
-    ball_rows = unit_ball(space)._int_rows
+    ball_cols = tuple(zip(*unit_ball(space)._int_rows))
     duals = dual_ball_vertices(space).vertices
     d = space.dim
     dflat, dden = clear_denominators([c for phi in duals for c in phi])
@@ -239,7 +245,7 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     one_minus_r = ONE - r
     fallback = None
     for allowed in _probe_subsets(d):
-        value, x = _probe(g, ball_rows, allowed, d)
+        value, x = _probe(g, ball_cols, allowed, d)
         if value < threshold:
             continue
         # phi.x > r for phi = c / dden and x = px / qx, in integers.

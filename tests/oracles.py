@@ -2,9 +2,10 @@
 
 Everything in this module is deliberately naive and self-contained:
 fractions.Fraction arithmetic, itertools.combinations subset enumeration,
-quadratic vertex-pair diameter, Caratheodory-style hull membership.  Nothing
-here imports the production package, so agreement between the two code paths
-is a meaningful check.  Run as a script to print the pinned constants.
+quadratic vertex-pair diameter, Caratheodory-style hull membership, and a
+Fraction simplex tableau with Bland's rules (lp_max).  Nothing here imports
+the production package, so agreement between the two code paths is a
+meaningful check.  Run as a script to print the pinned constants.
 
 The one exception is cold_certificate, the lower-bound certificate search
 as it was before its probes got a value-only LP: it solves every probe as
@@ -138,6 +139,78 @@ def point_in_hull(p, points):
 def extreme_filter(points):
     pts = sorted(set(tuple(p) for p in points))
     return [p for p in pts if not point_in_hull(p, [q for q in pts if q != p])]
+
+
+def lp_max(objective, rows, nonneg=False):
+    """Maximize objective.x subject to a.x <= b for (a, b) in rows, every
+    b >= 0, by a plain Fraction tableau from the slack basis.  Free
+    variables are split into nonnegative pairs (x+ first, then x-).  Bland's
+    rules: the smallest entering index with positive reduced cost, and ratio
+    ties go to the row with the smallest basic index.  No scaling, no row
+    pruning.  Returns ("optimal", point, value) or ("unbounded", None,
+    None)."""
+    cost = [Fraction(c) for c in objective]
+    n = len(cost)
+    nvar = n if nonneg else 2 * n
+    m = len(rows)
+    width = nvar + m
+    tab = []
+    for k, (a, b) in enumerate(rows):
+        a = [Fraction(c) for c in a]
+        assert len(a) == n and Fraction(b) >= 0
+        row = a if nonneg else a + [-c for c in a]
+        tab.append(row + [Fraction(int(i == k)) for i in range(m)] + [Fraction(b)])
+    z = (cost if nonneg else cost + [-c for c in cost]) + [Fraction(0)] * (m + 1)
+    basis = list(range(nvar, width))
+    while True:
+        enter = next((j for j in range(width) if z[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            return "unbounded", None, None
+        prow = [v / tab[leave][enter] for v in tab[leave]]
+        tab[leave] = prow
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [u - f * v for u, v in zip(tab[i], prow)]
+        f = z[enter]
+        z = [u - f * v for u, v in zip(z, prow)]
+        basis[leave] = enter
+    x = [Fraction(0)] * nvar
+    for i, b in enumerate(basis):
+        if b < nvar:
+            x[b] = tab[i][-1]
+    if not nonneg:
+        x = [u - v for u, v in zip(x[:n], x[n:])]
+    return "optimal", tuple(x), dot(cost, x)
+
+
+def lp_in_hull(p, points):
+    """Hull membership by one lp_max: each barycentric row (coordinate i of
+    every point, = p_i; and all ones, = 1) is signed so that its right-hand
+    side c_i >= 0, and p is in the hull exactly when max 1.Mw subject to
+    Mw <= c, w >= 0 equals 1.c."""
+    if not points:
+        return False
+    rows = []
+    for coeffs, c in zip(list(zip(*points)) + [(1,) * len(points)], list(p) + [1]):
+        sign = -1 if c < 0 else 1
+        rows.append(([sign * Fraction(v) for v in coeffs], sign * Fraction(c)))
+    objective = [sum(col) for col in zip(*(a for a, _ in rows))]
+    return lp_max(objective, rows, nonneg=True)[2] == sum(c for _, c in rows)
+
+
+def lp_extreme_filter(points):
+    """extreme_filter with lp_in_hull in place of the Caratheodory walk."""
+    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    return [p for p in pts if not lp_in_hull(p, [q for q in pts if q != p])]
 
 
 def norm_eval(gens, x):

@@ -3,9 +3,10 @@
 bench/reference.json pins the bytes of every benchmark case per seed; these
 tests run the seed-0 cases of each workload in-process, so a change to vertex
 enumeration, LPs, diameters or norm evaluation that moves a single byte fails
-here and not only in a benchmark run.  lp-certify is also run on seeds 1-9:
+here and not only in a benchmark run.  lp-certify is also run on seeds 1-19:
 its certificate point x is a degenerate LP optimum that depends on every
-Bland choice, and ten seeds give 60 certificates.  norm-sandwich is also
+Bland choice and on the shape of every probe tableau, and twenty seeds give
+120 certificates.  norm-sandwich is also
 run on seeds 1-4, which pin the integer sandwich trials' failure counts and
 worst ratios on 72 more rows.  family2-slices and family7-shrink are also
 run on seeds 1-4, whose epsilons and family VII weights differ from seed
@@ -59,7 +60,7 @@ def test_enumeration_outputs_match_reference_digests_on_more_seeds(monkeypatch, 
     check_seed(monkeypatch, workload, seed)
 
 
-@pytest.mark.parametrize("seed", range(1, 10))
+@pytest.mark.parametrize("seed", range(1, 20))
 def test_lp_certify_outputs_match_reference_digests_on_more_seeds(monkeypatch, seed):
     check_seed(monkeypatch, "lp-certify", seed)
 

@@ -1,9 +1,12 @@
-"""Exact LP solver: pinned degenerate runs, edge cases, and a floating-point oracle."""
+"""Exact LP solver: pinned degenerate runs, edge cases, a Fraction-tableau oracle and a
+floating-point one."""
 
 import random
 
 import pytest
 
+import oracles
+from polyslice import linprog
 from polyslice.linprog import OPTIMAL, UNBOUNDED, ClearedRows, clear_rows, solve_lp
 from polyslice.numeric import Scalar, rational
 
@@ -30,6 +33,18 @@ PINNED = [
     ("unbounded", [1, 1], [([1, -1], 1)], {}, UNBOUNDED, None, None),
     ("bounded_nonneg_min", [1, -1], [([1, -1], 0)], {"nonneg": True},
      OPTIMAL, ("0", "0"), "0"),
+    # Row 2 repeats row 0 across a row that ties with it at ratio 0.  The
+    # witness is oracles.lp_max's on all four rows; dropping row 0 instead
+    # of its repeat moves it to (6/7, -3/7, 4/7).
+    ("repeat_across_a_tie", ["3/2", 1, 2],
+     [([3, 2, -3], 0), (["3/2", -1, -3], 0), ([3, 2, -3], 0), (["3/2", 1, 2], 2)], {},
+     OPTIMAL, ("4/7", "0", "4/7"), "2"),
+    # Two pivots in, a column left of another with a positive reduced cost
+    # holds the larger variable index; entering by column instead of by
+    # variable index moves the witness to (0, 3, 0).
+    ("enter_by_variable_index", [1, 1, -1],
+     [([2, 1, -1], 3), (["1/2", "-1/2", 1], 0), (["3/2", "-3/2", "-3/2"], 0)], {"nonneg": True},
+     OPTIMAL, ("0", "6", "3"), "3"),
 ]
 
 
@@ -85,12 +100,12 @@ def outcome(res):
 
 
 def rescaled(rows, rng):
-    """The rows cleared, then each scaled by a further positive integer, as
-    a row cleared over more numbers than its own would be."""
+    """The rows cleared, then each integer row scaled by a further positive
+    integer, as a row cleared over more numbers than its own would be."""
     out = []
-    for ints, q in clear_rows(rows):
+    for ints in clear_rows(rows):
         k = rng.randint(2, 7)
-        out.append((tuple(k * c for c in ints), k * q))
+        out.append(tuple(k * c for c in ints))
     return ClearedRows(out)
 
 
@@ -153,6 +168,54 @@ def test_random_lps_are_unchanged_on_cleared_rows():
                 options = {"nonneg": nonneg}
                 seen.add(assert_same_on_cleared_rows(cost, leq, options, rng)[0])
     assert seen == {OPTIMAL, UNBOUNDED}
+
+
+def spliced(leq, dim, rng):
+    """leq with all-zero rows (b >= 0) and repeats of earlier rows inserted
+    at seeded positions."""
+    rows = list(leq)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randint(0, len(rows))
+        if at and rng.random() < 0.6:
+            rows.insert(at, rng.choice(rows[:at]))
+        else:
+            rows.insert(at, ([Scalar(0)] * dim, rng.choice([Scalar(0), Scalar(rng.randint(1, 5), 3)])))
+    return rows
+
+
+def test_agrees_with_the_fraction_oracle_with_zero_and_repeated_rows():
+    """solve_lp drops zero rows and repeats before its tableau; the plain
+    Fraction tableau of oracles.lp_max keeps every row.  Status, point and
+    value agree on every random LP, free and nonneg, with such rows spliced
+    in, and equal solve_lp's on the LP without them."""
+    rng = random.Random(SEED)
+    splice = random.Random(SEED + 2)
+    seen = set()
+    pruned = 0
+    for _ in range(300):
+        objective, leq, _ = _random_lp(rng)
+        rows = spliced(leq, len(objective), splice)
+        pruned += len(rows) - len(leq)
+        for nonneg in (False, True):
+            got = outcome(solve_lp(objective, leq=rows, nonneg=nonneg))
+            assert got == oracles.lp_max(objective, rows, nonneg=nonneg), (objective, rows, nonneg)
+            assert got == outcome(solve_lp(objective, leq=leq, nonneg=nonneg))
+            seen.add(got[0])
+    assert seen == {OPTIMAL, UNBOUNDED}
+    assert pruned > 300
+
+
+def test_zero_and_repeated_rows_never_reach_the_tableau(monkeypatch):
+    """The tableau holds one row per distinct nonzero row, plus the
+    objective row: zero rows, with b = 0 and with b > 0, and repeats are
+    dropped, and a positive multiple of a row is kept."""
+    sizes = []
+    pivot = linprog._pivot
+    monkeypatch.setattr(linprog, "_pivot", lambda t, *a: sizes.append(len(t)) or pivot(t, *a))
+    leq = [([1, 0], 1), ([0, 0], 0), ([1, 0], 1), ([0, 0], 2), ([2, 0], 2), ([0, 1], 1), ([1, 0], 1)]
+    res = solve_lp([1, 1], leq=leq, nonneg=True)
+    assert (res.point, res.value) == ((1, 1), 2)
+    assert sizes and set(sizes) == {4}
 
 
 def test_agrees_with_scipy_on_random_lps():

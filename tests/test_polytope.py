@@ -592,3 +592,14 @@ def test_extreme_points_drop_the_family_VII_generators_inside_the_hull():
     inside = {Vec([a, b * third, 0]) for a in (1, -1) for b in (1, -1)}
     assert inside <= set(gens) and len(gens) == 20
     assert extreme_points(gens).vertices == tuple(sorted(set(gens) - inside))
+
+
+@pytest.mark.parametrize("args", [(3,), (4,), (3, ["1", "17/18"])], ids=["VII3", "VII4", "VII3-weight1"])
+def test_extreme_points_of_family_VII_match_the_lp_hull_oracle(args):
+    """oracles.lp_extreme_filter tests each point by one Fraction-tableau LP
+    (oracles.lp_max), fast enough past the N = 3 that the Caratheodory walk
+    of extreme_filter can reach."""
+    gens = make_space_VII(*args).generators
+    expected = oracles.lp_extreme_filter(gens)
+    assert len(expected) == (16 if len(args) == 2 else len(gens))
+    assert [tuple(as_fraction(c) for c in v) for v in extreme_points(gens).vertices] == expected

@@ -450,13 +450,19 @@ def test_certificate_matches_the_cold_probe_loop():
 def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
     """The support-column LP gives the full-width LP's value and its Bland
     point, zero off the support, where the full LP writes x_j = 0 off the
-    support as the two rows x_j <= 0 and -x_j <= 0."""
+    support as the two rows x_j <= 0 and -x_j <= 0.  The full LP is solved
+    both by solve_lp and by the Fraction tableau of oracles.lp_max, which
+    keeps every row."""
     d = space.dim
-    rows = unit_ball(space)._int_rows
+    ball = unit_ball(space)
+    rows = ball._int_rows
+    cols = tuple(zip(*rows))
     gs = [Vec.unit(d, 0), Vec.unit(d, d - 1), Vec([Fraction(j % 3 - 1, j + 1) for j in range(d)])]
     for g in gs:
         for support in _probe_subsets(d):
-            zero = clear_rows((Vec.unit(d, j) * sign, ZERO)
-                              for j in range(d) if j not in support for sign in (1, -1))
-            cold = solve_lp(g, leq=ClearedRows(rows + zero))
-            assert _probe(g, rows, support, d) == (cold.value, Vec(cold.point))
+            zero = [(Vec.unit(d, j) * sign, ZERO) for j in range(d) if j not in support for sign in (1, -1)]
+            cold = solve_lp(g, leq=ClearedRows(rows + clear_rows(zero)))
+            got = _probe(g, cols, support, d)
+            assert got == (cold.value, Vec(cold.point))
+            full = [(h.a, h.b) for h in ball.halfspaces] + zero
+            assert oracles.lp_max(g, full) == ("optimal", tuple(got[1]), got[0])
