@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
@@ -56,6 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
@@ -90,7 +97,7 @@ def _check_output_path(path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)

@@ -173,7 +173,7 @@ class Vec(tuple):
         return sum((a * b for a, b in zip(self, other)), ZERO)
 
     def is_zero(self):
-        return all(c == 0 for c in self)
+        return not any(self)
 
     def __repr__(self):
         return "Vec(%s)" % (", ".join(str(c) for c in self),)
@@ -261,8 +261,13 @@ def nullspace_basis(a) -> list:
     rows, width = _rows(a)
     if not rows:
         raise ValueError("a rowless matrix has no width")
-    found = _echelon((clear_denominators(r)[0] for r in rows), width)
-    pivots = {pc: row for _, pc, row in found}
+    return _int_nullspace((clear_denominators(r)[0] for r in rows), width)
+
+
+def _int_nullspace(rows, width) -> list:
+    """nullspace_basis of integer rows; _echelon divides each row by its
+    gcd, so any positive scale of the rational rows gives their basis."""
+    pivots = {pc: row for _, pc, row in _echelon(rows, width)}
     basis = []
     for free in range(width):
         if free in pivots:

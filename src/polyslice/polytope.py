@@ -96,12 +96,13 @@ class HPolytope:
     vertices() first asks for it.  HPolytope(rows, dim, _base=base) is base
     cut by rows: its halfspaces are base's followed by rows, it clears only
     rows and reuses base's integer rows, and enumeration continues from
-    base's rays.
+    base's rays.  _rows, ClearedRows in halfspace order, are kept instead of
+    being cleared again (spaces.unit_ball passes them).
     """
 
     __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_int_rows")
 
-    def __init__(self, halfspaces, dim, _base=None):
+    def __init__(self, halfspaces, dim, _base=None, _rows=None):
         halfspaces = tuple(
             h if isinstance(h, HalfSpace) else HalfSpace(Vec(h[0]), h[1]) for h in halfspaces
         )
@@ -110,7 +111,7 @@ class HPolytope:
         for h in halfspaces:
             if len(h.a) != dim:
                 raise ValueError("normal of length %d in dimension %d" % (len(h.a), dim))
-        rows = clear_rows((h.a, h.b) for h in halfspaces)
+        rows = _rows if _rows is not None else clear_rows((h.a, h.b) for h in halfspaces)
         if _base is not None:
             halfspaces = _base.halfspaces + halfspaces
             rows = ClearedRows(_base._int_rows + rows)
@@ -130,7 +131,11 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Vertex-list polytope (the convex hull of the listed points)."""
+    """Vertex-list polytope (the convex hull of the listed points).
+
+    extreme_points() also keeps the integer keys: _int_keys = (keys, den),
+    vertices[i] being keys[i] / den.  It is not a field.
+    """
 
     vertices: tuple
     dim: int
@@ -403,16 +408,8 @@ def _in_hull(ints, t):
 def extreme_points(points) -> VPolytope:
     """Keep exactly the points that are not convex combinations of the rest.
 
-    The points are cleared once over one denominator, and exact duplicates
-    are collapsed on those integer keys, whose lexicographic order is the
-    points' own.  Tests are independent: removing a non-extreme point never
-    changes the hull, so no iteration is needed.  The Gram matrix is taken
-    in integers by numeric._row_values, one row per point.  A point p with
-    p.p > p.q for every other point q is the unique maximizer of x -> p.x
-    over the set, so it is kept without an LP.  Every family II generator
-    passes this test; a family VII generator (+-1, +-1/3 e_j) fails it once
-    its weight reaches 17/18, as the default weights do from n = 3 on.  A
-    point that fails it gets the hull LP of _in_hull on the same keys.
+    The points are cleared once over one denominator, exact duplicates are
+    collapsed on those integer keys, and _extreme_keys does the rest.
     """
     pts = [p if isinstance(p, Vec) else Vec(p) for p in points]
     if not pts:
@@ -421,15 +418,34 @@ def extreme_points(points) -> VPolytope:
     if len(dims) != 1:
         raise ValueError("points of mixed dimensions: %s" % sorted(dims))
     dim = dims.pop()
-    flat, _ = clear_denominators([c for p in pts for c in p])
+    flat, den = clear_denominators([c for p in pts for c in p])
     first = {}
     for k, p in zip(range(0, len(flat), dim), pts):
         first.setdefault(flat[k:k + dim], p)
+    return _extreme_keys(first, den, dim)
+
+
+def _extreme_keys(first, den, dim) -> VPolytope:
+    """extreme_points of a set given as first: distinct integer keys over
+    den, each mapped to its point.  The result is in key order, the points'
+    own order.
+
+    Tests are independent: removing a non-extreme point never changes the
+    hull, so no iteration is needed.  The Gram matrix is taken in integers
+    by numeric._row_values, one row per key.  A point p with p.p > p.q for
+    every other point q is the unique maximizer of x -> p.x over the set,
+    so it is kept without an LP.  Every family II generator passes this
+    test; a family VII generator (+-1, +-1/3 e_j) fails it once its weight
+    reaches 17/18, as the default weights do from n = 3 on.  A point that
+    fails it gets the hull LP of _in_hull on the same keys.
+    """
     ints = sorted(first)
     gram = _row_values(ints, zip(*ints), len(ints))
     keep = []
     for t, dots in enumerate(gram):
         own = dots[t]
         if (own == max(dots) and dots.count(own) == 1) or not _in_hull(ints, t):
-            keep.append(first[ints[t]])
-    return _distinct_vpolytope(tuple(keep), dim)
+            keep.append(ints[t])
+    vpoly = _distinct_vpolytope(tuple(first[k] for k in keep), dim)
+    object.__setattr__(vpoly, "_int_keys", (tuple(keep), den))
+    return vpoly

@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 
 from .linprog import OPTIMAL, ClearedRows, solve_lp
-from .numeric import (ONE, Scalar, Vec, ZERO, _row_values, clear_denominators, nullspace_basis,
+from .numeric import (ONE, Scalar, Vec, ZERO, _int_nullspace, _row_values, clear_denominators,
                       rational, rational_str)
 from .polytope import HalfSpace, HPolytope, _enumeration, contains, vertices
 from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
@@ -226,8 +226,8 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     gives both the value and the point x that the full LP with x_j = 0 rows
     off the support would give.  The ball's integer rows are transposed
     once per call, and each probe restricts them by taking the support's
-    columns; the dual vertices are cleared once per call, and A is found in
-    integers.
+    columns.  A and its kernel with g are found on the dual vertices'
+    integer keys, so no dual row is cleared here.
     """
     spec = SliceSpec(g, alpha)
     g, alpha = spec.f, spec.alpha
@@ -238,10 +238,11 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     slice_poly = make_slice(space, spec, s)
     threshold = s - alpha
     ball_cols = tuple(zip(*unit_ball(space)._int_rows))
-    duals = dual_ball_vertices(space).vertices
+    dual = dual_ball_vertices(space)
+    duals = dual.vertices
+    dual_rows, dden = dual._int_keys
+    g_row = clear_denominators(g)[0]
     d = space.dim
-    dflat, dden = clear_denominators([c for phi in duals for c in phi])
-    dual_rows = [dflat[k:k + d] for k in range(0, len(dflat), d)]
     one_minus_r = ONE - r
     fallback = None
     for allowed in _probe_subsets(d):
@@ -251,9 +252,9 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
         # phi.x > r for phi = c / dden and x = px / qx, in integers.
         px, qx = clear_denominators(x)
         level = r.numerator * dden * qx
-        active = tuple(phi for phi, c in zip(duals, dual_rows)
-                       if r.denominator * sum(map(mul, c, px)) > level)
-        for direction in nullspace_basis(active + (g,)):
+        hit = [k for k, c in enumerate(dual_rows) if r.denominator * sum(map(mul, c, px)) > level]
+        active = tuple(duals[k] for k in hit)
+        for direction in _int_nullspace([dual_rows[k] for k in hit] + [g_row], d):
             y = direction * (ONE / norm(space, direction))
             step = y * one_minus_r
             checks = (contains(slice_poly, x + step), contains(slice_poly, x - step))

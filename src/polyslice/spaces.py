@@ -10,14 +10,16 @@ A space is a finite symmetric generator set Phi spanning the dual, with
   n >= 2, the ten generators +-e_n, +-e_1 +- (1/3) e_n, +-w_n e_1 +- (1/2) e_n
   with weights w_n in (5/6, 1].
 
-A space also keeps one dense integer row per +- pair of generators, over one
-common denominator.  The set is symmetric, so the max of |phi.x| over half
-the rows is the max of phi.x over all of them, and the norm is a max of
-integer dot products with no rational built per generator.  Norms are
-evaluated row by row over a batch of integer points (_norm_ints, through
-numeric._row_values); norm is a batch of one.  The unit ball of
-a space and the extreme points of its generator set are cached per space
-value, so repeated queries share one vertex enumeration.
+A space holds its generators as integer rows over one common denominator.
+The builders make those rows in closed form, as integers; custom generators
+are cleared once.  The norm, the unit ball's rows, the dual vertices and the
+certificates of slices all reuse these rows.  The norm keeps one row per
++- pair: the set is symmetric, so the max of |phi.x| over half the rows is
+the max of phi.x over all of them, a max of integer dot products evaluated
+row by row over a batch of integer points (_norm_ints, through
+numeric._row_values); norm is a batch of one.  The unit ball of a space and
+the extreme points of its generator set are cached per space value, so
+repeated queries share one vertex enumeration.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
-from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _row_values,
+from .linprog import ClearedRows
+from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _reduced, _row_values,
                       clear_denominators, exact_int, rational, rational_str)
-from .polytope import HalfSpace, HPolytope, VPolytope, extreme_points
+from .polytope import HalfSpace, HPolytope, VPolytope, _extreme_keys
 
 __all__ = [
     "PolyhedralNormSpace",
@@ -56,14 +60,15 @@ class PolyhedralNormSpace:
     Generators must be symmetric (closed under negation) and span the dual,
     so the induced gauge is a genuine norm and the unit ball is bounded.
 
-    The generators are cleared to integers once, over one common denominator
-    den.  The duplicate, symmetry and rank checks run on those integer rows,
-    and the same clearing gives _int_rows: (rows, den), one dense integer row
-    per +- pair of generators, the pair's member that comes first in
-    generator order, as rows[k] / den.  Negating phi changes neither |phi.x|
-    nor a width max phi.v - min phi.v, so these rows serve every norm and
-    width.  _int_rows is not a field, so equality, hashing and repr ignore
-    it.
+    _gen_ints[k] / den is generators[k], over one common denominator
+    den > 0.  The builders make those integer rows directly (_from_ints);
+    this constructor clears its generators once.  The same checks (_check)
+    run on the integer rows either way, and give _int_rows: (rows, den), one
+    row per +- pair of generators, the member that comes first in generator
+    order.  Negating phi changes neither |phi.x| nor a width
+    max phi.v - min phi.v, so these rows serve every norm and width.
+    _gen_ints and _int_rows are not fields, so equality, hashing and repr
+    ignore them.
     """
 
     dim: int
@@ -74,22 +79,47 @@ class PolyhedralNormSpace:
     def __post_init__(self):
         gens = tuple(g if isinstance(g, Vec) else Vec(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
+        flat, den = clear_denominators([c for g in gens for c in g])
+        ints = []
+        k = 0
+        for g in gens:
+            ints.append(flat[k:k + len(g)])
+            k += len(g)
+        self._check(ints, den)
+
+    @classmethod
+    def _from_ints(cls, dim, ints, den, values, label, params):
+        """The space of the integer rows ints over den, sorted (over one
+        den > 0 that is the rationals' order); values maps each integer
+        entry c to the rational c / den."""
+        ints = sorted(ints)
+        space = object.__new__(cls)
+        gens = tuple(tuple.__new__(Vec, [values[c] for c in row]) for row in ints)
+        for name, value in (("dim", dim), ("generators", gens), ("label", label),
+                            ("params", params)):
+            object.__setattr__(space, name, value)
+        space._check(ints, den)
+        return space
+
+    def _check(self, ints, den):
+        """Check the generators on their integer rows ints over den and keep
+        _gen_ints and _int_rows.  The first failing check wins: dimension,
+        then each generator's length and zeroness, duplicates, symmetry,
+        rank."""
         d = self.dim
         if d < 1:
             raise ValueError("dimension must be positive")
-        for g in gens:
-            if len(g) != d:
-                raise ValueError("generator of length %d in dimension %d" % (len(g), d))
-            if g.is_zero():
+        for row in ints:
+            if len(row) != d:
+                raise ValueError("generator of length %d in dimension %d" % (len(row), d))
+            if not any(row):
                 raise ValueError("zero generator")
-        flat, den = clear_denominators([c for g in gens for c in g])
-        cleared = [flat[k:k + d] for k in range(0, len(flat), d)]
-        cleared_set = set(cleared)
-        if len(cleared_set) != len(cleared):
+        cleared_set = set(ints)
+        if len(cleared_set) != len(ints):
             raise ValueError("duplicate generators")
         rows = []
         kept = set()
-        for g, row in zip(gens, cleared):
+        for g, row in zip(self.generators, ints):
             neg = tuple(-c for c in row)
             if neg not in cleared_set:
                 raise ValueError("generator set is not symmetric: missing %r" % (-g,))
@@ -98,6 +128,7 @@ class PolyhedralNormSpace:
                 rows.append(row)
         if _int_rank(rows, d) != d:
             raise ValueError("generators do not span the dual; the gauge is not a norm")
+        object.__setattr__(self, "_gen_ints", tuple(ints))
         object.__setattr__(self, "_int_rows", (tuple(rows), den))
 
     def __hash__(self):
@@ -154,7 +185,8 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
 
     The 4N+2 generators are (0,..,0,+-(1+r)) and xi e_n +- e_beta for
     n <= N, xi in {+-1}; the induced norm is
-    max(||x||_inf + |beta|, (1+r)|beta|).
+    max(||x||_inf + |beta|, (1+r)|beta|).  The integer rows are over
+    den = r.denominator.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -162,20 +194,18 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
     if r <= 0:
         raise ValueError("r must be positive")
     d = N + 1
-    gens = []
-    for sign in (1, -1):
-        v = [ZERO] * d
-        v[N] = sign * (1 + r)
-        gens.append(Vec(v))
+    den = r.denominator
+    top = r.numerator + den
+    ints = [(0,) * N + (sign * top,) for sign in (1, -1)]
     for n in range(N):
-        for xi in (1, -1):
-            for psi in (1, -1):
-                v = [ZERO] * d
-                v[n] = Scalar(xi)
-                v[N] = Scalar(psi)
-                gens.append(Vec(v))
-    gens.sort()
-    return PolyhedralNormSpace(d, tuple(gens), "II", (("N", N), ("r", r)))
+        for xi in (den, -den):
+            for psi in (den, -den):
+                row = [0] * d
+                row[n] = xi
+                row[N] = psi
+                ints.append(tuple(row))
+    values = {0: ZERO, den: ONE, -den: -ONE, top: 1 + r, -top: -1 - r}
+    return PolyhedralNormSpace._from_ints(d, ints, den, values, "II", (("N", N), ("r", r)))
 
 
 def default_omega(N: int) -> tuple:
@@ -205,35 +235,33 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
     """Weighted three-family space on R^N (first coordinate distinguished).
 
     omega supplies the weights w_2..w_N; each must lie in (5/6, 1].  The
-    default rule is w_n = 1 - 1/(6n).  The generator count is 10(N-1).
+    default rule is w_n = 1 - 1/(6n).  The generator count is 10(N-1).  The
+    integer rows are over the least common denominator of 1/3, 1/2 and the
+    weights.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
     omega = check_omega(N, omega)
-    third = ONE / 3
-    half = ONE / 2
-    gens = []
-    for idx, n in enumerate(range(2, N + 1)):
-        w = omega[idx]
-        j = n - 1
-        for s in (1, -1):
-            v = [ZERO] * N
-            v[j] = Scalar(s)
-            gens.append(Vec(v))
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                v = [ZERO] * N
-                v[0] = Scalar(s1)
-                v[j] = s2 * third
-                gens.append(Vec(v))
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                v = [ZERO] * N
-                v[0] = s1 * w
-                v[j] = s2 * half
-                gens.append(Vec(v))
-    gens.sort()
-    return PolyhedralNormSpace(N, tuple(gens), "VII", (("N", N), ("omega", omega)))
+    den = lcm(6, *(w.denominator for w in omega))
+    values = {0: ZERO}
+    for v in (ONE, ONE / 3, ONE / 2) + omega:
+        c = v.numerator * (den // v.denominator)
+        values[c] = v
+        values[-c] = -v
+    ints = []
+    for j, w in enumerate(omega, 1):
+        w = w.numerator * (den // w.denominator)
+        for s in (den, -den):
+            ints.append(tuple(s if k == j else 0 for k in range(N)))
+        for a, b in ((den, den // 3), (w, den // 2)):
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    row = [0] * N
+                    row[0] = s1 * a
+                    row[j] = s2 * b
+                    ints.append(tuple(row))
+    return PolyhedralNormSpace._from_ints(N, ints, den, values, "VII",
+                                          (("N", N), ("omega", omega)))
 
 
 def reference_product_norm(x, split: int) -> Scalar:
@@ -253,12 +281,16 @@ _DUAL_CACHE: dict = {}
 def unit_ball(space: PolyhedralNormSpace) -> HPolytope:
     """H-polytope {x : phi.x <= 1 for every generator phi}.
 
-    The same object is returned for equal spaces, so downstream vertex
-    enumeration is shared.
+    For phi = c / den its integer row is (c..., den) over its gcd, what
+    linprog.clear_rows would give, so nothing is cleared again.  The same
+    object is returned for equal spaces, so downstream vertex enumeration is
+    shared.
     """
     cached = _BALL_CACHE.get(space)
     if cached is None:
-        cached = HPolytope([HalfSpace(g, ONE) for g in space.generators], space.dim)
+        den = space._int_rows[1]
+        rows = ClearedRows(_reduced(row + (den,)) for row in space._gen_ints)
+        cached = HPolytope([HalfSpace(g, ONE) for g in space.generators], space.dim, _rows=rows)
         _BALL_CACHE[space] = cached
     return cached
 
@@ -266,12 +298,15 @@ def unit_ball(space: PolyhedralNormSpace) -> HPolytope:
 def dual_ball_vertices(space: PolyhedralNormSpace) -> VPolytope:
     """Extreme points of the generator set (the dual unit ball's vertices).
 
-    For the built-in constructions nothing is dropped; the reduction is still
-    performed so the claim is checked rather than assumed.
+    extreme_points(space.generators), run on the space's integer rows (see
+    polytope._extreme_keys).  Family II keeps every generator, and so does
+    family VII unless a weight is 1; the reduction is always performed, so
+    the claim is checked rather than assumed.
     """
     cached = _DUAL_CACHE.get(space)
     if cached is None:
-        cached = extreme_points(space.generators)
+        cached = _extreme_keys(dict(zip(space._gen_ints, space.generators)),
+                               space._int_rows[1], space.dim)
         _DUAL_CACHE[space] = cached
     return cached
 

@@ -76,17 +76,18 @@ def test_lp_certify_seed_0_solves_69_lps_and_no_hull_lp(monkeypatch):
     one column per support coordinate, which gives both its value and its
     point, and the empty support needs none: two singletons per depth-3
     slot, and per depth-20 slot N + 1 singletons and 18 - N pairs.  The dual
-    vertices are taken cold, and every family II generator passes
-    extreme_points' pre-test, so no hull LP runs."""
+    vertices are taken cold, once per space, on the space's integer rows
+    (polytope._extreme_keys), and every family II generator passes its
+    pre-test, so no hull LP runs."""
     workloads = bench_workloads(monkeypatch)
     monkeypatch.setattr(spaces, "_DUAL_CACHE", {})
     widths = []
     hull_lps = []
     extreme_calls = []
-    solve, hull_solve, extreme = slices.solve_lp, linprog.solve_lp, spaces.extreme_points
+    solve, hull_solve, extreme = slices.solve_lp, linprog.solve_lp, spaces._extreme_keys
     monkeypatch.setattr(slices, "solve_lp", lambda c, *a, **k: widths.append(len(c)) or solve(c, *a, **k))
     monkeypatch.setattr(linprog, "solve_lp", lambda *a, **k: hull_lps.append(1) or hull_solve(*a, **k))
-    monkeypatch.setattr(spaces, "extreme_points", lambda p: extreme_calls.append(1) or extreme(p))
+    monkeypatch.setattr(spaces, "_extreme_keys", lambda *a: extreme_calls.append(1) or extreme(*a))
     cases = workloads.make_cases("lp-certify", 0)
     outputs = workloads.run_cases(cases)
     assert [workloads.check_case(case, text) for case, text in zip(cases, outputs)] == [None] * 6

@@ -226,3 +226,25 @@ def test_config_and_space_files_end_in_a_report_or_one_usage_line(scratch_cwd, c
     with open("space.json", "w", encoding="utf-8") as fh:
         fh.write(space)
     assert_report_or_one_usage_line(["--config", "cfg.json", "--format", "json"])
+
+
+def test_main_reuses_one_parser_across_calls():
+    """main builds its parser once per process.  Two runs of the same argv
+    in one process give byte-identical reports; a bad flag after a good run
+    still exits 2 with one error line, and the run after it is unchanged.
+    build_parser itself still returns a fresh parser."""
+    from polyslice import cli
+
+    for argv in (["thm1", "--n", "1", "--epsilon", "1/5"],
+                 ["sandwich", "--n", "1", "--trials", "5", "--format", "json"]):
+        first = run(argv)
+        assert first[0] == 0 and first[1] and first[2] == ""
+        assert run(argv) == first
+        code, out, err, exited = run(argv + ["--bogus", "1"])
+        assert (code, out, exited) == (2, "", True)
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "polyslice: error: unrecognized arguments: --bogus 1"]
+        assert err.splitlines()[-1].startswith("polyslice: error: ")
+        assert run(argv) == first
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -246,3 +246,55 @@ def test_agrees_with_scipy_on_random_lps():
         assert not options["nonneg"] or min(x) >= 0
         assert res.value == sum(c * v for c, v in zip(objective, x))
     assert seen == {OPTIMAL, UNBOUNDED}
+
+
+def _ball_like_lp(rng):
+    """A seeded LP shaped like the balls and slices this package solves, and
+    degenerate by construction.  In dimension 2-4, 2-5 pairs of rows
+    +-a.x <= b with entries of a in {-1, 0, 1, 2} and each b in {0, 1}, so
+    that many rows are tight at x = 0 and ratio ties are the rule.  0-3
+    repeats of b = 0 rows are spliced in at least one row after their
+    original, so a tie can fall between a row and its repeat.  The
+    objective is the normal of a b = 1 row when there is one, so the
+    optimum is often a whole face and the witness depends on the pivots.
+    Variables are free or nonnegative."""
+    dim = rng.randint(2, 4)
+
+    def row():
+        while True:
+            a = [rng.choice((-1, 0, 1, 2)) for _ in range(dim)]
+            if any(a):
+                return a
+
+    rows = []
+    for _ in range(rng.randint(2, 5)):
+        a = row()
+        rows += [(a, rng.choice((0, 1))), ([-c for c in a], rng.choice((0, 1)))]
+    rng.shuffle(rows)
+    for _ in range(rng.randint(0, 3)):
+        zeros = [i for i, (_, b) in enumerate(rows[:-1]) if b == 0]
+        if zeros:
+            i = rng.choice(zeros)
+            rows.insert(rng.randint(i + 2, len(rows)), rows[i])
+    faces = [a for a, b in rows if b == 1]
+    objective = list(rng.choice(faces)) if faces else row()
+    return objective, rows, rng.random() < 0.5
+
+
+def test_degenerate_ball_like_lps_agree_with_the_fraction_oracle():
+    """Status, point and value of solve_lp equal oracles.lp_max's on 2,000
+    ball-like degenerate LPs.  The witness of a degenerate optimum depends on
+    every Bland choice: entering by tableau column instead of by variable
+    index, or keeping the last copy of a repeated row instead of the first,
+    each changes some of these witnesses."""
+    rng = random.Random(SEED + 9)
+    seen = set()
+    repeats = 0
+    for _ in range(2000):
+        objective, rows, nonneg = _ball_like_lp(rng)
+        repeats += len(rows) - len({(tuple(a), b) for a, b in rows})
+        got = outcome(solve_lp(objective, leq=rows, nonneg=nonneg))
+        assert got == oracles.lp_max(objective, rows, nonneg=nonneg), (objective, rows, nonneg)
+        seen.add(got[0])
+    assert seen == {OPTIMAL, UNBOUNDED}
+    assert repeats > 2000

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import polyslice.spaces as spaces_module
 from polyslice.cli import main as cli_main
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, extreme_points, vertices
@@ -219,20 +220,165 @@ def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
         assert unit_ball(b) is unit_ball(a)
 
 
-def test_generators_are_cleared_once_for_the_checks_and_the_rows(monkeypatch):
-    """The duplicate, symmetry and rank checks and _int_rows share one
-    clearing of the generators: the rank check clears no row of its own."""
+def counting_clears(monkeypatch):
+    """Record every rational clearing made outside an LP: each
+    clear_denominators call that numeric, polytope, spaces or slices makes,
+    as (the calling module's name, the values), and each linprog.clear_rows
+    call on rows not yet cleared, as ("rows", how many rows).  numeric
+    clears only rows, for rank and nullspace_basis.  solve_lp's clearing of
+    its own objective is an LP's input, not a row, and is not recorded."""
+    import polyslice.linprog
     import polyslice.numeric
+    import polyslice.polytope
+    import polyslice.slices
     import polyslice.spaces
 
     calls = []
     clear = polyslice.numeric.clear_denominators
-    for module in (polyslice.numeric, polyslice.spaces):
-        monkeypatch.setattr(module, "clear_denominators",
-                            lambda values: calls.append(1) or clear(values))
+    clear_rows = polyslice.linprog.clear_rows
+
+    def counted_clear(name):
+        def counted(values):
+            values = tuple(values)
+            calls.append((name, values))
+            return clear(values)
+        return counted
+
+    def counted_rows(pairs):
+        rows = clear_rows(pairs)
+        if rows is not pairs:
+            calls.append(("rows", len(rows)))
+        return rows
+
+    for module in (polyslice.numeric, polyslice.polytope, polyslice.spaces, polyslice.slices):
+        monkeypatch.setattr(module, "clear_denominators", counted_clear(module.__name__))
+    for module in (polyslice.linprog, polyslice.polytope):
+        monkeypatch.setattr(module, "clear_rows", counted_rows)
+    return calls
+
+
+def test_generators_are_cleared_once_for_the_checks_and_the_rows(monkeypatch):
+    """The duplicate, symmetry and rank checks and _int_rows share one
+    clearing of the generators.  A builder makes its integer rows directly
+    and clears nothing; the constructor clears custom generators once, and
+    the rank check clears no row of its own."""
+    calls = counting_clears(monkeypatch)
     sp = make_space_VII(4, ("71/72", "61/72", "67/72"))
     assert sp._int_rows[1] == 72 and len(sp._int_rows[0]) == len(sp.generators) // 2
-    assert len(calls) == 1
+    assert calls == []
+    custom = PolyhedralNormSpace(sp.dim, sp.generators, "custom", sp.params)
+    assert custom._int_rows == sp._int_rows
+    assert calls == [("polyslice.spaces", tuple(c for g in sp.generators for c in g))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_space_II(1, R10), lambda: make_space_II(6, "3/7"), lambda: make_space_II(8, "5/2"),
+    lambda: make_space_VII(2), lambda: make_space_VII(4), lambda: make_space_VII(3, ["1", "17/18"]),
+], ids=["II1", "II6", "II8", "VII2", "VII4", "VII3-weight1"])
+def test_builders_ball_and_dual_vertices_clear_no_rational_row(monkeypatch, build):
+    """A family II or VII space, its unit ball and its dual vertices all
+    come from the builder's integer rows: no generator, halfspace or dual
+    vertex is cleared, also where hull LPs run (VII4) or a generator is
+    dropped (VII3-weight1)."""
+    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
+    monkeypatch.setattr(spaces_module, "_DUAL_CACHE", {})
+    calls = counting_clears(monkeypatch)
+    sp = build()
+    ball = unit_ball(sp)
+    dual = dual_ball_vertices(sp)
+    assert calls == []
+    assert len(ball.halfspaces) == len(sp.generators)
+    assert set(dual.vertices) <= set(sp.generators)
+
+
+@pytest.mark.parametrize("build, g", [
+    (lambda: make_space_II(6, R10), [1, 1, 0, 0, 0, 0, 0]),
+    (lambda: make_space_II(4, "3/7"), [1, "1/2", "1/3", 0, 0]),
+    (lambda: make_space_VII(4), [0, 1, 0, 0]),
+], ids=["II6", "II4", "VII4"])
+def test_lower_bound_certificate_clears_no_dual_row(monkeypatch, build, g):
+    """A certificate reads its dual rows, for the active set and for its
+    kernel with g, from dual_ball_vertices' integer keys, so nothing goes
+    through nullspace_basis' row clearing.  What it does clear is one row,
+    the slice's cut, and single points of space.dim values: g, the probe
+    points, the kernel direction and the two checked points."""
+    from polyslice.slices import lower_bound_certificate
+
+    sp = build()
+    g = Vec(g)
+    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
+    monkeypatch.setattr(spaces_module, "_DUAL_CACHE", {})
+    calls = counting_clears(monkeypatch)
+    cert = lower_bound_certificate(sp, g, rational("1/2"), R10)
+    assert cert.valid and cert.active
+    assert [c for c in calls if c[0] == "rows"] == [("rows", 1)]
+    cleared = [(name, values) for name, values in calls if name != "rows"]
+    assert {len(values) for _, values in cleared} == {sp.dim}
+    assert ("polyslice.slices", tuple(g)) in cleared
+    assert {name for name, _ in cleared} == {"polyslice.slices", "polyslice.spaces",
+                                             "polyslice.polytope"}
+
+
+# Family II at N = 1..8 with random r, r >= 1 and long denominators among
+# them; family VII at N = 2..6 with random weights in (5/6, 1], 17/18 and 1
+# among them.
+def _differential_spaces():
+    rng = random.Random(SEED + 21)
+    out = []
+    for N in range(1, 9):
+        for r in ("1/10", "1", "7/2", Scalar(rng.randint(1, 10 ** 15), rng.randint(1, 10 ** 15)),
+                  Scalar(rng.randint(1, 99), rng.randint(1, 99))):
+            out.append(make_space_II(N, r))
+    for N in range(2, 7):
+        fixed = [["17/18"] * (N - 1), ["1"] * (N - 1), None]
+        drawn = []
+        for _ in range(3):
+            q = rng.choice([6, 7, 12, 18, 72, rng.randint(7, 10 ** 9)])
+            drawn.append([Scalar(rng.randint(5 * q // 6 + 1, q), q) for _ in range(N - 1)])
+        out += [make_space_VII(N, omega) for omega in fixed + drawn]
+    return out
+
+
+def test_builders_match_the_generic_constructor():
+    """Each builder space equals PolyhedralNormSpace on its own generators,
+    field for field, with the same hash and the same integer rows; its unit
+    ball's rows are those that clear_rows gives the ball's halfspaces, and
+    its dual vertices are extreme_points of its generators."""
+    from polyslice.linprog import clear_rows
+
+    spaces = _differential_spaces()
+    assert len(spaces) == 8 * 5 + 5 * 6
+    for sp in spaces:
+        generic = PolyhedralNormSpace(sp.dim, tuple(sp.generators), sp.label, sp.params)
+        assert dataclasses.astuple(sp) == dataclasses.astuple(generic)
+        assert sp == generic and hash(sp) == hash(generic)
+        assert sp._int_rows == generic._int_rows and sp._gen_ints == generic._gen_ints
+        ball = unit_ball(sp)
+        assert ball._int_rows == clear_rows((h.a, h.b) for h in ball.halfspaces)
+        dual = dual_ball_vertices(sp)
+        expected = extreme_points(sp.generators)
+        assert dual == expected and dual._int_keys == expected._int_keys
+
+
+def test_builder_generators_are_the_sorted_rational_family():
+    """The rational generators a builder looks up from its value table are
+    those of the closed form, built as rationals and sorted as rationals."""
+    third, half = rational("1/3"), rational("1/2")
+    for N, r in ((1, R10), (3, rational("7/2")), (5, rational("123456789/1000000007"))):
+        d = N + 1
+        expected = [Vec.unit(d, N) * (s * (1 + r)) for s in (1, -1)]
+        expected += [Vec.unit(d, n) * xi + Vec.unit(d, N) * psi
+                     for n in range(N) for xi in (1, -1) for psi in (1, -1)]
+        assert make_space_II(N, r).generators == tuple(sorted(expected))
+    for N, omega in ((2, ["1"]), (4, ["17/18", "61/72", "999999/1000000"])):
+        ws = [rational(w) for w in omega]
+        expected = []
+        for j, w in enumerate(ws, 1):
+            e1, ej = Vec.unit(N, 0), Vec.unit(N, j)
+            expected += [ej, -ej]
+            expected += [e1 * s1 + ej * (s2 * c) for a, c in ((ONE, third), (w, half))
+                         for s1 in (a, -a) for s2 in (1, -1)]
+        assert make_space_VII(N, omega).generators == tuple(sorted(expected))
 
 
 def test_hash_is_the_field_tuple_hash_computed_once():
