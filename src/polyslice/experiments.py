@@ -429,8 +429,8 @@ def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> tuple:
     coordinate estimates (first coordinate >= s - epsilon, tail <= 3 epsilon).
 
     s is sup e1 over the ball; a caller that already has it from
-    support_value passes it to skip solving the same LP again.  Returns the
-    row dict and the space, slice polytope and DiameterResult.
+    support_value passes it to skip computing it again.  Returns the row
+    dict and the space, slice polytope and DiameterResult.
     """
     epsilon = rational(epsilon)
     N = space.dim

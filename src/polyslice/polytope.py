@@ -31,6 +31,11 @@ ball is by HPolytope((cut,), dim, _base=ball), clears only its own rows and
 costs one more DD step per own row, and its base gets the integer cache
 only: enumerating a slice builds no rationals for its ball.
 
+A family II or VII ball skips DD: its vertices are the sign patterns of a
+few levels that spaces.unit_ball hands it, and _orbit expands them and reads
+each zero set off the integer rows.  Its slices continue from those rays as
+from DD's.  DD runs for every other polytope.
+
 Emptiness and unboundedness are read off the rays exactly, without LPs: no
 ray with t > 0 means empty, a ray with t = 0 a recession direction.  When
 the normals have rank below dim the cone is not pointed and a nonempty
@@ -41,8 +46,9 @@ the normals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, product
 from math import lcm
+from operator import not_
 from typing import NamedTuple
 
 from . import linprog
@@ -97,12 +103,13 @@ class HPolytope:
     cut by rows: its halfspaces are base's followed by rows, it clears only
     rows and reuses base's integer rows, and enumeration continues from
     base's rays.  _rows, ClearedRows in halfspace order, are kept instead of
-    being cleared again (spaces.unit_ball passes them).
+    being cleared again (spaces.unit_ball passes them), and _levels, the
+    vertex levels of a sign-symmetric ball (see _orbit), replace DD.
     """
 
-    __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_int_rows")
+    __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels")
 
-    def __init__(self, halfspaces, dim, _base=None, _rows=None):
+    def __init__(self, halfspaces, dim, _base=None, _rows=None, _levels=None):
         halfspaces = tuple(
             h if isinstance(h, HalfSpace) else HalfSpace(Vec(h[0]), h[1]) for h in halfspaces
         )
@@ -121,6 +128,7 @@ class HPolytope:
         object.__setattr__(self, "_vpoly", None)
         object.__setattr__(self, "_base", _base)
         object.__setattr__(self, "_int_rows", rows)
+        object.__setattr__(self, "_levels", _levels)
 
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
@@ -252,9 +260,28 @@ def _cone(rows, dim):
     return rays, masks
 
 
+def _orbit(levels, rows, dim):
+    """Rays and zero-set masks of a bounded polytope whose vertices are the
+    sign patterns of its levels: canonical integer rays (p..., t) with
+    p >= 0, one per orbit under flipping the sign of one coordinate.  A zero
+    coordinate keeps its one sign.  Bit i + 1 of a ray's mask is set when
+    row i = (c..., b) is tight there, c.p = b.t, as DD's masks would have
+    it; bit 0 (t >= 0) is never set, since t > 0."""
+    rays = [p + (level[dim],) for level in levels
+            for p in product(*[(c, -c) if c else (0,) for c in level[:dim]])]
+    n = len(rays)
+    masks = [0] * n
+    for i, vals in enumerate(_row_values(map(_homogenized, rows), zip(*rays), n)):
+        bit = 2 << i
+        for k in compress(range(n), map(not_, vals)):
+            masks[k] |= bit
+    return rays, masks
+
+
 def _enumeration(poly: HPolytope) -> _Enumeration:
-    """The polytope's cached _Enumeration, computed on first use: DD on its
-    rows, or one more DD step per appended row on its base's enumeration.
+    """The polytope's cached _Enumeration, computed on first use: its
+    levels' sign patterns (_orbit), DD on its rows, or one more DD step per
+    appended row on its base's enumeration.
     The vertex keys are sorted, and checked distinct, as integer tuples.
     Raises what vertices() documents."""
     if poly._vcache is not None:
@@ -266,6 +293,8 @@ def _enumeration(poly: HPolytope) -> _Enumeration:
         _, _, rays, masks = _enumeration(base)
         for i in range(len(base._int_rows), len(rows)):
             rays, masks = _cut(rays, masks, rows[i], 2 << i, dim)
+    elif poly._levels:
+        rays, masks = _orbit(poly._levels, rows, dim)
     else:
         cone = _cone(rows, dim)
         if cone is None:
@@ -304,7 +333,8 @@ def vertices(poly: HPolytope) -> VPolytope:
     The vertices are the rays with t > 0 of the homogenized cone (see the
     module docstring), kept as integer keys over one denominator in the
     polytope's cache; the VPolytope of rationals is built from those keys on
-    the first call, and every later call returns that same object.  Output
+    the first call, one Fraction per distinct numerator, and every later
+    call returns that same object.  Output
     is sorted lexicographically.  Errors, in this order: DegenerateError
     when the system is empty; UnboundedError when it has a recession
     direction (a ray with t = 0, or normals of rank below dim);
@@ -314,8 +344,9 @@ def vertices(poly: HPolytope) -> VPolytope:
     vpoly = poly._vpoly
     if vpoly is None:
         keys, den = _enumeration(poly)[:2]
+        values = {c: Scalar(c, den) for c in set(chain.from_iterable(keys))}
         vpoly = _distinct_vpolytope(
-            tuple(tuple.__new__(Vec, [Scalar(c, den) for c in p]) for p in keys), poly.dim)
+            tuple(tuple.__new__(Vec, [values[c] for c in p]) for p in keys), poly.dim)
         object.__setattr__(poly, "_vpoly", vpoly)
     return vpoly
 

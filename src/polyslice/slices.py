@@ -111,10 +111,22 @@ class DimensionTooSmall(Exception):
 
 
 def support_value(space: PolyhedralNormSpace, f) -> Scalar:
-    """sup of f over the unit ball, found by exact linear programming."""
+    """sup of f over the unit ball, exact.
+
+    A family II or VII space carries its ball's vertex levels (p, t), p >= 0,
+    whose sign patterns are all the vertices (see the spaces module
+    docstring).  The best sign pattern of a level matches the signs of f,
+    so sup f is the max over the levels of sum |f_i| p_i / t, taken in
+    integers on f's cleared numerators.  Any other space solves one exact
+    LP over the ball's integer rows.
+    """
     f = f if isinstance(f, Vec) else Vec(f)
     if len(f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(f), space.dim))
+    if space._levels:
+        ints, q = clear_denominators(f)
+        ints = [abs(c) for c in ints]
+        return max(Scalar(sum(map(mul, ints, level)), q * level[-1]) for level in space._levels)
     res = solve_lp(f, leq=unit_ball(space)._int_rows)
     if res.status != OPTIMAL:
         raise RuntimeError("support LP did not terminate at an optimum: %s" % res.status)
@@ -125,9 +137,9 @@ def make_slice(space: PolyhedralNormSpace, spec: SliceSpec, s=None) -> HPolytope
     """Ball cut by f.x >= s - alpha, sharing the ball's rows as a base.
 
     s is sup f over the ball; a caller that already has it from
-    support_value passes it to skip solving the same LP again.  The shared
-    base lets vertex enumeration of the slice continue from the ball's
-    final rays with one more step instead of starting from scratch.
+    support_value passes it to skip computing it again.  The shared base
+    lets vertex enumeration of the slice continue from the ball's final
+    rays with one more step instead of starting from scratch.
     """
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))

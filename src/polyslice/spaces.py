@@ -17,9 +17,20 @@ certificates of slices all reuse these rows.  The norm keeps one row per
 +- pair: the set is symmetric, so the max of |phi.x| over half the rows is
 the max of phi.x over all of them, a max of integer dot products evaluated
 row by row over a batch of integer points (_norm_ints, through
-numeric._row_values); norm is a batch of one.  The unit ball of a space and
-the extreme points of its generator set are cached per space value, so
-repeated queries share one vertex enumeration.
+numeric._row_values); norm is a batch of one.
+
+Both families are unconditional: their generator sets, and so their unit
+balls, are closed under flipping the sign of any one coordinate.  The
+builders attach the ball's vertex levels (_levels), one canonical integer
+ray (p..., t) with p >= 0 per orbit of vertices under those flips, in
+closed form.  The unit ball expands them into its vertices instead of
+running DD, and slices.support_value reads sup f off them instead of
+solving an LP.  A space built by the constructor has no levels, whatever
+its label, and takes DD and the LP.
+
+The unit ball of a space and the extreme points of its generator set are
+cached on the space's integer rows (dim, den, _gen_ints), so equal spaces,
+and any two spaces with the same rows, share one vertex enumeration.
 """
 
 from __future__ import annotations
@@ -67,14 +78,17 @@ class PolyhedralNormSpace:
     row per +- pair of generators, the member that comes first in generator
     order.  Negating phi changes neither |phi.x| nor a width
     max phi.v - min phi.v, so these rows serve every norm and width.
-    _gen_ints and _int_rows are not fields, so equality, hashing and repr
-    ignore them.
+    _rows_key = (dim, den, _gen_ints) keys the ball and dual-vertex caches,
+    and _levels holds the ball's vertex levels, which only the builders
+    attach (None otherwise).  None of these four is a field, so equality,
+    hashing and repr ignore them.
     """
 
     dim: int
     generators: tuple
     label: str
     params: tuple = ()
+    _levels = None
 
     def __post_init__(self):
         gens = tuple(g if isinstance(g, Vec) else Vec(g) for g in self.generators)
@@ -88,15 +102,15 @@ class PolyhedralNormSpace:
         self._check(ints, den)
 
     @classmethod
-    def _from_ints(cls, dim, ints, den, values, label, params):
+    def _from_ints(cls, dim, ints, den, values, label, params, levels):
         """The space of the integer rows ints over den, sorted (over one
-        den > 0 that is the rationals' order); values maps each integer
-        entry c to the rational c / den."""
+        den > 0 that is the rationals' order), with the vertex levels
+        levels; values maps each integer entry c to the rational c / den."""
         ints = sorted(ints)
         space = object.__new__(cls)
         gens = tuple(tuple.__new__(Vec, [values[c] for c in row]) for row in ints)
         for name, value in (("dim", dim), ("generators", gens), ("label", label),
-                            ("params", params)):
+                            ("params", params), ("_levels", levels)):
             object.__setattr__(space, name, value)
         space._check(ints, den)
         return space
@@ -128,8 +142,10 @@ class PolyhedralNormSpace:
                 rows.append(row)
         if _int_rank(rows, d) != d:
             raise ValueError("generators do not span the dual; the gauge is not a norm")
-        object.__setattr__(self, "_gen_ints", tuple(ints))
+        ints = tuple(ints)
+        object.__setattr__(self, "_gen_ints", ints)
         object.__setattr__(self, "_int_rows", (tuple(rows), den))
+        object.__setattr__(self, "_rows_key", (d, den, ints))
 
     def __hash__(self):
         return self._hash
@@ -137,7 +153,7 @@ class PolyhedralNormSpace:
     @cached_property
     def _hash(self):
         """The dataclass hash of the field tuple, computed once rather than
-        over every generator coordinate on each cache lookup."""
+        over every generator coordinate on each call."""
         return hash((self.dim, self.generators, self.label, self.params))
 
     def param(self, name):
@@ -187,6 +203,11 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
     n <= N, xi in {+-1}; the induced norm is
     max(||x||_inf + |beta|, (1+r)|beta|).  The integer rows are over
     den = r.denominator.
+
+    The unit ball is {||x||_inf <= 1 - |beta|, |beta| <= 1/(1+r)}: its
+    vertices are the sign patterns of (1,..,1, 0) and of
+    (r,..,r, 1)/(1+r).  With r = a/b the levels are (1,..,1, 0 | 1) and
+    (a,..,a, b | a+b).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -205,7 +226,9 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
                 row[N] = psi
                 ints.append(tuple(row))
     values = {0: ZERO, den: ONE, -den: -ONE, top: 1 + r, -top: -1 - r}
-    return PolyhedralNormSpace._from_ints(d, ints, den, values, "II", (("N", N), ("r", r)))
+    levels = ((1,) * N + (0, 1), (r.numerator,) * N + (den, top))
+    return PolyhedralNormSpace._from_ints(d, ints, den, values, "II", (("N", N), ("r", r)),
+                                          levels)
 
 
 def default_omega(N: int) -> tuple:
@@ -238,6 +261,15 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
     default rule is w_n = 1 - 1/(6n).  The generator count is 10(N-1).  The
     integer rows are over the least common denominator of 1/3, 1/2 and the
     weights.
+
+    The unit ball is {|x_1| <= 1, |x_n| <= m_n(|x_1|) for n >= 2} with
+    m_n(u) = min(1, 3(1 - u), 2(1 - w_n u)), concave and piecewise linear.
+    Its vertices are the sign patterns of (u, m_2(u), .., m_N(u)) for u = 1
+    and for each breakpoint u of some m_n: 1/(2 w_n), and 1/(3 - 2 w_n) when
+    w_n < 1 (it is 1 when w_n = 1).  With the weights w_n = W_n / den each
+    such u is den / Q for Q in {den} | {2 W_n} | {3 den - 2 W_n}, and the
+    level is the integer ray (den, m_2, .., m_N | Q) with
+    m_n = min(Q, 3(Q - den), 2(Q - W_n)), over its gcd.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -248,9 +280,9 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
         c = v.numerator * (den // v.denominator)
         values[c] = v
         values[-c] = -v
+    weights = [w.numerator * (den // w.denominator) for w in omega]
     ints = []
-    for j, w in enumerate(omega, 1):
-        w = w.numerator * (den // w.denominator)
+    for j, w in enumerate(weights, 1):
         for s in (den, -den):
             ints.append(tuple(s if k == j else 0 for k in range(N)))
         for a, b in ((den, den // 3), (w, den // 2)):
@@ -260,8 +292,11 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
                     row[0] = s1 * a
                     row[j] = s2 * b
                     ints.append(tuple(row))
+    levels = []
+    for q in sorted({den, *(2 * w for w in weights), *(3 * den - 2 * w for w in weights)}):
+        levels.append(_reduced((den, *(min(q, 3 * (q - den), 2 * (q - w)) for w in weights), q)))
     return PolyhedralNormSpace._from_ints(N, ints, den, values, "VII",
-                                          (("N", N), ("omega", omega)))
+                                          (("N", N), ("omega", omega)), tuple(levels))
 
 
 def reference_product_norm(x, split: int) -> Scalar:
@@ -282,16 +317,19 @@ def unit_ball(space: PolyhedralNormSpace) -> HPolytope:
     """H-polytope {x : phi.x <= 1 for every generator phi}.
 
     For phi = c / den its integer row is (c..., den) over its gcd, what
-    linprog.clear_rows would give, so nothing is cleared again.  The same
-    object is returned for equal spaces, so downstream vertex enumeration is
-    shared.
+    linprog.clear_rows would give, so nothing is cleared again.  A family
+    space's vertex levels go with the rows, so the ball's vertices are
+    their sign patterns and no DD runs (see polytope._orbit).  The same
+    object is returned for spaces with the same integer rows, so downstream
+    vertex enumeration is shared.
     """
-    cached = _BALL_CACHE.get(space)
+    cached = _BALL_CACHE.get(space._rows_key)
     if cached is None:
         den = space._int_rows[1]
         rows = ClearedRows(_reduced(row + (den,)) for row in space._gen_ints)
-        cached = HPolytope([HalfSpace(g, ONE) for g in space.generators], space.dim, _rows=rows)
-        _BALL_CACHE[space] = cached
+        cached = HPolytope([HalfSpace(g, ONE) for g in space.generators], space.dim, _rows=rows,
+                           _levels=space._levels)
+        _BALL_CACHE[space._rows_key] = cached
     return cached
 
 
@@ -303,11 +341,11 @@ def dual_ball_vertices(space: PolyhedralNormSpace) -> VPolytope:
     family VII unless a weight is 1; the reduction is always performed, so
     the claim is checked rather than assumed.
     """
-    cached = _DUAL_CACHE.get(space)
+    cached = _DUAL_CACHE.get(space._rows_key)
     if cached is None:
         cached = _extreme_keys(dict(zip(space._gen_ints, space.generators)),
                                space._int_rows[1], space.dim)
-        _DUAL_CACHE[space] = cached
+        _DUAL_CACHE[space._rows_key] = cached
     return cached
 
 

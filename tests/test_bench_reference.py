@@ -70,13 +70,14 @@ def test_norm_sandwich_outputs_match_reference_digests_on_more_seeds(monkeypatch
     check_seed(monkeypatch, "norm-sandwich", seed)
 
 
-def test_lp_certify_seed_0_solves_69_lps_and_no_hull_lp(monkeypatch):
-    """69 LPs, by their number of objective columns.  Per case (N = 6, 7, 8
-    twice each) the support LP has N + 1 columns.  Each probe is one LP with
-    one column per support coordinate, which gives both its value and its
-    point, and the empty support needs none: two singletons per depth-3
-    slot, and per depth-20 slot N + 1 singletons and 18 - N pairs.  The dual
-    vertices are taken cold, once per space, on the space's integer rows
+def test_lp_certify_seed_0_solves_63_lps_and_no_hull_lp(monkeypatch):
+    """63 LPs, by their number of objective columns, all of them probes.
+    Per case (N = 6, 7, 8 twice each) the support value comes from the
+    family II vertex levels, with no LP.  Each probe is one LP with one
+    column per support coordinate, which gives both its value and its point,
+    and the empty support needs none: two singletons per depth-3 slot, and
+    per depth-20 slot N + 1 singletons and 18 - N pairs.  The dual vertices
+    are taken cold, once per space, on the space's integer rows
     (polytope._extreme_keys), and every family II generator passes its
     pre-test, so no hull LP runs."""
     workloads = bench_workloads(monkeypatch)
@@ -91,7 +92,6 @@ def test_lp_certify_seed_0_solves_69_lps_and_no_hull_lp(monkeypatch):
     cases = workloads.make_cases("lp-certify", 0)
     outputs = workloads.run_cases(cases)
     assert [workloads.check_case(case, text) for case, text in zip(cases, outputs)] == [None] * 6
-    assert len(widths) == 6 + 3 * 2 + 3 * 19
-    assert sorted(Counter(widths).items()) == [(1, 2 * 3 + 7 + 8 + 9), (2, 12 + 11 + 10),
-                                               (7, 2), (8, 2), (9, 2)]
+    assert len(widths) == 3 * 2 + 3 * 19
+    assert sorted(Counter(widths).items()) == [(1, 2 * 3 + 7 + 8 + 9), (2, 12 + 11 + 10)]
     assert (len(hull_lps), len(extreme_calls)) == (0, 3)

@@ -97,6 +97,32 @@ def test_thm1_case_at_n_8_meets_the_closed_form():
     assert row["vertex_count"] == 2 ** 9 and row["pass"]
 
 
+@pytest.mark.parametrize("experiment", ["thm1", "prop3"])
+def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, experiment):
+    """On the default thm1 and prop3 grids every ball comes from its vertex
+    levels and every support value from the closed form: DD's cone runs for
+    no ball and no LP is solved; only the one cut of each slice is a DD
+    step."""
+    from polyslice import linprog, polytope, slices, spaces
+
+    monkeypatch.setattr(spaces, "_BALL_CACHE", {})
+    counts = {"cone": 0, "lp": 0, "cut": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polytope, "_cone", counting("cone", polytope._cone))
+    monkeypatch.setattr(polytope, "_cut", counting("cut", polytope._cut))
+    monkeypatch.setattr(slices, "solve_lp", counting("lp", slices.solve_lp))
+    monkeypatch.setattr(linprog, "solve_lp", counting("lp", linprog.solve_lp))
+    report = run_experiment(ExperimentConfig(experiment=experiment))
+    assert report.all_pass
+    assert counts == {"cone": 0, "lp": 0, "cut": len(report.rows)}
+
+
 def test_prop2_report_covers_success_and_small_dimension():
     cfg = ExperimentConfig(experiment="prop2", r="1/10", g="e1", alpha="1/2")
     report = run_experiment(cfg)

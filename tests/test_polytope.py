@@ -262,6 +262,15 @@ def test_a_slice_enumerates_its_ball_without_building_its_vertex_list():
     assert len(vertices(ball).vertices) == 3 * 2 ** 3
 
 
+def test_vertices_build_one_fraction_per_distinct_numerator():
+    """vertices() looks each coordinate up in a table of the distinct key
+    numerators over den, so equal coordinates are one Fraction object."""
+    for space in (make_space_II(3, "5/13"), make_space_VII(3)):
+        for poly in (unit_ball(space), make_slice(space, SliceSpec(Vec.unit(space.dim, 0), "1/7"))):
+            coords = [c for v in vertices(poly).vertices for c in v]
+            assert len({id(c) for c in coords}) == len(set(coords))
+
+
 def oracle_vertices(poly):
     rows = [(tuple(as_fraction(c) for c in h.a), as_fraction(h.b)) for h in poly.halfspaces]
     return oracles.enum_vertices(rows, poly.dim)

@@ -10,7 +10,7 @@ import oracles
 from polyslice import slices
 from polyslice.linprog import ClearedRows, clear_rows, solve_lp
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
-from polyslice.polytope import contains, vertices
+from polyslice.polytope import contains, extreme_points, vertices
 from polyslice.slices import (
     DiameterResult,
     DimensionTooSmall,
@@ -71,6 +71,80 @@ def test_support_value_agrees_with_vertex_maximum():
         verts = vertices(unit_ball(sp)).vertices
         for f in (Vec.unit(sp.dim, 0), Vec([ONE] * sp.dim), Vec.unit(sp.dim, sp.dim - 1) * 3):
             assert support_value(sp, f) == max(f.dot(v) for v in verts)
+
+
+def _level_spaces(rng):
+    """Family II at N = 1..4 with r = 1/10, r >= 1 and a random r; family VII
+    at N = 2..4 with weight 1, 17/18, a repeated weight and random weights
+    in (5/6, 1]."""
+    out = []
+    for N in range(1, 5):
+        for r in ("1/10", "5/2", Scalar(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))):
+            out.append(make_space_II(N, r))
+    for N in range(2, 5):
+        q = rng.choice([12, 18, 72, rng.randint(7, 10 ** 6)])
+        drawn = [Scalar(rng.randint(5 * q // 6 + 1, q), q) for _ in range(N - 1)]
+        for omega in (["1"] * (N - 1), ["17/18"] * (N - 1), drawn):
+            out.append(make_space_VII(N, omega))
+    return out
+
+
+def test_support_value_from_levels_equals_the_lp_oracle():
+    """On 300 random functionals, with zero and negative entries and a beta
+    entry on family II, the level support value equals the plain Fraction
+    tableau (oracles.lp_max) over the ball's rows, and solve_lp on the same
+    space built by the constructor, which has no levels."""
+    rng = random.Random(9241)
+    spaces = _level_spaces(rng)
+    for k in range(300):
+        sp = spaces[k % len(spaces)]
+        f = Vec([Scalar(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7 else ZERO
+                 for _ in range(sp.dim)])
+        if f.is_zero():
+            f = Vec.unit(sp.dim, rng.randrange(sp.dim)) * -3
+        status, _, value = oracles.lp_max(f, oracles.ball_rows(sp.generators))
+        assert status == "optimal"
+        generic = PolyhedralNormSpace(sp.dim, sp.generators, sp.label, sp.params)
+        assert support_value(sp, f) == value == support_value(generic, f)
+
+
+def _degenerate_space(rng, dim):
+    """A custom space of sign-symmetric generator rows with entries in
+    {-1, 0, 1, 2}: rows that share facets, parallel rows (g and 2g) and
+    rows that are not extreme make the ball and its slices degenerate."""
+    while True:
+        rows = set()
+        for _ in range(rng.randint(dim, dim + 3)):
+            g = tuple(rng.choice((-1, 0, 1, 2)) for _ in range(dim))
+            if any(g):
+                rows.update((g, tuple(-c for c in g)))
+        try:
+            return PolyhedralNormSpace(dim, tuple(sorted(Vec(g) for g in rows)), "custom")
+        except ValueError:
+            continue
+
+
+def test_dd_and_extreme_points_on_degenerate_custom_spaces():
+    """Seeded degenerate-by-construction draws in dimension 2-3, which keep
+    the DD and LP paths: the slice's vertices and exact diameter equal the
+    subset-walk oracle's, its support value is the oracle's, and
+    extreme_points of the generators equals the LP hull filter."""
+    rng = random.Random(7723)
+    for _ in range(60):
+        sp = _degenerate_space(rng, rng.choice((2, 3)))
+        f = Vec([rng.randint(-2, 2) for _ in range(sp.dim)])
+        if f.is_zero():
+            f = Vec.unit(sp.dim, 0)
+        alpha = Scalar(rng.randint(1, 12), rng.randint(1, 6))
+        best, verts, s = oracles.slice_diameter(sp.generators, f, alpha)
+        assert support_value(sp, f) == s
+        poly = make_slice(sp, SliceSpec(f, alpha), s)
+        result = diameter(poly, sp)
+        assert [tuple(v) for v in vertices(poly).vertices] == verts
+        assert result.value == best and result.vertex_count == len(verts)
+        assert result == rational_diameter(poly, sp)
+        kept = extreme_points(sp.generators).vertices
+        assert [tuple(v) for v in kept] == oracles.lp_extreme_filter(sp.generators)
 
 
 def test_slice_contains_high_value_points_only():
@@ -342,12 +416,14 @@ def test_integer_widths_break_ties_like_rational_loop_on_box_slices():
 
 def test_diameter_reads_the_vertex_keys_without_clearing_the_vertices(monkeypatch):
     """The widths come from the integer keys that enumeration cached, so
-    diameter clears no rationals; the value and witness are unchanged."""
+    diameter clears no rationals; the value and witness are unchanged.  The
+    slice is built first: its support value clears f once."""
     space = make_space_VII(3, ("53/54", "47/48"))
     spec = SliceSpec(Vec.unit(3, 0), "1/11")
     expected = rational_diameter(make_slice(space, spec), space)
+    poly = make_slice(space, spec)
     monkeypatch.setattr(slices, "clear_denominators", None)
-    assert diameter(make_slice(space, spec), space) == expected
+    assert diameter(poly, space) == expected
 
 
 def test_diameter_rejects_a_polytope_of_another_dimension():

@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import oracles
 import polyslice.spaces as spaces_module
+from polyslice import polytope, slices
 from polyslice.cli import main as cli_main
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
-from polyslice.polytope import contains, extreme_points, vertices
+from polyslice.polytope import HPolytope, contains, extreme_points, vertices
 from polyslice.spaces import (
     PolyhedralNormSpace,
     _norm_ints,
@@ -358,6 +361,69 @@ def test_builders_match_the_generic_constructor():
         dual = dual_ball_vertices(sp)
         expected = extreme_points(sp.generators)
         assert dual == expected and dual._int_keys == expected._int_keys
+
+
+def test_ball_levels_expand_to_the_dd_rays_and_masks(monkeypatch):
+    """A builder ball's vertex levels, expanded over the sign patterns, give
+    what DD gives on the same integer rows: the same vertex keys and den,
+    and the same multiset of (ray, zero-set mask), on the 70 differential
+    spaces.  On the first space of each family at N <= 3 the vertices are
+    also those of the subset oracle."""
+    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
+    seen = set()
+    for sp in _differential_spaces():
+        ball = unit_ball(sp)
+        assert ball._levels == sp._levels and sp._levels
+        got = polytope._enumeration(ball)
+        cold = polytope._enumeration(HPolytope(ball.halfspaces, sp.dim, _rows=ball._int_rows))
+        assert (got.keys, got.den) == (cold.keys, cold.den)
+        assert Counter(zip(got.rays, got.masks)) == Counter(zip(cold.rays, cold.masks))
+        if sp.param("N") <= 3 and (sp.label, sp.param("N")) not in seen:
+            seen.add((sp.label, sp.param("N")))
+            expected = oracles.enum_vertices(oracles.ball_rows(sp.generators), sp.dim)
+            assert [tuple(v) for v in vertices(ball).vertices] == expected
+
+
+def test_a_custom_space_has_no_levels_and_takes_dd_and_the_lp(monkeypatch):
+    """Levels come only from the builders.  A custom space with a family's
+    label and params but scaled generators has none, so its ball is
+    enumerated by DD and its support value is one LP; both agree with the
+    family space's, scaled.  The same generators through the constructor
+    also give no levels, but the space shares the builder's cached ball."""
+    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
+    cones, lps = [], []
+    cone, solve = polytope._cone, slices.solve_lp
+    monkeypatch.setattr(polytope, "_cone", lambda *a: cones.append(1) or cone(*a))
+    monkeypatch.setattr(slices, "solve_lp", lambda *a, **k: lps.append(1) or solve(*a, **k))
+    for family in (make_space_II(3, "2/7"), make_space_VII(3, ["1", "17/18"])):
+        f = Vec([Scalar(k - 2, k + 1) for k in range(family.dim)])
+        scaled = PolyhedralNormSpace(family.dim, tuple(g * 2 for g in family.generators),
+                                     family.label, family.params)
+        assert scaled._levels is None and family._levels
+        del cones[:], lps[:]
+        ball = unit_ball(scaled)
+        assert ball._levels is None
+        assert vertices(ball).vertices == tuple(v * rational("1/2")
+                                                for v in vertices(unit_ball(family)).vertices)
+        assert slices.support_value(scaled, f) * 2 == slices.support_value(family, f)
+        assert (len(cones), len(lps)) == (1, 1)
+        same = PolyhedralNormSpace(family.dim, family.generators, family.label, family.params)
+        assert same == family and same._levels is None
+        assert unit_ball(same) is unit_ball(family)
+
+
+def test_spaces_with_the_same_rows_share_one_ball_and_one_dual():
+    """The caches key on (dim, den, _gen_ints): equal spaces, and a custom
+    space on a builder's generators, get the same ball and dual vertices;
+    spaces that differ in a row do not."""
+    sp = make_space_II(2, "3/7")
+    twin = make_space_II(2, rational("3/7"))
+    custom = space_from_dict({"generators": [[str(c) for c in g] for g in sp.generators]})
+    assert sp._rows_key == twin._rows_key == custom._rows_key
+    for other in (twin, custom):
+        assert unit_ball(other) is unit_ball(sp)
+        assert dual_ball_vertices(other) is dual_ball_vertices(sp)
+    assert unit_ball(make_space_II(2, "2/7")) is not unit_ball(sp)
 
 
 def test_builder_generators_are_the_sorted_rational_family():
