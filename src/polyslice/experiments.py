@@ -394,7 +394,7 @@ def prop2_case(N: int, r, g_spec: str, alpha, rng: random.Random) -> dict:
         row.update({"outcome": "dimension-too-small", "checks": "", "exact_value": "",
                     "decimal_value": "", "pass": True})
         return row
-    slice_poly = make_slice(space, SliceSpec(g, alpha), cert.support_value)
+    slice_poly = make_slice(space, SliceSpec(g, alpha))
     result = diameter(slice_poly, space)
     row.update({
         "outcome": "certified" if cert.valid else "checks-failed",
@@ -424,20 +424,18 @@ def _prop2_summary(rows) -> dict:
     }
 
 
-def prop3_case(space: PolyhedralNormSpace, epsilon, s=None) -> tuple:
+def prop3_case(space: PolyhedralNormSpace, epsilon) -> tuple:
     """One shrinking-slice row: diameter against 6 epsilon plus the vertex
-    coordinate estimates (first coordinate >= s - epsilon, tail <= 3 epsilon).
+    coordinate estimates (first coordinate >= s - epsilon with s = sup e1
+    over the ball, tail <= 3 epsilon).
 
-    s is sup e1 over the ball; a caller that already has it from
-    support_value passes it to skip computing it again.  Returns the row
-    dict and the space, slice polytope and DiameterResult.
+    Returns the row dict and the space, slice polytope and DiameterResult.
     """
     epsilon = rational(epsilon)
     N = space.dim
     f = Vec.unit(N, 0)
-    if s is None:
-        s = support_value(space, f)
-    slice_poly = make_slice(space, SliceSpec(f, epsilon), s)
+    s = support_value(space, f)
+    slice_poly = make_slice(space, SliceSpec(f, epsilon))
     result = diameter(slice_poly, space)
     # The estimates read the vertex keys p / den that diameter enumerated.
     keys, den = _enumeration(slice_poly)[:2]
@@ -465,9 +463,8 @@ def _prop3_rows(config: ExperimentConfig):
     epsilons = _epsilons(config, DEFAULT_PROP3_EPSILONS)
     for N in _n_grid(config):
         space = make_space_VII(N, _omega_for(config, N))
-        s = support_value(space, Vec.unit(N, 0))
         for eps in epsilons:
-            yield prop3_case(space, eps, s)[0]
+            yield prop3_case(space, eps)[0]
 
 
 def _prop3_summary(rows) -> dict:

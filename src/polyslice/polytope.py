@@ -27,7 +27,7 @@ next to the final rays and zero sets; the duplicate check runs on those
 keys, and slices.diameter and the prop3 estimates read them directly.  The
 VPolytope of rationals is built only when vertices() is called on that
 polytope, once.  A polytope built on a base polytope, as a slice of a norm
-ball is by HPolytope((cut,), dim, _base=ball), clears only its own rows and
+ball is by HPolytope(cut_rows, dim, _base=ball), adds only its own rows and
 costs one more DD step per own row, and its base gets the integer cache
 only: enumerating a slice builds no rationals for its ball.
 
@@ -95,34 +95,34 @@ class HalfSpace:
 class HPolytope:
     """Halfspace-list polytope {x : a.x <= b for every listed halfspace}.
 
-    The halfspace list and dimension are immutable, and the integer rows
-    (_int_rows, see linprog.clear_rows) are cleared when the polytope is
-    built.  The vertex enumeration (an _Enumeration: vertex keys and final
-    DD rays) is cached on first use, and the VPolytope of rationals when
-    vertices() first asks for it.  HPolytope(rows, dim, _base=base) is base
-    cut by rows: its halfspaces are base's followed by rows, it clears only
-    rows and reuses base's integer rows, and enumeration continues from
-    base's rays.  _rows, ClearedRows in halfspace order, are kept instead of
-    being cleared again (spaces.unit_ball passes them), and _levels, the
-    vertex levels of a sign-symmetric ball (see _orbit), replace DD.
+    The polytope keeps only its integer rows (_int_rows, see
+    linprog.clear_rows): rational halfspaces are checked and cleared once
+    when it is built, and ClearedRows are taken as given.  halfspaces
+    rebuilds the rows as HalfSpaces c.x <= b.  The vertex enumeration (an
+    _Enumeration: vertex keys and final DD rays) is cached on first use,
+    and the VPolytope of rationals when vertices() first asks for it.
+    HPolytope(rows, dim, _base=base) is base cut by rows: its rows are
+    base's followed by rows, and enumeration continues from base's rays.
+    _levels, the vertex levels of a sign-symmetric ball (see _orbit),
+    replace DD.
     """
 
-    __slots__ = ("halfspaces", "dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels")
+    __slots__ = ("dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels")
 
-    def __init__(self, halfspaces, dim, _base=None, _rows=None, _levels=None):
-        halfspaces = tuple(
-            h if isinstance(h, HalfSpace) else HalfSpace(Vec(h[0]), h[1]) for h in halfspaces
-        )
+    def __init__(self, halfspaces, dim, _base=None, _levels=None):
+        if isinstance(halfspaces, ClearedRows):
+            rows = halfspaces
+        else:
+            checked = [h if isinstance(h, HalfSpace) else HalfSpace(Vec(h[0]), h[1])
+                       for h in halfspaces]
+            rows = clear_rows((h.a, h.b) for h in checked)
         if dim < 1:
             raise ValueError("dimension must be positive")
-        for h in halfspaces:
-            if len(h.a) != dim:
-                raise ValueError("normal of length %d in dimension %d" % (len(h.a), dim))
-        rows = _rows if _rows is not None else clear_rows((h.a, h.b) for h in halfspaces)
+        for row in rows:
+            if len(row) != dim + 1:
+                raise ValueError("normal of length %d in dimension %d" % (len(row) - 1, dim))
         if _base is not None:
-            halfspaces = _base.halfspaces + halfspaces
             rows = ClearedRows(_base._int_rows + rows)
-        object.__setattr__(self, "halfspaces", halfspaces)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_vcache", None)
         object.__setattr__(self, "_vpoly", None)
@@ -134,7 +134,12 @@ class HPolytope:
         raise AttributeError("HPolytope is immutable")
 
     def __repr__(self):
-        return "HPolytope(dim=%d, m=%d)" % (self.dim, len(self.halfspaces))
+        return "HPolytope(dim=%d, m=%d)" % (self.dim, len(self._int_rows))
+
+    @property
+    def halfspaces(self):
+        """The integer rows as HalfSpaces c.x <= b, in row order."""
+        return tuple(HalfSpace(row[:-1], row[-1]) for row in self._int_rows)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from operator import mul
 
 import numpy as np
 
-from .linprog import OPTIMAL, ClearedRows, solve_lp
+from .linprog import OPTIMAL, ClearedRows, clear_rows, solve_lp
 from .numeric import (ONE, Scalar, Vec, ZERO, _int_nullspace, _row_values, clear_denominators,
                       rational, rational_str)
-from .polytope import HalfSpace, HPolytope, _enumeration, contains, vertices
+from .polytope import HPolytope, _enumeration, contains, vertices
 from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
 
 __all__ = [
@@ -133,21 +133,17 @@ def support_value(space: PolyhedralNormSpace, f) -> Scalar:
     return res.value
 
 
-def make_slice(space: PolyhedralNormSpace, spec: SliceSpec, s=None) -> HPolytope:
-    """Ball cut by f.x >= s - alpha, sharing the ball's rows as a base.
-
-    s is sup f over the ball; a caller that already has it from
-    support_value passes it to skip computing it again.  The shared base
+def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
+    """Ball cut by f.x >= s - alpha, s = sup f over the ball, sharing the
+    ball's rows as a base.  The cut row is cleared once; the shared base
     lets vertex enumeration of the slice continue from the ball's final
     rays with one more step instead of starting from scratch.
     """
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))
     ball = unit_ball(space)
-    if s is None:
-        s = support_value(space, spec.f)
-    cut = HalfSpace(-spec.f, spec.alpha - s)
-    return HPolytope((cut,), space.dim, _base=ball)
+    cut = clear_rows([(-spec.f, spec.alpha - support_value(space, spec.f))])
+    return HPolytope(cut, space.dim, _base=ball)
 
 
 def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
@@ -247,7 +243,7 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     if not 0 < r < 1:
         raise ValueError("r must lie strictly between 0 and 1")
     s = support_value(space, g)
-    slice_poly = make_slice(space, spec, s)
+    slice_poly = make_slice(space, spec)
     threshold = s - alpha
     ball_cols = tuple(zip(*unit_ball(space)._int_rows))
     dual = dual_ball_vertices(space)

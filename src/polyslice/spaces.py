@@ -28,9 +28,9 @@ running DD, and slices.support_value reads sup f off them instead of
 solving an LP.  A space built by the constructor has no levels, whatever
 its label, and takes DD and the LP.
 
-The unit ball of a space and the extreme points of its generator set are
-cached on the space's integer rows (dim, den, _gen_ints), so equal spaces,
-and any two spaces with the same rows, share one vertex enumeration.
+A space builds its unit ball and the extreme points of its generator set
+from those rows once, on first use, and keeps them: they live as long as the
+space, or as a slice built on the ball.  No cache outlives its space.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from math import lcm
 from .linprog import ClearedRows
 from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _reduced, _row_values,
                       clear_denominators, exact_int, rational, rational_str)
-from .polytope import HalfSpace, HPolytope, VPolytope, _extreme_keys
+from .polytope import HPolytope, VPolytope, _extreme_keys
 
 __all__ = [
     "PolyhedralNormSpace",
@@ -78,10 +78,10 @@ class PolyhedralNormSpace:
     row per +- pair of generators, the member that comes first in generator
     order.  Negating phi changes neither |phi.x| nor a width
     max phi.v - min phi.v, so these rows serve every norm and width.
-    _rows_key = (dim, den, _gen_ints) keys the ball and dual-vertex caches,
-    and _levels holds the ball's vertex levels, which only the builders
-    attach (None otherwise).  None of these four is a field, so equality,
-    hashing and repr ignore them.
+    _levels holds the ball's vertex levels, which only the builders attach
+    (None otherwise).  _unit_ball and _dual_vertices are built from the rows
+    on first use and kept on the space.  None of these is a field, so
+    equality, hashing and repr ignore them.
     """
 
     dim: int
@@ -145,16 +145,19 @@ class PolyhedralNormSpace:
         ints = tuple(ints)
         object.__setattr__(self, "_gen_ints", ints)
         object.__setattr__(self, "_int_rows", (tuple(rows), den))
-        object.__setattr__(self, "_rows_key", (d, den, ints))
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
-    def _hash(self):
-        """The dataclass hash of the field tuple, computed once rather than
-        over every generator coordinate on each call."""
-        return hash((self.dim, self.generators, self.label, self.params))
+    def _unit_ball(self):
+        """The unit ball, on the integer row (c..., den) over its gcd for
+        each phi = c / den, which is what linprog.clear_rows would give."""
+        den = self._int_rows[1]
+        rows = ClearedRows(_reduced(row + (den,)) for row in self._gen_ints)
+        return HPolytope(rows, self.dim, _levels=self._levels)
+
+    @cached_property
+    def _dual_vertices(self):
+        return _extreme_keys(dict(zip(self._gen_ints, self.generators)), self._int_rows[1],
+                             self.dim)
 
     def param(self, name):
         for key, value in self.params:
@@ -309,44 +312,27 @@ def reference_product_norm(x, split: int) -> Scalar:
     return (max(rest) if rest else ZERO) + abs(x[split])
 
 
-_BALL_CACHE: dict = {}
-_DUAL_CACHE: dict = {}
-
-
 def unit_ball(space: PolyhedralNormSpace) -> HPolytope:
     """H-polytope {x : phi.x <= 1 for every generator phi}.
 
-    For phi = c / den its integer row is (c..., den) over its gcd, what
-    linprog.clear_rows would give, so nothing is cleared again.  A family
-    space's vertex levels go with the rows, so the ball's vertices are
-    their sign patterns and no DD runs (see polytope._orbit).  The same
-    object is returned for spaces with the same integer rows, so downstream
-    vertex enumeration is shared.
+    Its integer rows are the space's own, so nothing is cleared again.  A
+    family space's vertex levels go with the rows, so the ball's vertices
+    are their sign patterns and no DD runs (see polytope._orbit).  The ball
+    is built once per space and every call returns it, so its vertex
+    enumeration is shared by every slice of it.
     """
-    cached = _BALL_CACHE.get(space._rows_key)
-    if cached is None:
-        den = space._int_rows[1]
-        rows = ClearedRows(_reduced(row + (den,)) for row in space._gen_ints)
-        cached = HPolytope([HalfSpace(g, ONE) for g in space.generators], space.dim, _rows=rows,
-                           _levels=space._levels)
-        _BALL_CACHE[space._rows_key] = cached
-    return cached
+    return space._unit_ball
 
 
 def dual_ball_vertices(space: PolyhedralNormSpace) -> VPolytope:
     """Extreme points of the generator set (the dual unit ball's vertices).
 
-    extreme_points(space.generators), run on the space's integer rows (see
-    polytope._extreme_keys).  Family II keeps every generator, and so does
-    family VII unless a weight is 1; the reduction is always performed, so
-    the claim is checked rather than assumed.
+    extreme_points(space.generators), run once per space on its integer rows
+    (see polytope._extreme_keys).  Family II keeps every generator, and so
+    does family VII unless a weight is 1; the reduction is always performed,
+    so the claim is checked rather than assumed.
     """
-    cached = _DUAL_CACHE.get(space._rows_key)
-    if cached is None:
-        cached = _extreme_keys(dict(zip(space._gen_ints, space.generators)),
-                               space._int_rows[1], space.dim)
-        _DUAL_CACHE[space._rows_key] = cached
-    return cached
+    return space._dual_vertices
 
 
 def attaining_set(space: PolyhedralNormSpace, x) -> FaceSet:

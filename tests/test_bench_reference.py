@@ -81,7 +81,6 @@ def test_lp_certify_seed_0_solves_63_lps_and_no_hull_lp(monkeypatch):
     (polytope._extreme_keys), and every family II generator passes its
     pre-test, so no hull LP runs."""
     workloads = bench_workloads(monkeypatch)
-    monkeypatch.setattr(spaces, "_DUAL_CACHE", {})
     widths = []
     hull_lps = []
     extreme_calls = []

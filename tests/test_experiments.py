@@ -97,16 +97,29 @@ def test_thm1_case_at_n_8_meets_the_closed_form():
     assert row["vertex_count"] == 2 ** 9 and row["pass"]
 
 
-@pytest.mark.parametrize("experiment", ["thm1", "prop3"])
+# Per default grid: the ball orbit expansions (polytope._orbit) and the
+# dual-vertex computations (polytope._extreme_keys), one per space that
+# needs them.  thm1 and prop2 build a space per row and prop3 one per N;
+# prop2's N = 1 rows raise DimensionTooSmall before any slice is
+# enumerated.  The certificates of prop2 and verify-ext's audits take the
+# dual vertices, one per space.
+DEFAULT_GRID_WORK = {
+    "thm1": (18, 0), "prop2": (10, 12), "prop3": (3, 0), "verify-ext": (0, 18), "sandwich": (0, 0),
+}
+
+
+@pytest.mark.parametrize("experiment", ["thm1", "prop3", "prop2", "verify-ext", "sandwich"])
 def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, experiment):
-    """On the default thm1 and prop3 grids every ball comes from its vertex
-    levels and every support value from the closed form: DD's cone runs for
-    no ball and no LP is solved; only the one cut of each slice is a DD
-    step."""
+    """On the default grids every ball comes from its vertex levels and
+    every support value from the closed form: DD's cone runs for no ball,
+    and the only LPs are prop2's certificate probes; only the one cut of
+    each enumerated slice is a DD step.  Each ball is expanded, and each
+    dual vertex set computed, once per space, and a second unit_ball or
+    dual_ball_vertices call on a space returns the same object with no new
+    work."""
     from polyslice import linprog, polytope, slices, spaces
 
-    monkeypatch.setattr(spaces, "_BALL_CACHE", {})
-    counts = {"cone": 0, "lp": 0, "cut": 0}
+    counts = dict.fromkeys(("cone", "lp", "probe_lp", "cut", "orbit", "extreme"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -114,13 +127,42 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
             return fn(*args, **kwargs)
         return wrapper
 
+    probe = slices._probe
+
+    def counting_probe(g, ball_cols, support, dim):
+        counts["probe_lp"] += bool(support)
+        return probe(g, ball_cols, support, dim)
+
+    built = []
+
+    def recording(build):
+        return lambda *args: built.append(build(*args)) or built[-1]
+
     monkeypatch.setattr(polytope, "_cone", counting("cone", polytope._cone))
     monkeypatch.setattr(polytope, "_cut", counting("cut", polytope._cut))
+    monkeypatch.setattr(polytope, "_orbit", counting("orbit", polytope._orbit))
+    extreme = counting("extreme", polytope._extreme_keys)
+    monkeypatch.setattr(polytope, "_extreme_keys", extreme)
+    monkeypatch.setattr(spaces, "_extreme_keys", extreme)
     monkeypatch.setattr(slices, "solve_lp", counting("lp", slices.solve_lp))
     monkeypatch.setattr(linprog, "solve_lp", counting("lp", linprog.solve_lp))
+    monkeypatch.setattr(slices, "_probe", counting_probe)
+    monkeypatch.setattr(experiments, "make_space_II", recording(experiments.make_space_II))
+    monkeypatch.setattr(experiments, "make_space_VII", recording(experiments.make_space_VII))
     report = run_experiment(ExperimentConfig(experiment=experiment))
     assert report.all_pass
-    assert counts == {"cone": 0, "lp": 0, "cut": len(report.rows)}
+    diameters = sum(bool(row.get("exact_value")) for row in report.rows)
+    assert (counts["cone"], counts["cut"]) == (0, diameters)
+    assert counts["lp"] == counts["probe_lp"] and (counts["lp"] > 0) == (experiment == "prop2")
+    assert (counts["orbit"], counts["extreme"]) == DEFAULT_GRID_WORK[experiment]
+    assert len(built) == (3 if experiment == "prop3" else len(report.rows))
+    for sp in built:
+        ball, dual = spaces.unit_ball(sp), spaces.dual_ball_vertices(sp)
+        polytope._enumeration(ball)
+        before = dict(counts)
+        assert spaces.unit_ball(sp) is ball and spaces.dual_ball_vertices(sp) is dual
+        assert polytope._enumeration(spaces.unit_ball(sp)) is polytope._enumeration(ball)
+        assert counts == before
 
 
 def test_prop2_report_covers_success_and_small_dimension():

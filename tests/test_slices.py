@@ -138,7 +138,7 @@ def test_dd_and_extreme_points_on_degenerate_custom_spaces():
         alpha = Scalar(rng.randint(1, 12), rng.randint(1, 6))
         best, verts, s = oracles.slice_diameter(sp.generators, f, alpha)
         assert support_value(sp, f) == s
-        poly = make_slice(sp, SliceSpec(f, alpha), s)
+        poly = make_slice(sp, SliceSpec(f, alpha))
         result = diameter(poly, sp)
         assert [tuple(v) for v in vertices(poly).vertices] == verts
         assert result.value == best and result.vertex_count == len(verts)

@@ -1,6 +1,7 @@
 """Norm-space builders, evaluators, and face queries."""
 
 import dataclasses
+import gc
 import json
 import random
 from collections import Counter
@@ -8,11 +9,10 @@ from collections import Counter
 import pytest
 
 import oracles
-import polyslice.spaces as spaces_module
 from polyslice import polytope, slices
 from polyslice.cli import main as cli_main
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
-from polyslice.polytope import HPolytope, contains, extreme_points, vertices
+from polyslice.polytope import HPolytope, VPolytope, contains, extreme_points, vertices
 from polyslice.spaces import (
     PolyhedralNormSpace,
     _norm_ints,
@@ -213,14 +213,18 @@ def test_norm_kernel_on_integer_points_and_the_zero_vector():
 
 
 def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
-    """Two equal spaces built separately are equal, hash alike and share a
-    unit ball, also when only one of them has evaluated a norm."""
+    """Two equal spaces built separately are equal, hash alike and print
+    alike, also when only one of them has evaluated a norm and kept its
+    unit ball and dual vertices.  Each builds its own ball, on equal rows."""
     for build in (lambda: make_space_II(3, "1/10"), lambda: make_space_VII(3, ("71/72", "61/72"))):
         a, b = build(), build()
         norm(a, Vec.unit(a.dim, 0))
+        ball = unit_ball(a)
+        dual_ball_vertices(a)
+        assert {"_unit_ball", "_dual_vertices"} <= set(vars(a)).difference(vars(b))
         assert a is not b
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert unit_ball(b) is unit_ball(a)
+        assert unit_ball(b) is not ball and unit_ball(b)._int_rows == ball._int_rows
 
 
 def counting_clears(monkeypatch):
@@ -255,7 +259,7 @@ def counting_clears(monkeypatch):
 
     for module in (polyslice.numeric, polyslice.polytope, polyslice.spaces, polyslice.slices):
         monkeypatch.setattr(module, "clear_denominators", counted_clear(module.__name__))
-    for module in (polyslice.linprog, polyslice.polytope):
+    for module in (polyslice.linprog, polyslice.polytope, polyslice.slices):
         monkeypatch.setattr(module, "clear_rows", counted_rows)
     return calls
 
@@ -283,8 +287,6 @@ def test_builders_ball_and_dual_vertices_clear_no_rational_row(monkeypatch, buil
     come from the builder's integer rows: no generator, halfspace or dual
     vertex is cleared, also where hull LPs run (VII4) or a generator is
     dropped (VII3-weight1)."""
-    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
-    monkeypatch.setattr(spaces_module, "_DUAL_CACHE", {})
     calls = counting_clears(monkeypatch)
     sp = build()
     ball = unit_ball(sp)
@@ -303,14 +305,12 @@ def test_lower_bound_certificate_clears_no_dual_row(monkeypatch, build, g):
     """A certificate reads its dual rows, for the active set and for its
     kernel with g, from dual_ball_vertices' integer keys, so nothing goes
     through nullspace_basis' row clearing.  What it does clear is one row,
-    the slice's cut, and single points of space.dim values: g, the probe
+    the slice's cut, which make_slice clears, and single points of space.dim values: g, the probe
     points, the kernel direction and the two checked points."""
     from polyslice.slices import lower_bound_certificate
 
     sp = build()
     g = Vec(g)
-    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
-    monkeypatch.setattr(spaces_module, "_DUAL_CACHE", {})
     calls = counting_clears(monkeypatch)
     cert = lower_bound_certificate(sp, g, rational("1/2"), R10)
     assert cert.valid and cert.active
@@ -369,13 +369,12 @@ def test_ball_levels_expand_to_the_dd_rays_and_masks(monkeypatch):
     and the same multiset of (ray, zero-set mask), on the 70 differential
     spaces.  On the first space of each family at N <= 3 the vertices are
     also those of the subset oracle."""
-    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
     seen = set()
     for sp in _differential_spaces():
         ball = unit_ball(sp)
         assert ball._levels == sp._levels and sp._levels
         got = polytope._enumeration(ball)
-        cold = polytope._enumeration(HPolytope(ball.halfspaces, sp.dim, _rows=ball._int_rows))
+        cold = polytope._enumeration(HPolytope(ball._int_rows, sp.dim))
         assert (got.keys, got.den) == (cold.keys, cold.den)
         assert Counter(zip(got.rays, got.masks)) == Counter(zip(cold.rays, cold.masks))
         if sp.param("N") <= 3 and (sp.label, sp.param("N")) not in seen:
@@ -389,8 +388,8 @@ def test_a_custom_space_has_no_levels_and_takes_dd_and_the_lp(monkeypatch):
     label and params but scaled generators has none, so its ball is
     enumerated by DD and its support value is one LP; both agree with the
     family space's, scaled.  The same generators through the constructor
-    also give no levels, but the space shares the builder's cached ball."""
-    monkeypatch.setattr(spaces_module, "_BALL_CACHE", {})
+    also give no levels, and that space builds its own ball on the
+    builder's rows."""
     cones, lps = [], []
     cone, solve = polytope._cone, slices.solve_lp
     monkeypatch.setattr(polytope, "_cone", lambda *a: cones.append(1) or cone(*a))
@@ -409,21 +408,25 @@ def test_a_custom_space_has_no_levels_and_takes_dd_and_the_lp(monkeypatch):
         assert (len(cones), len(lps)) == (1, 1)
         same = PolyhedralNormSpace(family.dim, family.generators, family.label, family.params)
         assert same == family and same._levels is None
-        assert unit_ball(same) is unit_ball(family)
+        assert unit_ball(same) is not unit_ball(family)
+        assert unit_ball(same)._int_rows == unit_ball(family)._int_rows
 
 
-def test_spaces_with_the_same_rows_share_one_ball_and_one_dual():
-    """The caches key on (dim, den, _gen_ints): equal spaces, and a custom
-    space on a builder's generators, get the same ball and dual vertices;
-    spaces that differ in a row do not."""
+def test_spaces_with_the_same_rows_build_their_own_equal_balls_and_duals():
+    """A ball and its dual vertices belong to their space: equal spaces
+    built separately, and a custom space on a builder's generators, build
+    distinct balls and dual vertices on equal integer rows, with equal
+    vertex keys; a space that differs in a row gets other rows."""
     sp = make_space_II(2, "3/7")
     twin = make_space_II(2, rational("3/7"))
     custom = space_from_dict({"generators": [[str(c) for c in g] for g in sp.generators]})
-    assert sp._rows_key == twin._rows_key == custom._rows_key
+    ball, dual = unit_ball(sp), dual_ball_vertices(sp)
     for other in (twin, custom):
-        assert unit_ball(other) is unit_ball(sp)
-        assert dual_ball_vertices(other) is dual_ball_vertices(sp)
-    assert unit_ball(make_space_II(2, "2/7")) is not unit_ball(sp)
+        assert unit_ball(other) is not ball and dual_ball_vertices(other) is not dual
+        assert unit_ball(other)._int_rows == ball._int_rows
+        assert polytope._enumeration(unit_ball(other)).keys == polytope._enumeration(ball).keys
+        assert dual_ball_vertices(other)._int_keys == dual._int_keys
+    assert unit_ball(make_space_II(2, "2/7"))._int_rows != ball._int_rows
 
 
 def test_builder_generators_are_the_sorted_rational_family():
@@ -447,25 +450,45 @@ def test_builder_generators_are_the_sorted_rational_family():
         assert make_space_VII(N, omega).generators == tuple(sorted(expected))
 
 
-def test_hash_is_the_field_tuple_hash_computed_once():
-    """The cached hash equals the dataclass hash of (dim, generators, label,
-    params) and is not a field, so fields and repr are unchanged."""
+def test_hash_is_the_field_tuple_hash():
+    """The hash is the dataclass hash of (dim, generators, label, params),
+    the only fields."""
     sp = make_space_VII(3, ("71/72", "61/72"))
     assert hash(sp) == hash((sp.dim, sp.generators, sp.label, sp.params))
     assert [f.name for f in dataclasses.fields(sp)] == ["dim", "generators", "label", "params"]
-    assert "_hash" in vars(sp) and "_hash" not in repr(sp)
 
 
 def test_unit_ball_is_cached_and_polar():
     sp = make_space_II(2, R10)
     ball = unit_ball(sp)
     assert unit_ball(sp) is ball
-    assert unit_ball(make_space_II(2, rational("1/10"))) is ball
+    assert unit_ball(make_space_II(2, rational("1/10")))._int_rows == ball._int_rows
     rng = random.Random(SEED + 2)
     for _ in range(100):
         x = rnd_vec(rng, 3, span=8, den=6)
         assert contains(ball, x) == (norm(sp, x) <= ONE)
         assert contains(ball, x) == all(phi.dot(x) <= ONE for phi in dual_ball_vertices(sp).vertices)
+
+
+def test_a_dropped_space_leaves_no_ball_or_dual_vertices_alive():
+    """A space's ball and dual vertices live as long as the space, or a
+    slice built on the ball, and no longer: once 20 family II and 20 family
+    VII spaces, all distinct, and their balls, slices and dual vertices are
+    dropped, none of the polytopes they made is left."""
+    def polytopes():
+        gc.collect()
+        return sum(isinstance(o, (HPolytope, VPolytope)) for o in gc.get_objects())
+
+    before = polytopes()
+    for k in range(20):
+        omega = (1 - Scalar(k, 200), 1 - Scalar(k + 1, 200))
+        for sp in (make_space_II(4, Scalar(1, k + 2)), make_space_VII(3, omega)):
+            assert unit_ball(sp)._int_rows
+            spec = slices.SliceSpec(Vec.unit(sp.dim, 0), "1/9")
+            assert slices.diameter(slices.make_slice(sp, spec), sp).value
+            assert dual_ball_vertices(sp).vertices
+    del sp
+    assert polytopes() == before
 
 
 def test_gauge_identity_on_ball_vertices():
