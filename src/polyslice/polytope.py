@@ -474,14 +474,27 @@ def _extreme_keys(first, den, dim) -> VPolytope:
     test; a family VII generator (+-1, +-1/3 e_j) fails it once its weight
     reaches 17/18, as the default weights do from n = 3 on.  A point that
     fails it gets the hull LP of _in_hull on the same keys.
+
+    A set closed under negation, as every generator set is, is tested one
+    +- pair at a time: negation maps the set onto itself, so p and -p are
+    extreme together.  Over the set R + (-R), R holding one key per pair
+    (the larger), p.p > p.q for every other q exactly when p.p > |p.q| for
+    every other q in R, and p != 0; so the Gram matrix is taken over R
+    alone, on |p.q|, and a pair that fails takes one hull LP.
     """
     ints = sorted(first)
-    gram = _row_values(ints, zip(*ints), len(ints))
-    keep = []
-    for t, dots in enumerate(gram):
+    neg = {p: tuple(-c for c in p) for p in ints}
+    paired = all(q in first for q in neg.values())
+    reps = [p for p in ints if p >= neg[p]] if paired else ints
+    gram = _row_values(reps, zip(*reps), len(reps))
+    kept = set()
+    for t, (p, dots) in enumerate(zip(reps, gram)):
+        if paired:
+            dots = list(map(abs, dots))
         own = dots[t]
-        if (own == max(dots) and dots.count(own) == 1) or not _in_hull(ints, t):
-            keep.append(ints[t])
+        if (own == max(dots) and dots.count(own) == 1) or not _in_hull(ints, ints.index(p)):
+            kept.update((p, neg[p]) if paired else (p,))
+    keep = [p for p in ints if p in kept]
     vpoly = _distinct_vpolytope(tuple(first[k] for k in keep), dim)
     object.__setattr__(vpoly, "_int_keys", (tuple(keep), den))
     return vpoly

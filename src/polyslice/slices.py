@@ -12,18 +12,18 @@ certified lower bound up to a fixed 1e-9 slack.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from operator import mul
 
 import numpy as np
 
-from .linprog import OPTIMAL, ClearedRows, clear_rows, solve_lp
+from .linprog import ClearedRows, clear_rows, solve_lp
 from .numeric import (ONE, Scalar, Vec, ZERO, _int_nullspace, _row_values, clear_denominators,
                       rational, rational_str)
 from .polytope import HPolytope, _enumeration, contains, vertices
-from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, unit_ball
+from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, support_value, unit_ball
 
 __all__ = [
     "SliceSpec",
@@ -110,29 +110,6 @@ class DimensionTooSmall(Exception):
     """
 
 
-def support_value(space: PolyhedralNormSpace, f) -> Scalar:
-    """sup of f over the unit ball, exact.
-
-    A family II or VII space carries its ball's vertex levels (p, t), p >= 0,
-    whose sign patterns are all the vertices (see the spaces module
-    docstring).  The best sign pattern of a level matches the signs of f,
-    so sup f is the max over the levels of sum |f_i| p_i / t, taken in
-    integers on f's cleared numerators.  Any other space solves one exact
-    LP over the ball's integer rows.
-    """
-    f = f if isinstance(f, Vec) else Vec(f)
-    if len(f) != space.dim:
-        raise ValueError("functional of length %d in dimension %d" % (len(f), space.dim))
-    if space._levels:
-        ints, q = clear_denominators(f)
-        ints = [abs(c) for c in ints]
-        return max(Scalar(sum(map(mul, ints, level)), q * level[-1]) for level in space._levels)
-    res = solve_lp(f, leq=unit_ball(space)._int_rows)
-    if res.status != OPTIMAL:
-        raise RuntimeError("support LP did not terminate at an optimum: %s" % res.status)
-    return res.value
-
-
 def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
     """Ball cut by f.x >= s - alpha, s = sup f over the ball, sharing the
     ball's rows as a base.  The cut row is cleared once; the shared base
@@ -141,9 +118,13 @@ def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
     """
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))
-    ball = unit_ball(space)
-    cut = clear_rows([(-spec.f, spec.alpha - support_value(space, spec.f))])
-    return HPolytope(cut, space.dim, _base=ball)
+    return _slice(space, spec, support_value(space, spec.f))
+
+
+def _slice(space, spec, s):
+    """make_slice for a support value s = sup spec.f already known."""
+    cut = clear_rows([(-spec.f, spec.alpha - s)])
+    return HPolytope(cut, space.dim, _base=unit_ball(space))
 
 
 def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
@@ -188,9 +169,38 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
                           vertex_count=len(verts))
 
 
-def _probe_subsets(dim):
-    for size in range(dim + 1):
-        yield from itertools.combinations(range(dim), size)
+def _probe_subsets(weights, target):
+    """The coordinate supports S whose bound sum(weights[j] for j in S)
+    reaches the integer target, by size and then lexicographically.
+
+    Each size is a depth-first walk over the indices.  With the prefix
+    chosen so far summing to acc and need more indices to pick, index i is
+    skipped when acc + weights[i] plus the largest need - 1 weights after i
+    falls below target, since no support through that prefix and i can
+    reach it.  The table of the largest k weights from each index on is
+    built once.  Every branch that is entered reaches at least one support,
+    so the 2^d supports are never listed, only those that reach target.
+    """
+    d = len(weights)
+    # best[i][k]: the sum of the k largest weights from index i on.
+    best = []
+    for i in range(d + 1):
+        sums = [0]
+        for w in sorted(weights[i:], reverse=True):
+            sums.append(sums[-1] + w)
+        best.append(sums)
+
+    def walk(start, need, acc, prefix):
+        if not need:
+            yield prefix
+            return
+        for i in range(start, d - need + 1):
+            if acc + weights[i] + best[i + 1][need - 1] >= target:
+                yield from walk(i + 1, need - 1, acc + weights[i], prefix + (i,))
+
+    for size in range(d + 1):
+        if best[0][size] >= target:
+            yield from walk(0, size, 0, ())
 
 
 def _probe(g, ball_cols, support, dim):
@@ -230,12 +240,24 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     with g spans the whole dual, no certificate exists at this dimension and
     DimensionTooSmall is raised.
 
+    A probe's value over support S is at most sum_{j in S} |g_j| M_j, with
+    M_j = sup |x_j| over the ball (the space's _coordinate_bounds).  A
+    support whose bound is below s - alpha would fail the value test, so
+    _probe_subsets walks only the supports that reach it, in integers: the
+    bounds' numerators |g_j| M_j over one denominator, against the ceiling
+    of s - alpha over it.  Every probe it skips has a value below the
+    threshold, so the certificate, or DimensionTooSmall, is the one the walk
+    over every support gives.  On a family II space with g_beta = 0 the
+    bound equals the probe's value, so every probe solved reaches the
+    threshold.
+
     Each probe is one LP, over the support's columns alone (_probe), which
     gives both the value and the point x that the full LP with x_j = 0 rows
     off the support would give.  The ball's integer rows are transposed
-    once per call, and each probe restricts them by taking the support's
-    columns.  A and its kernel with g are found on the dual vertices'
-    integer keys, so no dual row is cleared here.
+    once per space (_ball_columns), and each probe restricts them by taking
+    the support's columns.  s is computed once and serves the slice as
+    well.  A and its kernel with g are found on the dual vertices' integer
+    keys, so no dual row is cleared here.
     """
     spec = SliceSpec(g, alpha)
     g, alpha = spec.f, spec.alpha
@@ -243,17 +265,19 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     if not 0 < r < 1:
         raise ValueError("r must lie strictly between 0 and 1")
     s = support_value(space, g)
-    slice_poly = make_slice(space, spec)
+    slice_poly = _slice(space, spec, s)
     threshold = s - alpha
-    ball_cols = tuple(zip(*unit_ball(space)._int_rows))
+    g_row, gq = clear_denominators(g)
+    bounds, bq = space._coordinate_bounds
+    weights = [abs(c) * m for c, m in zip(g_row, bounds)]
+    ball_cols = space._ball_columns
     dual = dual_ball_vertices(space)
     duals = dual.vertices
     dual_rows, dden = dual._int_keys
-    g_row = clear_denominators(g)[0]
     d = space.dim
     one_minus_r = ONE - r
     fallback = None
-    for allowed in _probe_subsets(d):
+    for allowed in _probe_subsets(weights, ceil(threshold * gq * bq)):
         value, x = _probe(g, ball_cols, allowed, d)
         if value < threshold:
             continue

@@ -24,12 +24,13 @@ balls, are closed under flipping the sign of any one coordinate.  The
 builders attach the ball's vertex levels (_levels), one canonical integer
 ray (p..., t) with p >= 0 per orbit of vertices under those flips, in
 closed form.  The unit ball expands them into its vertices instead of
-running DD, and slices.support_value reads sup f off them instead of
-solving an LP.  A space built by the constructor has no levels, whatever
-its label, and takes DD and the LP.
+running DD, and support_value reads sup f off them instead of solving an
+LP.  A space built by the constructor has no levels, whatever its label,
+and takes DD and the LP.
 
-A space builds its unit ball and the extreme points of its generator set
-from those rows once, on first use, and keeps them: they live as long as the
+A space builds its unit ball, the ball's columns, the coordinate bounds
+sup |x_j| over the ball and the extreme points of its generator set from
+those rows once, on first use, and keeps them: they live as long as the
 space, or as a slice built on the ball.  No cache outlives its space.
 """
 
@@ -39,8 +40,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import mul
 
-from .linprog import ClearedRows
+from .linprog import OPTIMAL, ClearedRows, solve_lp
 from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _reduced, _row_values,
                       clear_denominators, exact_int, rational, rational_str)
 from .polytope import HPolytope, VPolytope, _extreme_keys
@@ -55,6 +57,7 @@ __all__ = [
     "check_omega",
     "reference_product_norm",
     "unit_ball",
+    "support_value",
     "dual_ball_vertices",
     "attaining_set",
     "space_to_dict",
@@ -79,9 +82,10 @@ class PolyhedralNormSpace:
     order.  Negating phi changes neither |phi.x| nor a width
     max phi.v - min phi.v, so these rows serve every norm and width.
     _levels holds the ball's vertex levels, which only the builders attach
-    (None otherwise).  _unit_ball and _dual_vertices are built from the rows
-    on first use and kept on the space.  None of these is a field, so
-    equality, hashing and repr ignore them.
+    (None otherwise).  _unit_ball, _ball_columns, _coordinate_bounds and
+    _dual_vertices are built from the rows on first use and kept on the
+    space.  None of these is a field, so equality, hashing and repr ignore
+    them.
     """
 
     dim: int
@@ -153,6 +157,26 @@ class PolyhedralNormSpace:
         den = self._int_rows[1]
         rows = ClearedRows(_reduced(row + (den,)) for row in self._gen_ints)
         return HPolytope(rows, self.dim, _levels=self._levels)
+
+    @cached_property
+    def _ball_columns(self):
+        """The unit ball's integer rows transposed: one tuple per coordinate,
+        then the right-hand sides."""
+        return tuple(zip(*self._unit_ball._int_rows))
+
+    @cached_property
+    def _coordinate_bounds(self):
+        """(bounds, den): M_j = sup |x_j| over the unit ball is bounds[j] / den
+        for each coordinate j, in integers over one den > 0.  The ball is
+        symmetric, so M_j = support_value(self, e_j): on the vertex levels
+        (p, t) that is the largest p_j / t, taken here over the lcm of the
+        t; a space without levels solves one LP per coordinate."""
+        d = self.dim
+        if self._levels:
+            den = lcm(*(level[-1] for level in self._levels))
+            return tuple(max(level[j] * (den // level[-1]) for level in self._levels)
+                         for j in range(d)), den
+        return clear_denominators([support_value(self, Vec.unit(d, j)) for j in range(d)])
 
     @cached_property
     def _dual_vertices(self):
@@ -322,6 +346,29 @@ def unit_ball(space: PolyhedralNormSpace) -> HPolytope:
     enumeration is shared by every slice of it.
     """
     return space._unit_ball
+
+
+def support_value(space: PolyhedralNormSpace, f) -> Scalar:
+    """sup of f over the unit ball, exact.
+
+    A family II or VII space carries its ball's vertex levels (p, t), p >= 0,
+    whose sign patterns are all the vertices (see the module docstring).
+    The best sign pattern of a level matches the signs of f, so sup f is
+    the max over the levels of sum |f_i| p_i / t, taken in integers on f's
+    cleared numerators.  Any other space solves one exact LP over the
+    ball's integer rows.
+    """
+    f = f if isinstance(f, Vec) else Vec(f)
+    if len(f) != space.dim:
+        raise ValueError("functional of length %d in dimension %d" % (len(f), space.dim))
+    if space._levels:
+        ints, q = clear_denominators(f)
+        ints = [abs(c) for c in ints]
+        return max(Scalar(sum(map(mul, ints, level)), q * level[-1]) for level in space._levels)
+    res = solve_lp(f, leq=unit_ball(space)._int_rows)
+    if res.status != OPTIMAL:
+        raise RuntimeError("support LP did not terminate at an optimum: %s" % res.status)
+    return res.value
 
 
 def dual_ball_vertices(space: PolyhedralNormSpace) -> VPolytope:

@@ -3,9 +3,11 @@
 Everything in this module is deliberately naive and self-contained:
 fractions.Fraction arithmetic, itertools.combinations subset enumeration,
 quadratic vertex-pair diameter, Caratheodory-style hull membership, and a
-Fraction simplex tableau with Bland's rules (lp_max).  Nothing here imports
-the production package, so agreement between the two code paths is a
-meaningful check.  Run as a script to print the pinned constants.
+Fraction simplex tableau with Bland's rules (lp_max), and a lower-bound
+certificate checker on integer dot products (check_certificate).  Nothing
+here imports the production package, so agreement between the two code
+paths is a meaningful check.  Run as a script to print the pinned
+constants.
 
 The one exception is cold_certificate, the lower-bound certificate search
 as it was before its probes got a value-only LP: it solves every probe as
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 def dot(a, b):
@@ -390,6 +393,69 @@ def cold_certificate(space, g, alpha, r):
                 if fallback is None:
                     fallback = cert
     return fallback
+
+
+def _ints(values):
+    """Integer numerators of Fractions over their least common denominator,
+    and that denominator."""
+    values = [Fraction(v) for v in values]
+    q = lcm(*(v.denominator for v in values))
+    return [int(v * q) for v in values], q
+
+
+def _int_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def check_certificate(gens, cert, s):
+    """Re-verify a lower-bound certificate, given as its to_dict() form,
+    against the generators of its space and an independently known support
+    value s = sup g over the unit ball, in integer dot products only.
+
+    Every rational is cleared once to integers over a positive denominator:
+    the generators to rows C over D, so phi.z <= c reads C.Z <= c D q for
+    z = Z / q.  It checks that the certificate echoes s and claims the bound
+    2(1 - r), that |||y||| = max C.Y / (D q_y) = 1, that g.y = 0, that each
+    listed active phi is a generator with phi.x > r and phi.y = 0, and that
+    both x +- (1 - r)y lie in the slice {z : C.Z <= D q, g.z >= s - alpha}.
+    Returns None when all of that holds, else the first failure's reason."""
+    rows, den = _ints([c for g in gens for c in g])
+    dim = len(cert["x"])
+    rows = [rows[k:k + dim] for k in range(0, len(rows), dim)]
+    r, alpha = Fraction(cert["r"]), Fraction(cert["alpha"])
+    if Fraction(cert["support_value"]) != Fraction(s):
+        return "support value %s, not %s" % (cert["support_value"], s)
+    if Fraction(cert["bound"]) != 2 * (1 - r):
+        return "bound is not 2(1 - r)"
+    xs, qx = _ints(cert["x"])
+    ys, qy = _ints(cert["y"])
+    gs, qg = _ints(cert["g"])
+    if max(_int_dot(c, ys) for c in rows) != den * qy:
+        return "y is not a unit vector"
+    if _int_dot(gs, ys):
+        return "g.y != 0"
+    gen_rows = {tuple(c) for c in rows}
+    for phi in cert["active"]:
+        # phi = C / D exactly when its numerators over D are a row.
+        c = [Fraction(v) * den for v in phi]
+        if any(v.denominator != 1 for v in c) or tuple(int(v) for v in c) not in gen_rows:
+            return "active %s is not a generator" % (phi,)
+        c = [int(v) for v in c]
+        if r.denominator * _int_dot(c, xs) <= r.numerator * den * qx:
+            return "active %s has phi.x <= r" % (phi,)
+        if _int_dot(c, ys):
+            return "active %s has phi.y != 0" % (phi,)
+    # x +- (1 - r)y = P / q with P = rd qy X +- (rd - rn) qx Y, q = rd qx qy.
+    rn, rd = r.numerator, r.denominator
+    q = rd * qx * qy
+    level = Fraction(s) - alpha
+    for sign in (1, -1):
+        pts = [rd * qy * a + sign * (rd - rn) * qx * b for a, b in zip(xs, ys)]
+        if any(_int_dot(c, pts) > den * q for c in rows):
+            return "x %s (1 - r)y leaves the ball" % "+-"[sign < 0]
+        if _int_dot(gs, pts) * level.denominator < level.numerator * qg * q:
+            return "x %s (1 - r)y leaves the slice" % "+-"[sign < 0]
+    return None
 
 
 def _fmt(v):

@@ -111,10 +111,11 @@ DEFAULT_GRID_WORK = {
 @pytest.mark.parametrize("experiment", ["thm1", "prop3", "prop2", "verify-ext", "sandwich"])
 def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, experiment):
     """On the default grids every ball comes from its vertex levels and
-    every support value from the closed form: DD's cone runs for no ball,
-    and the only LPs are prop2's certificate probes; only the one cut of
-    each enumerated slice is a DD step.  Each ball is expanded, and each
-    dual vertex set computed, once per space, and a second unit_ball or
+    every support value and coordinate bound from the closed form: DD's
+    cone runs for no ball, and the only LPs are prop2's 14 certificate
+    probes (the walk over every support took 16); only the one cut of each
+    enumerated slice is a DD step.  Each ball is expanded, and each dual
+    vertex set computed, once per space, and a second unit_ball or
     dual_ball_vertices call on a space returns the same object with no new
     work."""
     from polyslice import linprog, polytope, slices, spaces
@@ -145,6 +146,7 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     monkeypatch.setattr(polytope, "_extreme_keys", extreme)
     monkeypatch.setattr(spaces, "_extreme_keys", extreme)
     monkeypatch.setattr(slices, "solve_lp", counting("lp", slices.solve_lp))
+    monkeypatch.setattr(spaces, "solve_lp", counting("lp", spaces.solve_lp))
     monkeypatch.setattr(linprog, "solve_lp", counting("lp", linprog.solve_lp))
     monkeypatch.setattr(slices, "_probe", counting_probe)
     monkeypatch.setattr(experiments, "make_space_II", recording(experiments.make_space_II))
@@ -153,7 +155,7 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     assert report.all_pass
     diameters = sum(bool(row.get("exact_value")) for row in report.rows)
     assert (counts["cone"], counts["cut"]) == (0, diameters)
-    assert counts["lp"] == counts["probe_lp"] and (counts["lp"] > 0) == (experiment == "prop2")
+    assert counts["lp"] == counts["probe_lp"] == (14 if experiment == "prop2" else 0)
     assert (counts["orbit"], counts["extreme"]) == DEFAULT_GRID_WORK[experiment]
     assert len(built) == (3 if experiment == "prop3" else len(report.rows))
     for sp in built:

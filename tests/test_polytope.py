@@ -584,13 +584,79 @@ def test_extreme_points_drop_a_non_extreme_point_by_the_hull_lp(monkeypatch):
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_extreme_points_keep_every_family_VII_generator_by_hull_lps(monkeypatch, N):
     """At the default weights the generators (+-1, +-1/3 e_j) fail the
-    pre-test from n = 3 on; each of the 4(N - 2) gets a hull LP, and every
-    one of the 10(N - 1) generators is kept."""
+    pre-test from n = 3 on; the set is closed under negation, so each of
+    their 2(N - 2) +- pairs gets one hull LP, and every one of the
+    10(N - 1) generators is kept."""
     calls = counting_lps(monkeypatch)
     gens = make_space_VII(N).generators
     assert len(gens) == 10 * (N - 1)
     assert extreme_points(gens).vertices == tuple(sorted(gens))
-    assert len(calls) == 4 * (N - 2)
+    assert len(calls) == 2 * (N - 2)
+
+
+def _extreme_point_by_point(points):
+    """extreme_points testing every point on its own: the Gram pre-test
+    p.p > p.q over every other q, then a hull LP (polytope._in_hull) for
+    each point that fails it.  Returns the kept points and the LP count."""
+    from polyslice.polytope import _in_hull
+
+    pts = sorted(set(tuple(as_fraction(c) for c in p) for p in points))
+    den = 1
+    for p in pts:
+        for c in p:
+            den = den * c.denominator // gcd(den, c.denominator)
+    ints = [tuple(int(c * den) for c in p) for p in pts]
+    kept, lps = [], 0
+    for t, p in enumerate(ints):
+        dots = [sum(a * b for a, b in zip(p, q)) for q in ints]
+        if dots[t] == max(dots) and dots.count(dots[t]) == 1:
+            kept.append(pts[t])
+            continue
+        lps += 1
+        if not _in_hull(ints, t):
+            kept.append(pts[t])
+    return kept, lps
+
+
+def _symmetric_point_sets(rng):
+    """Family II at N = 1..5 with three r, family VII at N = 2..5 with the
+    default weights, 17/18, 1 and random weights, and 30 random point sets
+    closed under negation: entries in {-2..2} over 1 or 2, repeats, the
+    origin and points inside the hull among them."""
+    sets = []
+    for N in range(1, 6):
+        for r in ("1/10", "5/2", Scalar(rng.randint(1, 999), rng.randint(1, 999))):
+            sets.append(make_space_II(N, r).generators)
+    for N in range(2, 6):
+        drawn = [Scalar(rng.randint(61, 72), 72) for _ in range(N - 1)]
+        for omega in (None, ["17/18"] * (N - 1), ["1"] * (N - 1), drawn):
+            sets.append(make_space_VII(N, omega).generators)
+    for _ in range(30):
+        dim = rng.choice((2, 3, 4))
+        pts = [Vec([Scalar(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(dim)])
+               for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            pts.append(Vec.zero(dim))
+        sets.append(pts + [-p for p in pts] + pts[:2])
+    return sets
+
+
+def test_extreme_points_of_sets_closed_under_negation_take_one_lp_per_pair(monkeypatch):
+    """A set closed under negation is tested one +- pair at a time: the kept
+    points are those of the test of every point on its own, and each hull
+    LP serves a pair, so exactly half as many run (the origin, its own
+    negation, counts once on both sides)."""
+    rng = random.Random(SEED + 5)
+    calls = counting_lps(monkeypatch)
+    total = 0
+    for pts in _symmetric_point_sets(rng):
+        expected, lps = _extreme_point_by_point(pts)
+        origin = any(not any(p) for p in pts) and len(set(pts)) > 1
+        del calls[:]
+        assert [tuple(as_fraction(c) for c in v) for v in extreme_points(pts).vertices] == expected
+        assert len(calls) == (lps + origin) // 2
+        total += lps
+    assert total > 0
 
 
 def test_extreme_points_drop_the_family_VII_generators_inside_the_hull():

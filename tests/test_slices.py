@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from polyslice import slices
+from polyslice import slices, spaces
 from polyslice.linprog import ClearedRows, clear_rows, solve_lp
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import contains, extreme_points, vertices
@@ -124,12 +124,23 @@ def _degenerate_space(rng, dim):
             continue
 
 
+def _certificate_or_too_small(sp, g, alpha, r):
+    """The certificate, or None when DimensionTooSmall is raised."""
+    try:
+        return lower_bound_certificate(sp, g, alpha, r)
+    except DimensionTooSmall:
+        return None
+
+
 def test_dd_and_extreme_points_on_degenerate_custom_spaces():
     """Seeded degenerate-by-construction draws in dimension 2-3, which keep
     the DD and LP paths: the slice's vertices and exact diameter equal the
     subset-walk oracle's, its support value is the oracle's, and
-    extreme_points of the generators equals the LP hull filter."""
+    extreme_points of the generators equals the LP hull filter.  The
+    lower-bound certificate on the same slice, when there is one, passes
+    oracles.check_certificate exactly when it reports itself valid."""
     rng = random.Random(7723)
+    certified = 0
     for _ in range(60):
         sp = _degenerate_space(rng, rng.choice((2, 3)))
         f = Vec([rng.randint(-2, 2) for _ in range(sp.dim)])
@@ -137,6 +148,11 @@ def test_dd_and_extreme_points_on_degenerate_custom_spaces():
             f = Vec.unit(sp.dim, 0)
         alpha = Scalar(rng.randint(1, 12), rng.randint(1, 6))
         best, verts, s = oracles.slice_diameter(sp.generators, f, alpha)
+        cert = _certificate_or_too_small(sp, f, alpha, R10)
+        if cert is not None:
+            certified += 1
+            reason = oracles.check_certificate(sp.generators, cert.to_dict(), s)
+            assert (reason is None) == cert.valid, reason
         assert support_value(sp, f) == s
         poly = make_slice(sp, SliceSpec(f, alpha))
         result = diameter(poly, sp)
@@ -145,6 +161,7 @@ def test_dd_and_extreme_points_on_degenerate_custom_spaces():
         assert result == rational_diameter(poly, sp)
         kept = extreme_points(sp.generators).vertices
         assert [tuple(v) for v in kept] == oracles.lp_extreme_filter(sp.generators)
+    assert certified > 30
 
 
 def test_slice_contains_high_value_points_only():
@@ -521,6 +538,151 @@ def test_certificate_matches_the_cold_probe_loop():
     assert 0 < too_small < len(cases)
 
 
+def test_a_custom_space_certificate_takes_its_support_lp_once_and_its_bounds_once_per_space(monkeypatch):
+    """On a space without vertex levels (family II N = 3's generators
+    through the constructor) a certificate solves the full-width support LP
+    once, for s, which the slice reuses; the first certificate on the space
+    also solves one LP per coordinate for the bounds sup |x_j|, which the
+    space keeps.  Then one probe: the walk over every support, and s taken
+    again for the slice, gave LP widths [4, 4, 1]."""
+    family = make_space_II(3, R10)
+    sp = PolyhedralNormSpace(family.dim, family.generators, "custom")
+    widths = []
+    for module in (slices, spaces):
+        solve = module.solve_lp
+        monkeypatch.setattr(module, "solve_lp",
+                            lambda c, *a, _solve=solve, **k: widths.append(len(c)) or _solve(c, *a, **k))
+    first = lower_bound_certificate(sp, Vec.unit(4, 0), HALF, R10)
+    assert widths == [4] + [4] * 4 + [1]
+    assert sp._coordinate_bounds == ((11, 11, 11, 10), 11)
+    del widths[:]
+    assert lower_bound_certificate(sp, Vec.unit(4, 0), HALF, R10) == first
+    assert widths == [4, 1]
+    assert first.to_dict() == lower_bound_certificate(family, Vec.unit(4, 0), HALF, R10).to_dict()
+
+
+@pytest.mark.parametrize("N", [20, 30, 60])
+def test_dense_certificates_at_large_n_solve_at_most_two_lps(monkeypatch, N):
+    """prop2's random g (seed 0, the first draw) on family II, r = 1/10,
+    alpha = 1/2: the walk lists only supports whose bound reaches s - alpha,
+    and the first one listed gives the certificate, so at most 2 LPs run
+    (the walk over every support took 10,606 at N = 20).  The certificate
+    passes oracles.check_certificate with s = sum |g_j|, the closed form
+    when g_beta = 0.  LPs are counted, not timed."""
+    from polyslice.experiments import parse_g
+
+    g = parse_g("random", N, random.Random(0))
+    sp = make_space_II(N, R10)
+    lps = []
+    for module in (slices, spaces):
+        solve = module.solve_lp
+        monkeypatch.setattr(module, "solve_lp",
+                            lambda *a, _solve=solve, **k: lps.append(1) or _solve(*a, **k))
+    cert = lower_bound_certificate(sp, g, HALF, R10)
+    assert cert.valid and len(lps) <= 2
+    assert g[-1] == 0
+    assert oracles.check_certificate(sp.generators, cert.to_dict(), sum(map(abs, g))) is None
+
+
+def test_the_certificate_checker_rejects_each_broken_claim():
+    """oracles.check_certificate accepts a certificate and rejects it once
+    any one claim is broken: the support value, the bound, a y that is not
+    a unit vector or not in g's kernel, an active phi that is no generator,
+    is not hit by x or does not kill y, and an x whose pair leaves the
+    slice."""
+    sp = make_space_II(4, R10)
+    cert = lower_bound_certificate(sp, Vec.unit(5, 0), HALF, R10).to_dict()
+    assert cert["active"]
+    gens = sp.generators
+    assert oracles.check_certificate(gens, cert, ONE) is None
+    broken = [
+        ({}, rational("9/10")),
+        ({"bound": "2"}, ONE),
+        ({"y": [str(Fraction(c) * 2) for c in cert["y"]]}, ONE),
+        ({"y": ["1/2", "1", 0, 0, 0]}, ONE),
+        ({"active": cert["active"] + [["1/2", 0, 0, 0, 0]]}, ONE),
+        ({"active": cert["active"] + [["0", 0, 0, "-1", 1]]}, ONE),
+        ({"x": ["1", "1/2", 0, 0, 0], "active": [["0", "1", 0, 0, "1"]]}, ONE),
+        ({"x": ["2/5", 0, 0, 0, 0]}, ONE),
+    ]
+    for change, s in broken:
+        assert oracles.check_certificate(gens, {**cert, **change}, s) is not None, change
+
+
+def _walk_over_every_support(weights, target):
+    """The probe walk without pruning: every coordinate support, by size and
+    then lexicographically, whatever its bound."""
+    d = len(weights)
+    for size in range(d + 1):
+        yield from combinations(range(d), size)
+
+
+def test_probe_subsets_list_exactly_the_supports_that_reach_the_target():
+    """On random integer weights, zeros, ties and negative targets among
+    them, the pruned walk lists the supports of the walk over every support
+    whose weight sum reaches the target, in the same order."""
+    rng = random.Random(4099)
+    for _ in range(300):
+        weights = [rng.choice((0, 0, 1, 2, 3, rng.randint(0, 40))) for _ in range(rng.randint(0, 8))]
+        target = rng.randint(-2, sum(weights) + 2)
+        expected = [S for S in _walk_over_every_support(weights, target)
+                    if sum(weights[j] for j in S) >= target]
+        assert list(_probe_subsets(weights, target)) == expected
+
+
+def _pruning_cases():
+    """(space, g, alpha, r): family II at N = 1..10 with e1, e1 + e2 and a
+    dense g at three r; family VII at N = 2..5 with a random g at three
+    alpha; degenerate custom spaces (_degenerate_space) with random g,
+    alpha and r; and _certificate_cases, among them a probe whose bound
+    meets s - alpha exactly."""
+    rng = random.Random(2503)
+    cases = []
+    for N in range(1, 11):
+        for r in (R10, rational("1/4"), rational("3/7")):
+            sp = make_space_II(N, r)
+            e1 = Vec.unit(N + 1, 0)
+            for g in (e1, e1 + Vec.unit(N + 1, 1), Vec(_dense_g(rng, N))):
+                cases.append((sp, g, HALF, r))
+    for N in range(2, 6):
+        sp = make_space_VII(N)
+        for alpha in (rational("1/10"), rational("1/3"), HALF):
+            g = Vec([Scalar(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(N)])
+            cases.append((sp, Vec.unit(N, 0) if g.is_zero() else g, alpha, R10))
+    for _ in range(40):
+        sp = _degenerate_space(rng, rng.choice((2, 3)))
+        g = Vec([rng.randint(-2, 2) for _ in range(sp.dim)])
+        alpha = Scalar(rng.randint(1, 12), rng.randint(1, 6))
+        cases.append((sp, Vec.unit(sp.dim, 0) if g.is_zero() else g, alpha,
+                      Scalar(rng.randint(1, 5), 6)))
+    return cases + _certificate_cases()
+
+
+def test_pruned_probe_walk_gives_the_certificates_of_the_walk_over_every_support(monkeypatch):
+    """The walk pruned by the coordinate bound returns the same certificate
+    (== and to_dict), or the same DimensionTooSmall, as the walk over every
+    support, in fewer probe LPs; and oracles.check_certificate, against the
+    support value of the Fraction tableau, accepts exactly the valid ones."""
+    cases = _pruning_cases()
+    lps = []
+    solve = slices.solve_lp
+    monkeypatch.setattr(slices, "solve_lp", lambda *a, **k: lps.append(1) or solve(*a, **k))
+    pruned = [_certificate_or_too_small(*case) for case in cases]
+    pruned_lps = len(lps)
+    monkeypatch.setattr(slices, "_probe_subsets", _walk_over_every_support)
+    del lps[:]
+    full = [_certificate_or_too_small(*case) for case in cases]
+    assert pruned == full
+    assert [c and c.to_dict() for c in pruned] == [c and c.to_dict() for c in full]
+    assert 0 < sum(c is None for c in pruned) < len(cases)
+    assert pruned_lps < len(lps)
+    for (sp, g, alpha, r), cert in zip(cases, pruned):
+        if cert is not None:
+            s = oracles.lp_max(g, oracles.ball_rows(sp.generators))[2]
+            reason = oracles.check_certificate(sp.generators, cert.to_dict(), s)
+            assert (reason is None) == cert.valid, reason
+
+
 @pytest.mark.parametrize("space", [make_space_II(N, r) for N in (1, 2, 3, 4) for r in (R10, "3/7")]
                          + [make_space_VII(2), make_space_VII(3), make_space_VII(4), HEXAGON, SKEW])
 def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
@@ -535,7 +697,7 @@ def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
     cols = tuple(zip(*rows))
     gs = [Vec.unit(d, 0), Vec.unit(d, d - 1), Vec([Fraction(j % 3 - 1, j + 1) for j in range(d)])]
     for g in gs:
-        for support in _probe_subsets(d):
+        for support in (c for size in range(d + 1) for c in combinations(range(d), size)):
             zero = [(Vec.unit(d, j) * sign, ZERO) for j in range(d) if j not in support for sign in (1, -1)]
             cold = solve_lp(g, leq=ClearedRows(rows + clear_rows(zero)))
             got = _probe(g, cols, support, d)

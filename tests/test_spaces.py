@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from polyslice import polytope, slices
+from polyslice import polytope, slices, spaces
 from polyslice.cli import main as cli_main
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import HPolytope, VPolytope, contains, extreme_points, vertices
@@ -27,6 +27,7 @@ from polyslice.spaces import (
     save_space,
     space_from_dict,
     space_to_dict,
+    support_value,
     unit_ball,
 )
 
@@ -305,8 +306,9 @@ def test_lower_bound_certificate_clears_no_dual_row(monkeypatch, build, g):
     """A certificate reads its dual rows, for the active set and for its
     kernel with g, from dual_ball_vertices' integer keys, so nothing goes
     through nullspace_basis' row clearing.  What it does clear is one row,
-    the slice's cut, which make_slice clears, and single points of space.dim values: g, the probe
-    points, the kernel direction and the two checked points."""
+    the slice's cut, which slices._slice clears, and single points of
+    space.dim values: g, the probe points, the kernel direction and the two
+    checked points."""
     from polyslice.slices import lower_bound_certificate
 
     sp = build()
@@ -383,6 +385,23 @@ def test_ball_levels_expand_to_the_dd_rays_and_masks(monkeypatch):
             assert [tuple(v) for v in vertices(ball).vertices] == expected
 
 
+def test_coordinate_bounds_from_levels_equal_the_support_values():
+    """A builder space reads M_j = sup |x_j| off its vertex levels, as
+    integers over one den: that is support_value at e_j and at -e_j on the
+    70 differential spaces, and, at N <= 3, the bound LPs of the same
+    generators through the constructor."""
+    for sp in _differential_spaces():
+        d = sp.dim
+        bounds, den = sp._coordinate_bounds
+        got = [Scalar(b, den) for b in bounds]
+        assert got == [support_value(sp, Vec.unit(d, j)) for j in range(d)]
+        assert got == [support_value(sp, -Vec.unit(d, j)) for j in range(d)]
+        if sp.param("N") <= 3:
+            generic = PolyhedralNormSpace(d, sp.generators, sp.label, sp.params)
+            bounds, den = generic._coordinate_bounds
+            assert [Scalar(b, den) for b in bounds] == got
+
+
 def test_a_custom_space_has_no_levels_and_takes_dd_and_the_lp(monkeypatch):
     """Levels come only from the builders.  A custom space with a family's
     label and params but scaled generators has none, so its ball is
@@ -391,9 +410,9 @@ def test_a_custom_space_has_no_levels_and_takes_dd_and_the_lp(monkeypatch):
     also give no levels, and that space builds its own ball on the
     builder's rows."""
     cones, lps = [], []
-    cone, solve = polytope._cone, slices.solve_lp
+    cone, solve = polytope._cone, spaces.solve_lp
     monkeypatch.setattr(polytope, "_cone", lambda *a: cones.append(1) or cone(*a))
-    monkeypatch.setattr(slices, "solve_lp", lambda *a, **k: lps.append(1) or solve(*a, **k))
+    monkeypatch.setattr(spaces, "solve_lp", lambda *a, **k: lps.append(1) or solve(*a, **k))
     for family in (make_space_II(3, "2/7"), make_space_VII(3, ["1", "17/18"])):
         f = Vec([Scalar(k - 2, k + 1) for k in range(family.dim)])
         scaled = PolyhedralNormSpace(family.dim, tuple(g * 2 for g in family.generators),
