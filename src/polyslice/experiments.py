@@ -27,6 +27,7 @@ from .polytope import _enumeration
 from .slices import (
     DimensionTooSmall,
     SliceSpec,
+    _slice,
     diameter,
     lower_bound_certificate,
     make_slice,
@@ -435,7 +436,7 @@ def prop3_case(space: PolyhedralNormSpace, epsilon) -> tuple:
     N = space.dim
     f = Vec.unit(N, 0)
     s = support_value(space, f)
-    slice_poly = make_slice(space, SliceSpec(f, epsilon))
+    slice_poly = _slice(space, SliceSpec(f, epsilon), s)
     result = diameter(slice_poly, space)
     # The estimates read the vertex keys p / den that diameter enumerated.
     keys, den = _enumeration(slice_poly)[:2]

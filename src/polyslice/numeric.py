@@ -75,9 +75,12 @@ def exact_int(value, name):
 
 
 def rational_str(value):
-    """Serialize a rational exactly, always in "p/q" form."""
-    q = Scalar(value)
-    return "%s/%s" % (q.numerator, q.denominator)
+    """Serialize a rational exactly, always in "p/q" form.  A Scalar is
+    printed from its own numerator and denominator, already in lowest
+    terms; any other value is coerced by Scalar(value) first."""
+    if type(value) is not Scalar:
+        value = Scalar(value)
+    return "%d/%d" % (value.numerator, value.denominator)
 
 
 def clear_denominators(values):
@@ -252,29 +255,41 @@ def solve_linear_system(a, b: Vec) -> Vec:
 
 def nullspace_basis(a) -> list:
     """Exact basis of {x : a.x = 0} for the rational rows a, one vector per
-    free column of the RREF.
+    free column of the RREF, with a 1 in that column.
 
     Free columns are visited in increasing order, which fixes the basis and
     its order.  Returns an empty list when the rows have full column rank.
-    No rows give no width, so rowless input raises ValueError.
+    No rows give no width, so rowless input raises ValueError.  Each vector
+    is an integer vector of _int_nullspace over its free entry, its last
+    nonzero one.
     """
     rows, width = _rows(a)
     if not rows:
         raise ValueError("a rowless matrix has no width")
-    return _int_nullspace((clear_denominators(r)[0] for r in rows), width)
+    basis = []
+    for v in _int_nullspace((clear_denominators(r)[0] for r in rows), width):
+        lead = next(c for c in reversed(v) if c)
+        basis.append(Vec(Scalar(c, lead) for c in v))
+    return basis
 
 
 def _int_nullspace(rows, width) -> list:
-    """nullspace_basis of integer rows; _echelon divides each row by its
-    gcd, so any positive scale of the rational rows gives their basis."""
+    """Integer basis of {x : rows.x = 0} for integer rows: per free column
+    of the RREF, in increasing order, the gcd-reduced positive multiple of
+    the RREF basis vector with a 1 in that column.  An RREF row is zero
+    before its pivot column, so only pivot columns before the free one
+    are nonzero besides it, and the free entry, positive, is the vector's
+    last nonzero one.  _echelon divides each row by its gcd, so any
+    positive scale of the rows gives the same basis."""
     pivots = {pc: row for _, pc, row in _echelon(rows, width)}
     basis = []
     for free in range(width):
         if free in pivots:
             continue
-        v = [ZERO] * width
-        v[free] = ONE
+        scale = lcm(*(abs(row[col]) for col, row in pivots.items() if row[free]))
+        v = [0] * width
+        v[free] = scale
         for col, row in pivots.items():
-            v[col] = Scalar(-row[free], row[col])
-        basis.append(Vec(v))
+            v[col] = -row[free] * scale // row[col]
+        basis.append(_reduced(v))
     return basis

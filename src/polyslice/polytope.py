@@ -475,25 +475,45 @@ def _extreme_keys(first, den, dim) -> VPolytope:
     reaches 17/18, as the default weights do from n = 3 on.  A point that
     fails it gets the hull LP of _in_hull on the same keys.
 
-    A set closed under negation, as every generator set is, is tested one
-    +- pair at a time: negation maps the set onto itself, so p and -p are
-    extreme together.  Over the set R + (-R), R holding one key per pair
-    (the larger), p.p > p.q for every other q exactly when p.p > |p.q| for
-    every other q in R, and p != 0; so the Gram matrix is taken over R
-    alone, on |p.q|, and a pair that fails takes one hull LP.
+    A symmetric set is tested one orbit at a time, since a symmetry of the
+    set maps extreme points to extreme points; the orbit's representative
+    is tested and the verdict serves the whole orbit.
+      - A set closed under every coordinate sign flip, as every family
+        generator set is, has 2^k members in each |p| class, k being the
+        number of nonzeros of |p|.  The orbits are those classes, with |p|
+        as representative.  Over the orbit of |q| the largest p.q is
+        |p|.|q|, and within p's own orbit every other member q has
+        p.q < p.p (p != 0).  So p passes exactly when |p|.|p| is the
+        unique largest entry of |p|'s row in the Gram matrix of the
+        representatives.  (A zero representative has an all-zero row,
+        whose largest entry is unique only when it is the set's one point,
+        and a lone point is kept either way.)
+      - A set closed under negation only is tested one +- pair at a time,
+        with the larger key of each pair as representative: p passes
+        exactly when p.p > |p.q| for every other representative q.
+      - Any other set is tested point by point.
+    A representative that fails takes one hull LP for its orbit.
     """
     ints = sorted(first)
-    neg = {p: tuple(-c for c in p) for p in ints}
-    paired = all(q in first for q in neg.values())
-    reps = [p for p in ints if p >= neg[p]] if paired else ints
+    orbits = {}
+    for p in ints:
+        orbits.setdefault(tuple(map(abs, p)), []).append(p)
+    symmetric = all(len(members) == 1 << (dim - rep.count(0)) for rep, members in orbits.items())
+    if not symmetric:
+        neg = {p: tuple(-c for c in p) for p in ints}
+        symmetric = all(q in first for q in neg.values())
+        orbits = ({p: (p, neg[p]) for p in ints if p >= neg[p]} if symmetric
+                  else {p: (p,) for p in ints})
+    reps = list(orbits)
     gram = _row_values(reps, zip(*reps), len(reps))
     kept = set()
     for t, (p, dots) in enumerate(zip(reps, gram)):
-        if paired:
+        # On a flip-closed set the representatives are >= 0, so abs is idle.
+        if symmetric:
             dots = list(map(abs, dots))
         own = dots[t]
         if (own == max(dots) and dots.count(own) == 1) or not _in_hull(ints, ints.index(p)):
-            kept.update((p, neg[p]) if paired else (p,))
+            kept.update(orbits[p])
     keep = [p for p in ints if p in kept]
     vpoly = _distinct_vpolytope(tuple(first[k] for k in keep), dim)
     object.__setattr__(vpoly, "_int_keys", (tuple(keep), den))

@@ -22,8 +22,8 @@ import numpy as np
 from .linprog import ClearedRows, clear_rows, solve_lp
 from .numeric import (ONE, Scalar, Vec, ZERO, _int_nullspace, _row_values, clear_denominators,
                       rational, rational_str)
-from .polytope import HPolytope, _enumeration, contains, vertices
-from .spaces import PolyhedralNormSpace, dual_ball_vertices, norm, support_value, unit_ball
+from .polytope import HPolytope, _enumeration, vertices
+from .spaces import PolyhedralNormSpace, _norm_ints, dual_ball_vertices, support_value, unit_ball
 
 __all__ = [
     "SliceSpec",
@@ -226,6 +226,28 @@ def _probe(g, ball_cols, support, dim):
     return res.value, Vec(point)
 
 
+def _pair_checks(space, cut, px, qx, d, n, r):
+    """Whether x + (1-r)y and x - (1-r)y each lie in the slice of the
+    space's unit ball by the integer row cut = (c..., b), c.z <= b: x is
+    px / qx and y is d den / n, with px and d integer vectors, qx, n > 0
+    and den the space's row denominator.  With r = rn / rd,
+
+        x +- (1-r)y = (n rd px +- (rd - rn) den qx d) / (qx n rd),
+
+    so every row (c..., b), the ball's and the cut, is one integer dot
+    product c.Z <= b qx n rd."""
+    rn, rd = r.numerator, r.denominator
+    xs = n * rd
+    ys = (rd - rn) * space._int_rows[1] * qx
+    q = qx * xs
+    rows = unit_ball(space)._int_rows + (cut,)
+    checks = []
+    for step in (ys, -ys):
+        z = [xs * a + step * b for a, b in zip(px, d)]
+        checks.append(all(sum(map(mul, row, z)) <= row[-1] * q for row in rows))
+    return tuple(checks)
+
+
 def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBoundCertificate:
     """Search the slice S = {x in ball : g.x >= s - alpha} for a certificate
     point whose active dual set leaves room for a kernel direction.
@@ -255,9 +277,18 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     gives both the value and the point x that the full LP with x_j = 0 rows
     off the support would give.  The ball's integer rows are transposed
     once per space (_ball_columns), and each probe restricts them by taking
-    the support's columns.  s is computed once and serves the slice as
-    well.  A and its kernel with g are found on the dual vertices' integer
-    keys, so no dual row is cleared here.
+    the support's columns.  s is computed once.
+
+    From the probe on the search runs in integers.  x is taken as its
+    numerators px over qx; A is read off the dual vertices' integer keys,
+    and its kernel with g comes from numeric._int_nullspace as integer
+    vectors d.  With n = den |||d||| from spaces._norm_ints (den being the
+    space's row denominator), y = d den / n, and _pair_checks tests
+    x +- (1-r)y on integer dot products against the ball's integer rows and
+    the cut g.z >= s - alpha, made once per call an integer row of
+    -g.z <= alpha - s from g's cleared numerators.  No slice polytope is
+    built and no point is cleared but g and x: Fractions are made only for
+    the certificate's own fields.
     """
     spec = SliceSpec(g, alpha)
     g, alpha = spec.f, spec.alpha
@@ -265,9 +296,11 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     if not 0 < r < 1:
         raise ValueError("r must lie strictly between 0 and 1")
     s = support_value(space, g)
-    slice_poly = _slice(space, spec, s)
     threshold = s - alpha
     g_row, gq = clear_denominators(g)
+    tp, tq = threshold.numerator, threshold.denominator
+    cut = (*(-c * tq for c in g_row), -tp * gq)
+    den = space._int_rows[1]
     bounds, bq = space._coordinate_bounds
     weights = [abs(c) * m for c, m in zip(g_row, bounds)]
     ball_cols = space._ball_columns
@@ -275,7 +308,7 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
     duals = dual.vertices
     dual_rows, dden = dual._int_keys
     d = space.dim
-    one_minus_r = ONE - r
+    bound = 2 * (ONE - r)
     fallback = None
     for allowed in _probe_subsets(weights, ceil(threshold * gq * bq)):
         value, x = _probe(g, ball_cols, allowed, d)
@@ -287,15 +320,13 @@ def lower_bound_certificate(space: PolyhedralNormSpace, g, alpha, r) -> LowerBou
         hit = [k for k, c in enumerate(dual_rows) if r.denominator * sum(map(mul, c, px)) > level]
         active = tuple(duals[k] for k in hit)
         for direction in _int_nullspace([dual_rows[k] for k in hit] + [g_row], d):
-            y = direction * (ONE / norm(space, direction))
-            step = y * one_minus_r
-            checks = (contains(slice_poly, x + step), contains(slice_poly, x - step))
+            n = _norm_ints(space, [(c,) for c in direction])[0]
             cert = LowerBoundCertificate(
                 x=x,
-                y=y,
+                y=tuple.__new__(Vec, [Scalar(c * den, n) for c in direction]),
                 r=r,
-                bound=2 * one_minus_r,
-                checks=checks,
+                bound=bound,
+                checks=_pair_checks(space, cut, px, qx, direction, n, r),
                 g=g,
                 alpha=alpha,
                 support_value=s,

@@ -13,7 +13,9 @@ run on seeds 1-4, whose epsilons and family VII weights differ from seed
 0's, so the vertex keys that diameters and the prop3 estimates read are
 pinned on other slices and other balls.  The seed-0 lp-certify cases also
 pin their LP count, so a change that brings back LPs the certificates do
-not need fails here.  bench/ is only read.
+not need fails here, and their membership and norm calls, so one that
+brings back the Fraction checks of a certificate fails too.  bench/ is
+only read.
 """
 
 import json
@@ -22,7 +24,7 @@ import sys
 
 import pytest
 
-from polyslice import linprog, slices, spaces
+from polyslice import experiments, linprog, polytope, slices, spaces
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -79,11 +81,30 @@ def test_lp_certify_seed_0_solves_6_lps_and_no_hull_lp(monkeypatch):
     depth-20 slot.  The walk over every support took 63 LPs here.  The dual
     vertices are taken cold, once per space, on the space's integer rows
     (polytope._extreme_keys), and every family II generator passes its
-    pre-test, so no hull LP runs."""
+    pre-test, so no hull LP runs.  The certificates build no slice
+    polytope, only the three balls, one per space, whose rows they read,
+    and check x +- (1-r)y in integers, with no polytope.contains or
+    spaces.norm call."""
     workloads = bench_workloads(monkeypatch)
     widths = []
     hull_lps = []
     extreme_calls = []
+    calls = {"contains": 0, "norm": 0}
+    for name, original in (("contains", polytope.contains), ("norm", spaces.norm)):
+        def counted(*a, _name=name, _original=original, **k):
+            calls[_name] += 1
+            return _original(*a, **k)
+        for module in (polytope, spaces, slices, experiments):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    built = []
+    init = polytope.HPolytope.__init__
+
+    def counting_init(self, halfspaces, dim, _base=None, _levels=None):
+        built.append(_base is not None)
+        init(self, halfspaces, dim, _base=_base, _levels=_levels)
+
+    monkeypatch.setattr(polytope.HPolytope, "__init__", counting_init)
     solve, hull_solve, extreme = slices.solve_lp, linprog.solve_lp, spaces._extreme_keys
 
     def counting(c, *a, **k):
@@ -99,3 +120,4 @@ def test_lp_certify_seed_0_solves_6_lps_and_no_hull_lp(monkeypatch):
     assert [workloads.check_case(case, text) for case, text in zip(cases, outputs)] == [None] * 6
     assert widths == [1, 2] * 3
     assert (len(hull_lps), len(extreme_calls)) == (0, 3)
+    assert (built, calls) == ([False] * 3, {"contains": 0, "norm": 0})

@@ -1,6 +1,7 @@
 """Exact scalar, vector, and linear-algebra layer."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,8 @@ from polyslice.numeric import (
     SingularError,
     Vec,
     ZERO,
+    _int_nullspace,
+    clear_denominators,
     nullspace_basis,
     rank,
     rational,
@@ -80,6 +83,17 @@ def test_rational_str_always_carries_denominator():
     assert rational_str(Scalar(2)) == "2/1"
     assert rational_str(Scalar(-3, 7)) == "-3/7"
     assert rational_str(rational("10/4")) == "5/2"
+
+
+def test_rational_str_of_a_scalar_matches_the_coerced_form():
+    """A Scalar is printed from its own fields; ints, floats, strings and
+    Fractions go through Scalar(value).  Both give the lowest-terms p/q."""
+    rng = random.Random(SEED + 9)
+    for _ in range(200):
+        q = rnd_scalar(rng, span=10**6, den=10**4)
+        assert rational_str(q) == "%d/%d" % (q.numerator, q.denominator)
+    assert [rational_str(v) for v in (3, -0.5, "6/4", True, Scalar(-4, 6))] == \
+        ["3/1", "-1/2", "3/2", "1/1", "-2/3"]
 
 
 def test_scalar_is_canonical():
@@ -255,3 +269,27 @@ def test_rank_matches_rational_elimination_on_random_matrices():
     assert deficient > 50 and singular > 5 and squares - singular > 5
     assert rank([]) == 0
     assert rank([[ZERO] * 4] * 3) == 0
+
+
+def test_int_nullspace_gives_reduced_positive_multiples_of_the_rref_basis():
+    """_int_nullspace on cleared rows: per free column, an integer vector
+    whose entries have gcd 1, whose last nonzero entry is its free one and
+    positive, and which is a positive multiple of the Fraction RREF basis
+    vector; nullspace_basis divides it by that entry."""
+    rng = random.Random(SEED + 8)
+    kernels = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        rows = [[rnd_scalar(rng) if rng.random() < 0.6 else ZERO for _ in range(ncols)]
+                for _ in range(rng.randint(1, 5))]
+        reduced = [list(r) for r in rows]
+        pivots = _rref(reduced, ncols)
+        expected = oracle_nullspace(reduced, pivots, ncols)
+        got = _int_nullspace([clear_denominators(r)[0] for r in rows], ncols)
+        assert len(got) == len(expected) == ncols - len(pivots)
+        for v, e in zip(got, expected):
+            lead = next(c for c in reversed(v) if c)
+            assert all(type(c) is int for c in v) and gcd(*v) == 1 and lead > 0
+            assert Vec(Scalar(c, lead) for c in v) == e
+        kernels += len(got)
+    assert kernels > 100

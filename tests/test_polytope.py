@@ -584,20 +584,21 @@ def test_extreme_points_drop_a_non_extreme_point_by_the_hull_lp(monkeypatch):
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_extreme_points_keep_every_family_VII_generator_by_hull_lps(monkeypatch, N):
     """At the default weights the generators (+-1, +-1/3 e_j) fail the
-    pre-test from n = 3 on; the set is closed under negation, so each of
-    their 2(N - 2) +- pairs gets one hull LP, and every one of the
-    10(N - 1) generators is kept."""
+    pre-test from n = 3 on; the set is closed under every coordinate sign
+    flip, so each of their N - 2 orbits of four gets one hull LP, and
+    every one of the 10(N - 1) generators is kept."""
     calls = counting_lps(monkeypatch)
     gens = make_space_VII(N).generators
     assert len(gens) == 10 * (N - 1)
     assert extreme_points(gens).vertices == tuple(sorted(gens))
-    assert len(calls) == 2 * (N - 2)
+    assert len(calls) == N - 2
 
 
 def _extreme_point_by_point(points):
     """extreme_points testing every point on its own: the Gram pre-test
     p.p > p.q over every other q, then a hull LP (polytope._in_hull) for
-    each point that fails it.  Returns the kept points and the LP count."""
+    each point that fails it.  Returns the kept points and the points that
+    took an LP."""
     from polyslice.polytope import _in_hull
 
     pts = sorted(set(tuple(as_fraction(c) for c in p) for p in points))
@@ -606,23 +607,43 @@ def _extreme_point_by_point(points):
         for c in p:
             den = den * c.denominator // gcd(den, c.denominator)
     ints = [tuple(int(c * den) for c in p) for p in pts]
-    kept, lps = [], 0
+    kept, failed = [], []
     for t, p in enumerate(ints):
         dots = [sum(a * b for a, b in zip(p, q)) for q in ints]
         if dots[t] == max(dots) and dots.count(dots[t]) == 1:
             kept.append(pts[t])
             continue
-        lps += 1
+        failed.append(pts[t])
         if not _in_hull(ints, t):
             kept.append(pts[t])
-    return kept, lps
+    return kept, failed
 
 
-def _symmetric_point_sets(rng):
+def _flip_closed(points):
+    """Whether the distinct points are closed under flipping the sign of
+    any one coordinate, straight from the definition."""
+    pts = {tuple(as_fraction(c) for c in p) for p in points}
+    return all(p[:j] + (-p[j],) + p[j + 1:] in pts for p in pts for j in range(len(p)))
+
+
+def _random_points(rng):
+    dim = rng.choice((2, 3, 4))
+    return [Vec([Scalar(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(dim)])
+            for _ in range(rng.randint(1, 6))]
+
+
+def _sign_patterns(p):
+    out = [()]
+    for c in p:
+        out = [q + (s * c,) for q in out for s in ((1, -1) if c else (1,))]
+    return [Vec(q) for q in out]
+
+
+def _flip_closed_point_sets(rng):
     """Family II at N = 1..5 with three r, family VII at N = 2..5 with the
-    default weights, 17/18, 1 and random weights, and 30 random point sets
-    closed under negation: entries in {-2..2} over 1 or 2, repeats, the
-    origin and points inside the hull among them."""
+    default weights, 17/18, 1 and random weights, and 30 random sets made
+    of every sign pattern of a few points: repeats, the origin and points
+    inside the hull among them."""
     sets = []
     for N in range(1, 6):
         for r in ("1/10", "5/2", Scalar(rng.randint(1, 999), rng.randint(1, 999))):
@@ -632,31 +653,89 @@ def _symmetric_point_sets(rng):
         for omega in (None, ["17/18"] * (N - 1), ["1"] * (N - 1), drawn):
             sets.append(make_space_VII(N, omega).generators)
     for _ in range(30):
-        dim = rng.choice((2, 3, 4))
-        pts = [Vec([Scalar(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(dim)])
-               for _ in range(rng.randint(1, 6))]
+        pts = _random_points(rng)
         if rng.random() < 0.3:
-            pts.append(Vec.zero(dim))
-        sets.append(pts + [-p for p in pts] + pts[:2])
+            pts.append(Vec.zero(len(pts[0])))
+        sets.append([q for p in pts for q in _sign_patterns(p)] + pts[:2])
     return sets
 
 
-def test_extreme_points_of_sets_closed_under_negation_take_one_lp_per_pair(monkeypatch):
-    """A set closed under negation is tested one +- pair at a time: the kept
-    points are those of the test of every point on its own, and each hull
-    LP serves a pair, so exactly half as many run (the origin, its own
-    negation, counts once on both sides)."""
+def _negation_closed_point_sets(rng):
+    """30 random sets closed under negation and not under every coordinate
+    sign flip: entries in {-2..2} over 1 or 2, repeats, the origin and
+    points inside the hull among them."""
+    sets = []
+    while len(sets) < 30:
+        pts = _random_points(rng)
+        if rng.random() < 0.3:
+            pts.append(Vec.zero(len(pts[0])))
+        pts = pts + [-p for p in pts] + pts[:2]
+        if not _flip_closed(pts):
+            sets.append(pts)
+    return sets
+
+
+def test_extreme_points_of_flip_closed_sets_take_one_lp_per_failing_orbit(monkeypatch):
+    """A set closed under every coordinate sign flip is tested one orbit
+    {sign patterns of |p|} at a time: the kept points are those of the test
+    of every point on its own, and one hull LP runs for each orbit whose
+    points fail the pre-test."""
     rng = random.Random(SEED + 5)
     calls = counting_lps(monkeypatch)
+    orbit_lps = 0
+    for pts in _flip_closed_point_sets(rng):
+        assert _flip_closed(pts)
+        expected, failed = _extreme_point_by_point(pts)
+        del calls[:]
+        assert [tuple(as_fraction(c) for c in v) for v in extreme_points(pts).vertices] == expected
+        assert len(calls) == len({tuple(map(abs, p)) for p in failed})
+        orbit_lps += len(calls)
+    assert orbit_lps > 0
+
+
+def test_extreme_points_of_sets_closed_only_under_negation_take_one_lp_per_pair(monkeypatch):
+    """A set closed under negation, and not under every sign flip, is
+    tested one +- pair at a time: the kept points are those of the test of
+    every point on its own, and each hull LP serves a pair, so exactly
+    half as many run (the origin, its own negation, counts once on both
+    sides)."""
+    rng = random.Random(SEED + 6)
+    calls = counting_lps(monkeypatch)
     total = 0
-    for pts in _symmetric_point_sets(rng):
-        expected, lps = _extreme_point_by_point(pts)
+    for pts in _negation_closed_point_sets(rng):
+        expected, failed = _extreme_point_by_point(pts)
         origin = any(not any(p) for p in pts) and len(set(pts)) > 1
         del calls[:]
         assert [tuple(as_fraction(c) for c in v) for v in extreme_points(pts).vertices] == expected
-        assert len(calls) == (lps + origin) // 2
-        total += lps
+        assert len(calls) == (len(failed) + origin) // 2
+        total += len(failed)
     assert total > 0
+
+
+def test_extreme_points_agree_with_the_point_by_point_test_on_every_kind_of_set():
+    """Random sets closed under every sign flip, under negation only, and
+    under neither, the lone origin and the origin with one +- pair among
+    them: the orbit tests keep exactly the points that the test of every
+    point on its own keeps."""
+    rng = random.Random(SEED + 7)
+    sets = [[Vec([0, 0])], [Vec([0, 0, 0]), Vec([1, 0, 0]), Vec([-1, 0, 0])]]
+    for _ in range(60):
+        pts = _random_points(rng)
+        if rng.random() < 0.3:
+            pts.append(Vec.zero(len(pts[0])))
+        kind = rng.randrange(3)
+        if kind == 0:
+            pts = [q for p in pts for q in _sign_patterns(p)]
+        elif kind == 1:
+            pts = pts + [-p for p in pts]
+        sets.append(pts)
+    kinds = set()
+    for pts in sets:
+        closed = {tuple(-c for c in p) for p in pts} == set(map(tuple, pts))
+        kinds.add((_flip_closed(pts), closed))
+        expected, _ = _extreme_point_by_point(pts)
+        assert [tuple(as_fraction(c) for c in v) for v in extreme_points(pts).vertices] == expected
+    assert kinds == {(True, True), (False, True), (False, False)}
 
 
 def test_extreme_points_drop_the_family_VII_generators_inside_the_hull():

@@ -15,6 +15,7 @@ from polyslice.slices import (
     DiameterResult,
     DimensionTooSmall,
     SliceSpec,
+    _pair_checks,
     _probe_subsets,
     _probe,
     diameter,
@@ -26,6 +27,7 @@ from polyslice.slices import (
 )
 from polyslice.spaces import (
     PolyhedralNormSpace,
+    _norm_ints,
     make_space_II,
     make_space_VII,
     norm,
@@ -704,3 +706,125 @@ def test_probe_value_on_the_support_columns_equals_the_cold_lp(space):
             assert got == (cold.value, Vec(cold.point))
             full = [(h.a, h.b) for h in ball.halfspaces] + zero
             assert oracles.lp_max(g, full) == ("optimal", tuple(got[1]), got[0])
+
+
+def _pair_check_spaces(rng):
+    """Family II at N = 1..8, family VII at N = 2..5 and six degenerate
+    custom spaces (_degenerate_space) in dimensions 2..4."""
+    out = [make_space_II(N, rng.choice((R10, rational("3/7"), rational("5/2")))) for N in range(1, 9)]
+    out += [make_space_VII(N) for N in range(2, 6)]
+    out += [_degenerate_space(rng, dim) for dim in (2, 3, 4, 2, 3, 4)]
+    return out
+
+
+def test_pair_checks_agree_with_membership_of_the_rational_points():
+    """_pair_checks on x = px / qx and y = d den / n equals contains on the
+    slice (make_slice, whose cut clear_rows clears) of the Fraction points
+    x +- (1-r)y, on random slice points moved off the top face and random
+    integer directions, in g's kernel or not.  Both sides come out True
+    and False, and the cut alone rejects some points that the ball holds."""
+    rng = random.Random(2711)
+    seen = set()
+    cut_only = 0
+    for sp in _pair_check_spaces(rng):
+        d = sp.dim
+        den = sp._int_rows[1]
+        for _ in range(12):
+            g = Vec([Scalar(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+            if g.is_zero():
+                g = Vec.unit(d, 0)
+            alpha = Scalar(rng.randint(1, 12), rng.randint(2, 8))
+            r = rng.choice((R10, HALF, rational("9/10"), rational("99/100")))
+            slice_poly = make_slice(sp, SliceSpec(g, alpha))
+            top = _probe(g, sp._ball_columns, tuple(range(d)), d)[1]
+            x = top * Scalar(rng.randint(5, 10), 10) + Vec(
+                [Scalar(rng.randint(-2, 2), rng.randint(10, 40)) for _ in range(d)])
+            px, qx = oracles._ints(x)
+            direction = [rng.randint(-3, 3) for _ in range(d)]
+            if rng.random() < 0.5:
+                kernel = slices._int_nullspace([oracles._ints(g)[0]], d)
+                direction = [sum(rng.randint(-2, 2) * v[j] for v in kernel) for j in range(d)]
+            if not any(direction):
+                direction[0] = 1
+            n = _norm_ints(sp, [(c,) for c in direction])[0]
+            step = Vec([Scalar(c * den, n) for c in direction]) * (ONE - r)
+            expected = (contains(slice_poly, x + step), contains(slice_poly, x - step))
+            cut = slice_poly._int_rows[-1]
+            assert _pair_checks(sp, cut, px, qx, direction, n, r) == expected
+            seen.update(enumerate(expected))
+            for z, inside in zip((x + step, x - step), expected):
+                cut_only += not inside and contains(unit_ball(sp), z)
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+    assert cut_only > 0
+
+
+def _rref_kernel(rows, width):
+    """The RREF basis of {x : rows.x = 0} in Fractions, by oracles._rref: one
+    vector per free column, with a 1 there."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    pivots = oracles._rref(rows, width)
+    basis = []
+    for free in (j for j in range(width) if j not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            v[col] = -rows[k][free]
+        basis.append(Vec(v))
+    return basis
+
+
+def _fraction_path_certificate(sp, g, alpha, r):
+    """The certificate search with its checks in Fraction arithmetic: the
+    slice polytope of make_slice, the active set as phi.x > r on rational
+    dual vertices, y a kernel vector of the RREF divided by its norm, and
+    contains on x +- (1-r)y.  The probe walk is the search's own.  Returns
+    the certificate, or None for DimensionTooSmall."""
+    spec = SliceSpec(g, alpha)
+    g, alpha = spec.f, spec.alpha
+    s = support_value(sp, g)
+    slice_poly = make_slice(sp, spec)
+    threshold = s - alpha
+    g_row, gq = oracles._ints(g)
+    bounds, bq = sp._coordinate_bounds
+    weights = [abs(c) * m for c, m in zip(g_row, bounds)]
+    fallback = None
+    target = -((-threshold * gq * bq) // 1)
+    for allowed in _probe_subsets(weights, target):
+        value, x = _probe(g, sp._ball_columns, allowed, sp.dim)
+        if value < threshold:
+            continue
+        active = tuple(phi for phi in spaces.dual_ball_vertices(sp).vertices if phi.dot(x) > r)
+        for direction in _rref_kernel(active + (g,), sp.dim):
+            y = direction * (ONE / norm(sp, direction))
+            step = y * (ONE - r)
+            cert = slices.LowerBoundCertificate(
+                x=x, y=y, r=r, bound=2 * (ONE - r),
+                checks=(contains(slice_poly, x + step), contains(slice_poly, x - step)),
+                g=g, alpha=alpha, support_value=s, active=active)
+            if cert.valid:
+                return cert
+            if fallback is None:
+                fallback = cert
+    return fallback
+
+
+def test_integer_checks_give_the_certificates_of_the_fraction_path():
+    """On the cases of the pruning test the certificate built and checked in
+    integers equals (== and to_dict) the one the Fraction path gives, or
+    both find no kernel direction; and oracles.check_certificate, against
+    the support value of the Fraction tableau, accepts exactly the valid
+    ones, here all 147 of them (74 cases find no kernel direction)."""
+    cases = _pruning_cases()
+    valid = 0
+    for sp, g, alpha, r in cases:
+        cert = _certificate_or_too_small(sp, g, alpha, r)
+        expected = _fraction_path_certificate(sp, g, alpha, r)
+        assert cert == expected
+        if cert is None:
+            continue
+        assert cert.to_dict() == expected.to_dict()
+        s = oracles.lp_max(g, oracles.ball_rows(sp.generators))[2]
+        reason = oracles.check_certificate(sp.generators, cert.to_dict(), s)
+        assert (reason is None) == cert.valid, reason
+        valid += cert.valid
+    assert (len(cases), valid) == (221, 147)

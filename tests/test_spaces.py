@@ -305,10 +305,12 @@ def test_builders_ball_and_dual_vertices_clear_no_rational_row(monkeypatch, buil
 def test_lower_bound_certificate_clears_no_dual_row(monkeypatch, build, g):
     """A certificate reads its dual rows, for the active set and for its
     kernel with g, from dual_ball_vertices' integer keys, so nothing goes
-    through nullspace_basis' row clearing.  What it does clear is one row,
-    the slice's cut, which slices._slice clears, and single points of
-    space.dim values: g, the probe points, the kernel direction and the two
-    checked points."""
+    through nullspace_basis' row clearing, and it clears no row at all: the
+    cut g.x >= s - alpha is made an integer row from g's own clearing.  What
+    it clears is single points of space.dim values: g, once for the support
+    value and once for the search, and each probe point, the last of them
+    the certificate's x.  The kernel direction and the checked points
+    x +- (1-r)y are integers from the start."""
     from polyslice.slices import lower_bound_certificate
 
     sp = build()
@@ -316,12 +318,9 @@ def test_lower_bound_certificate_clears_no_dual_row(monkeypatch, build, g):
     calls = counting_clears(monkeypatch)
     cert = lower_bound_certificate(sp, g, rational("1/2"), R10)
     assert cert.valid and cert.active
-    assert [c for c in calls if c[0] == "rows"] == [("rows", 1)]
-    cleared = [(name, values) for name, values in calls if name != "rows"]
-    assert {len(values) for _, values in cleared} == {sp.dim}
-    assert ("polyslice.slices", tuple(g)) in cleared
-    assert {name for name, _ in cleared} == {"polyslice.slices", "polyslice.spaces",
-                                             "polyslice.polytope"}
+    assert calls[:2] == [("polyslice.spaces", tuple(g)), ("polyslice.slices", tuple(g))]
+    assert calls[-1] == ("polyslice.slices", tuple(cert.x))
+    assert {name for name, _ in calls[2:]} == {"polyslice.slices"}
 
 
 # Family II at N = 1..8 with random r, r >= 1 and long denominators among
