@@ -34,6 +34,7 @@ from .slices import (
     support_value,
 )
 from .spaces import (
+    MAX_N,
     PolyhedralNormSpace,
     _norm_ints,
     check_omega,
@@ -138,6 +139,8 @@ class ExperimentConfig:
             object.__setattr__(self, "epsilons", eps)
         if self.N is not None and self.N < 1:
             raise ValueError("N must be positive")
+        if self.N is not None and self.N > MAX_N:
+            raise ValueError("N must be at most %d" % MAX_N)
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.omega_rule != "default" and not self.omega_rule.startswith("list:"):

@@ -33,8 +33,17 @@ only: enumerating a slice builds no rationals for its ball.
 
 A family II or VII ball skips DD: its vertices are the sign patterns of a
 few levels that spaces.unit_ball hands it, and _orbit expands them and reads
-each zero set off the integer rows.  Its slices continue from those rays as
-from DD's.  DD runs for every other polytope.
+each zero set off the integer rows.  DD runs for every other polytope.
+
+A family II ball also carries each level's ball neighbours (_edges), and
+its slices skip the expansion too.  The cut c.x <= b is fixed by the sign
+flips of the coordinates where c is 0, as the ball is, so the slice is kept
+as one vertex per orbit under those flips (_orbit_cut, after Bremner,
+Dutour Sikirić and Schürmann 2009): each level's sign patterns off the
+flips, feasible ones kept and violating ones joined to their feasible
+neighbours.  slices.diameter reads those orbits; the full vertex list is
+expanded from them only when a caller asks for it.  Other slices continue
+from their ball's rays by one DD step.
 
 Emptiness and unboundedness are read off the rays exactly, without LPs: no
 ray with t > 0 means empty, a ray with t = 0 a recession direction.  When
@@ -104,12 +113,15 @@ class HPolytope:
     HPolytope(rows, dim, _base=base) is base cut by rows: its rows are
     base's followed by rows, and enumeration continues from base's rays.
     _levels, the vertex levels of a sign-symmetric ball (see _orbit),
-    replace DD.
+    replace DD; _edges, each level's ball neighbours, let a one-row slice
+    of the ball be cut one orbit at a time (see _orbit_cut), and its
+    _Orbits are cached as _ocache.
     """
 
-    __slots__ = ("dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels")
+    __slots__ = ("dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels", "_edges",
+                 "_ocache")
 
-    def __init__(self, halfspaces, dim, _base=None, _levels=None):
+    def __init__(self, halfspaces, dim, _base=None, _levels=None, _edges=None):
         if isinstance(halfspaces, ClearedRows):
             rows = halfspaces
         else:
@@ -129,6 +141,8 @@ class HPolytope:
         object.__setattr__(self, "_base", _base)
         object.__setattr__(self, "_int_rows", rows)
         object.__setattr__(self, "_levels", _levels)
+        object.__setattr__(self, "_edges", _edges)
+        object.__setattr__(self, "_ocache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
@@ -172,6 +186,21 @@ class _Enumeration(NamedTuple):
     den: int
     rays: list
     masks: list
+
+
+class _Orbits(NamedTuple):
+    """A polytope's vertices up to the sign flips of the coordinates in
+    flips, which map it onto itself: one vertex per orbit, the member whose
+    flips coordinates are all >= 0, as keys[i] / den (sorted and distinct)
+    and as the integer rays (p..., t) they came from.  An orbit whose key
+    has k nonzero flips coordinates holds 2^k vertices, and count is their
+    sum.  With no flips the keys are the vertex keys."""
+
+    keys: tuple
+    den: int
+    flips: tuple
+    count: int
+    rays: list
 
 
 def _homogenized(ints):
@@ -265,15 +294,18 @@ def _cone(rows, dim):
     return rays, masks
 
 
-def _orbit(levels, rows, dim):
+def _orbit(levels, rows, dim, flips=None):
     """Rays and zero-set masks of a bounded polytope whose vertices are the
-    sign patterns of its levels: canonical integer rays (p..., t) with
-    p >= 0, one per orbit under flipping the sign of one coordinate.  A zero
+    sign patterns of its levels on the coordinates flips (every coordinate
+    when None): integer rays (p..., t), one per orbit under flipping the
+    sign of one of those coordinates, each with p_j >= 0 there.  A zero
     coordinate keeps its one sign.  Bit i + 1 of a ray's mask is set when
     row i = (c..., b) is tight there, c.p = b.t, as DD's masks would have
     it; bit 0 (t >= 0) is never set, since t > 0."""
+    flips = range(dim) if flips is None else set(flips)
     rays = [p + (level[dim],) for level in levels
-            for p in product(*[(c, -c) if c else (0,) for c in level[:dim]])]
+            for p in product(*[(c, -c) if c and j in flips else (c,)
+                               for j, c in enumerate(level[:dim])])]
     n = len(rays)
     masks = [0] * n
     for i, vals in enumerate(_row_values(map(_homogenized, rows), zip(*rays), n)):
@@ -283,10 +315,96 @@ def _orbit(levels, rows, dim):
     return rays, masks
 
 
+def _orbit_cut(levels, edges, ints, dim):
+    """The vertex orbits of a ball cut by c.x <= b.t, for the integer row
+    ints = (c..., b), under the flips of the coordinates where c is 0: the
+    set of their rays, with |.| on those coordinates, and the flips.
+
+    The ball's vertices are the sign patterns of its levels, and edges[k]
+    lists the ball neighbours of levels[k]'s canonical vertex (p >= 0), so
+    the neighbours of its sign pattern s are s applied to that list.  The
+    flips fix the ball and the cut, so one vertex per orbit is walked: each
+    level's sign patterns off the flips.  A feasible one (c.v <= b.t) is a
+    slice vertex.  A violating one p is joined to each feasible neighbour q
+    by v_p r_q - v_q r_p over its gcd, v being c.x - b.t, as _cut joins
+    them; every edge that the cut crosses is a flip of one found this way."""
+    rhs = ints[dim]
+    cut = [(j, c) for j, c in enumerate(ints[:dim]) if c]
+    flips = tuple(j for j in range(dim) if not ints[j])
+    found = set()
+    for level, near in zip(levels, edges):
+        free = [j for j, _ in cut if level[j]]
+        choices = [(c, -c) if j in free else (c,) for j, c in enumerate(level)]
+        for v in product(*choices):
+            vp = sum(c * v[j] for j, c in cut) - rhs * v[dim]
+            if vp <= 0:
+                found.add(v)
+                continue
+            flipped = [j for j in free if v[j] != level[j]]
+            for q in near:
+                if flipped:
+                    q = list(q)
+                    for j in flipped:
+                        q[j] = -q[j]
+                vq = sum(c * q[j] for j, c in cut) - rhs * q[dim]
+                if vq < 0:
+                    ray = list(_reduced([vp * y - vq * x for x, y in zip(v, q)]))
+                    for j in flips:
+                        ray[j] = abs(ray[j])
+                    found.add(tuple(ray))
+    return found, flips
+
+
+def _cuts_by_orbits(poly):
+    """Whether poly is its base ball cut by one row, and the ball carries
+    its levels' neighbour lists (see _orbit_cut)."""
+    base = poly._base
+    return (base is not None and base._edges is not None
+            and len(poly._int_rows) == len(base._int_rows) + 1)
+
+
+def _keys(rays, dim, count):
+    """(keys, den) of the integer rays (p..., t), all with t > 0, that stand
+    for count vertices: p / t as keys[i] / den, den the lcm of the t, sorted
+    and checked distinct.  Raises DegenerateError when there are none, or
+    when count is below dim + 1."""
+    if not rays:
+        raise DegenerateError("halfspace system is infeasible")
+    if count < dim + 1:
+        raise DegenerateError("%d vertices in dimension %d: empty interior" % (count, dim))
+    # Over the common denominator den the lexicographic order of the points
+    # is that of their integer numerators.
+    den = lcm(*(r[dim] for r in rays))
+    keys = sorted(tuple(c * (den // r[dim]) for c in r[:dim]) for r in rays)
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        raise ValueError("duplicate vertices")
+    return tuple(keys), den
+
+
+def _vertex_orbits(poly: HPolytope) -> _Orbits:
+    """The polytope's vertex orbits: for a ball with neighbour lists cut by
+    one row, those of _orbit_cut, cached on first use; for any other
+    polytope its _enumeration's vertices, with no flips.  Raises what
+    vertices() documents."""
+    if not _cuts_by_orbits(poly):
+        enum = _enumeration(poly)
+        return _Orbits(enum.keys, enum.den, (), len(enum.keys), enum.rays)
+    if poly._ocache is None:
+        base = poly._base
+        dim = poly.dim
+        rays, flips = _orbit_cut(base._levels, base._edges, poly._int_rows[-1], dim)
+        rays = list(rays)
+        count = sum(1 << sum(1 for j in flips if r[j]) for r in rays)
+        object.__setattr__(poly, "_ocache", _Orbits(*_keys(rays, dim, count), flips, count, rays))
+    return poly._ocache
+
+
 def _enumeration(poly: HPolytope) -> _Enumeration:
     """The polytope's cached _Enumeration, computed on first use: its
-    levels' sign patterns (_orbit), DD on its rows, or one more DD step per
-    appended row on its base's enumeration.
+    levels' sign patterns (_orbit), DD on its rows, the sign patterns of
+    its vertex orbits (_vertex_orbits) for a ball with neighbour lists cut
+    by one row, or one more DD step per appended row on its base's
+    enumeration.
     The vertex keys are sorted, and checked distinct, as integer tuples.
     Raises what vertices() documents."""
     if poly._vcache is not None:
@@ -294,7 +412,10 @@ def _enumeration(poly: HPolytope) -> _Enumeration:
     dim = poly.dim
     rows = poly._int_rows
     base = poly._base
-    if base is not None:
+    if _cuts_by_orbits(poly):
+        orbits = _vertex_orbits(poly)
+        rays, masks = _orbit(orbits.rays, rows, dim, orbits.flips)
+    elif base is not None:
         _, _, rays, masks = _enumeration(base)
         for i in range(len(base._int_rows), len(rows)):
             rays, masks = _cut(rays, masks, rows[i], 2 << i, dim)
@@ -312,22 +433,10 @@ def _enumeration(poly: HPolytope) -> _Enumeration:
                 raise UnboundedError("normals span less than dimension %d" % dim)
             raise DegenerateError("halfspace system is infeasible")
         rays, masks = cone
-    found = [(r[:dim], r[dim]) for r in rays if r[dim] > 0]
-    if not found:
-        raise DegenerateError("halfspace system is infeasible")
-    if len(found) < len(rays):
+    found = [r for r in rays if r[dim] > 0]
+    if found and len(found) < len(rays):
         raise UnboundedError("the polytope has a recession direction")
-    if len(found) < dim + 1:
-        raise DegenerateError(
-            "%d vertices in dimension %d: empty interior" % (len(found), dim)
-        )
-    # Over the common denominator den the lexicographic order of the points
-    # is that of their integer numerators.
-    den = lcm(*(q for _, q in found))
-    keys = sorted(tuple(c * (den // q) for c in p) for p, q in found)
-    if any(a == b for a, b in zip(keys, keys[1:])):
-        raise ValueError("duplicate vertices")
-    enum = _Enumeration(tuple(keys), den, rays, masks)
+    enum = _Enumeration(*_keys(found, dim, len(found)), rays, masks)
     object.__setattr__(poly, "_vcache", enum)
     return enum
 

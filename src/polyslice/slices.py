@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil
 from operator import mul
 
@@ -22,7 +23,7 @@ import numpy as np
 from .linprog import ClearedRows, clear_rows, solve_lp
 from .numeric import (ONE, Scalar, Vec, ZERO, _int_nullspace, _row_values, clear_denominators,
                       rational, rational_str)
-from .polytope import HPolytope, _enumeration, vertices
+from .polytope import HPolytope, _vertex_orbits, vertices
 from .spaces import PolyhedralNormSpace, _norm_ints, dual_ball_vertices, support_value, unit_ball
 
 __all__ = [
@@ -114,7 +115,9 @@ def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
     """Ball cut by f.x >= s - alpha, s = sup f over the ball, sharing the
     ball's rows as a base.  The cut row is cleared once; the shared base
     lets vertex enumeration of the slice continue from the ball's final
-    rays with one more step instead of starting from scratch.
+    rays with one more step instead of starting from scratch, or, on a
+    family II ball, from its vertex levels and their neighbour lists one
+    vertex orbit at a time (see polytope._orbit_cut).
     """
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))
@@ -136,37 +139,82 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     canonical pair (lex-least argmax, lex-least argmin) attains it, and the
     lexicographically least canonical pair is returned.
 
-    The widths are taken in integers, on the vertex keys that enumeration
-    caches (see the polytope module docstring): integer numerators over one
-    common denominator Q, in the order of the vertex list.  Each phi.v is
-    then an integer dot product of phi's integer row (see
-    PolyhedralNormSpace._int_rows) over den * Q; numeric._row_values gives
-    a row's products with all the vertices at once, from passes over the
-    key columns.  The vertex list is sorted and distinct, so the lex-least
-    vertex among ties is the first index, and comparing index pairs compares
-    vertex pairs.  One row per +- generator pair suffices: -phi has phi's
-    width, and its first argmax and first argmin are phi's swapped, so the
-    sorted pair is the same.
+    The widths are taken in integers, on the vertex orbits that
+    polytope._vertex_orbits gives: integer keys k over one common
+    denominator Q, one per orbit under the sign flips of the coordinates
+    in G = flips, with k_j >= 0 on G (every vertex is its own orbit when G
+    is empty, as it is for any slice but a family II one).  Over k's orbit
+    the largest phi.v is M(phi, k) = sum_{j in G} |phi_j| k_j +
+    sum_{j not in G} phi_j k_j and the smallest is -M(-phi, k), so each
+    row's width is read off two rows of integers, phi with |phi_j| and with
+    -|phi_j| on G, over den * Q; numeric._row_values gives a row's products
+    with all the keys at once, from passes over the key columns.  One row
+    per +- generator pair suffices: -phi has phi's width, and its lex-least
+    argmax and argmin are phi's swapped, so the sorted pair is the same.
+
+    Within an orbit the lex-least maximizer of phi takes the sign of phi_j
+    where phi_j k_j != 0 and the negative sign where phi_j = 0, and the
+    lex-least maximizer over the slice is the least of these over the keys
+    that reach the maximum (_witness).  Only the two witness vertices are
+    built as Vecs; vertex_count sums 2^(nonzero G coordinates) over the
+    keys (_Orbits.count).
     """
     if poly.dim != space.dim:
         raise ValueError("polytope of dimension %d in a space of dimension %d"
                          % (poly.dim, space.dim))
-    verts = vertices(poly).vertices
-    points, q = _enumeration(poly)[:2]
+    keys, q, flips, count = _vertex_orbits(poly)[:4]
     rows, den = space._int_rows
+    n = len(keys)
+    cols = list(zip(*keys))
+    if flips:
+        on = set(flips)
+        his = _row_values([tuple(abs(c) if j in on else c for j, c in enumerate(row))
+                           for row in rows], cols, n)
+        los = _row_values([tuple(-abs(c) if j in on else c for j, c in enumerate(row))
+                           for row in rows], cols, n)
+    else:
+        his = los = _row_values(rows, cols, n)
     best_width = None
     best_pair = None
-    for vals in _row_values(rows, zip(*points), len(points)):
-        hi = max(vals)
-        lo = min(vals)
+    for row, hs, ls in zip(rows, his, los):
+        hi = max(hs)
+        lo = min(ls)
         width = hi - lo
-        pair = tuple(sorted((vals.index(hi), vals.index(lo))))
-        if best_width is None or width > best_width or (width == best_width and pair < best_pair):
+        if best_width is not None and width < best_width:
+            continue
+        pair = tuple(sorted((_witness(keys, hs, hi, row, flips, 1),
+                             _witness(keys, ls, lo, row, flips, -1))))
+        if best_width is None or width > best_width or pair < best_pair:
             best_width = width
             best_pair = pair
+    values = {c: Scalar(c, q) for c in set(chain(*best_pair))}
     return DiameterResult(value=Scalar(best_width, den * q),
-                          witness_pair=(verts[best_pair[0]], verts[best_pair[1]]),
-                          vertex_count=len(verts))
+                          witness_pair=tuple(tuple.__new__(Vec, [values[c] for c in p])
+                                             for p in best_pair),
+                          vertex_count=count)
+
+
+def _witness(keys, vals, target, row, flips, sign):
+    """The lex-least vertex v at which sign * row.v is largest, as integer
+    numerators, given vals[i], that largest value over the orbit of
+    keys[i], and target, the largest of them over the keys.  In an orbit
+    the sign of a flips coordinate j is forced to that of sign * row[j]
+    where row[j] != 0 (where k_j = 0 either sign is 0) and is free where
+    row[j] = 0, where the negative one is lex-least.  With no flips the
+    keys are sorted vertices, so the first one that reaches target is it."""
+    if not flips:
+        return keys[vals.index(target)]
+    best = None
+    for k, v in zip(keys, vals):
+        if v == target:
+            p = list(k)
+            for j in flips:
+                if sign * row[j] <= 0:
+                    p[j] = -p[j]
+            p = tuple(p)
+            if best is None or p < best:
+                best = p
+    return best
 
 
 def _probe_subsets(weights, target):

@@ -25,8 +25,10 @@ builders attach the ball's vertex levels (_levels), one canonical integer
 ray (p..., t) with p >= 0 per orbit of vertices under those flips, in
 closed form.  The unit ball expands them into its vertices instead of
 running DD, and support_value reads sup f off them instead of solving an
-LP.  A space built by the constructor has no levels, whatever its label,
-and takes DD and the LP.
+LP.  make_space_II also attaches each level's ball neighbours (_edges), so
+its slices are cut one vertex orbit at a time (see polytope._orbit_cut).
+A space built by the constructor has no levels, whatever its label, and
+takes DD and the LP.
 
 A space builds its unit ball, the ball's columns, the coordinate bounds
 sup |x_j| over the ball and the extreme points of its generator set from
@@ -48,6 +50,7 @@ from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _reduced, _ro
 from .polytope import HPolytope, VPolytope, _extreme_keys
 
 __all__ = [
+    "MAX_N",
     "PolyhedralNormSpace",
     "FaceSet",
     "norm",
@@ -66,6 +69,20 @@ __all__ = [
     "load_space",
 ]
 
+#: The largest N the builders accept.  At N = 500 make_space_II takes about
+#: 0.26 s and 22 MB over the interpreter, make_space_VII about 5.2 s and
+#: 100 MB (its rank check grows as N^3); a far larger N would not fit an
+#: index.
+MAX_N = 500
+
+
+def _check_N(N, least):
+    """ValueError unless least <= N <= MAX_N."""
+    if N < least:
+        raise ValueError("N must be at least %d" % least)
+    if N > MAX_N:
+        raise ValueError("N must be at most %d" % MAX_N)
+
 
 @dataclass(frozen=True)
 class PolyhedralNormSpace:
@@ -82,7 +99,8 @@ class PolyhedralNormSpace:
     order.  Negating phi changes neither |phi.x| nor a width
     max phi.v - min phi.v, so these rows serve every norm and width.
     _levels holds the ball's vertex levels, which only the builders attach
-    (None otherwise).  _unit_ball, _ball_columns, _coordinate_bounds and
+    (None otherwise), and _edges their ball neighbours, which only
+    make_space_II attaches.  _unit_ball, _ball_columns, _coordinate_bounds and
     _dual_vertices are built from the rows on first use and kept on the
     space.  None of these is a field, so equality, hashing and repr ignore
     them.
@@ -93,6 +111,7 @@ class PolyhedralNormSpace:
     label: str
     params: tuple = ()
     _levels = None
+    _edges = None
 
     def __post_init__(self):
         gens = tuple(g if isinstance(g, Vec) else Vec(g) for g in self.generators)
@@ -106,15 +125,16 @@ class PolyhedralNormSpace:
         self._check(ints, den)
 
     @classmethod
-    def _from_ints(cls, dim, ints, den, values, label, params, levels):
+    def _from_ints(cls, dim, ints, den, values, label, params, levels, edges=None):
         """The space of the integer rows ints over den, sorted (over one
         den > 0 that is the rationals' order), with the vertex levels
-        levels; values maps each integer entry c to the rational c / den."""
+        levels and their neighbour lists edges; values maps each integer
+        entry c to the rational c / den."""
         ints = sorted(ints)
         space = object.__new__(cls)
         gens = tuple(tuple.__new__(Vec, [values[c] for c in row]) for row in ints)
         for name, value in (("dim", dim), ("generators", gens), ("label", label),
-                            ("params", params), ("_levels", levels)):
+                            ("params", params), ("_levels", levels), ("_edges", edges)):
             object.__setattr__(space, name, value)
         space._check(ints, den)
         return space
@@ -156,7 +176,7 @@ class PolyhedralNormSpace:
         each phi = c / den, which is what linprog.clear_rows would give."""
         den = self._int_rows[1]
         rows = ClearedRows(_reduced(row + (den,)) for row in self._gen_ints)
-        return HPolytope(rows, self.dim, _levels=self._levels)
+        return HPolytope(rows, self.dim, _levels=self._levels, _edges=self._edges)
 
     @cached_property
     def _ball_columns(self):
@@ -233,11 +253,13 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
 
     The unit ball is {||x||_inf <= 1 - |beta|, |beta| <= 1/(1+r)}: its
     vertices are the sign patterns of (1,..,1, 0) and of
-    (r,..,r, 1)/(1+r).  With r = a/b the levels are (1,..,1, 0 | 1) and
-    (a,..,a, b | a+b).
+    (r,..,r, 1)/(1+r).  With r = a/b the levels are A = (1,..,1, 0 | 1)
+    and B = (a,..,a, b | a+b).  Their ball neighbours, the edges' other
+    ends, are: for A, its N flips of one x coordinate when N >= 2 (at
+    N = 1 the ball is a hexagon and (-1, 0) is opposite A) and
+    (a,..,a, +-b | a+b); for B, its N flips of one x coordinate and A.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    _check_N(N, 1)
     r = rational(r)
     if r <= 0:
         raise ValueError("r must be positive")
@@ -253,9 +275,15 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
                 row[N] = psi
                 ints.append(tuple(row))
     values = {0: ZERO, den: ONE, -den: -ONE, top: 1 + r, -top: -1 - r}
-    levels = ((1,) * N + (0, 1), (r.numerator,) * N + (den, top))
+    a = r.numerator
+    A, B = (1,) * N + (0, 1), (a,) * N + (den, top)
+
+    def flips(level):
+        return [level[:n] + (-level[n],) + level[n + 1:] for n in range(N)]
+
+    edges = ((*(flips(A) if N >= 2 else ()), B, (a,) * N + (-den, top)), (*flips(B), A))
     return PolyhedralNormSpace._from_ints(d, ints, den, values, "II", (("N", N), ("r", r)),
-                                          levels)
+                                          (A, B), edges)
 
 
 def default_omega(N: int) -> tuple:
@@ -298,8 +326,7 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
     level is the integer ray (den, m_2, .., m_N | Q) with
     m_n = min(Q, 3(Q - den), 2(Q - W_n)), over its gcd.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    _check_N(N, 2)
     omega = check_omega(N, omega)
     den = lcm(6, *(w.denominator for w in omega))
     values = {0: ZERO}

@@ -100,9 +100,9 @@ def test_lp_certify_seed_0_solves_6_lps_and_no_hull_lp(monkeypatch):
     built = []
     init = polytope.HPolytope.__init__
 
-    def counting_init(self, halfspaces, dim, _base=None, _levels=None):
+    def counting_init(self, halfspaces, dim, _base=None, **kwargs):
         built.append(_base is not None)
-        init(self, halfspaces, dim, _base=_base, _levels=_levels)
+        init(self, halfspaces, dim, _base=_base, **kwargs)
 
     monkeypatch.setattr(polytope.HPolytope, "__init__", counting_init)
     solve, hull_solve, extreme = slices.solve_lp, linprog.solve_lp, spaces._extreme_keys

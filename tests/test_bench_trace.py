@@ -6,8 +6,9 @@ or called through a value stored in a table, escapes that rebinding: the
 traced run then fails to install or records no case spans.  This test runs
 bench/child.py traced on four small CLI cases, in a fresh interpreter as the
 benchmark does, and counts the case spans under each report.  The thm1 case
-must also record a polytope.vertices.slice span, so the slice's vertex
-enumeration stays where the tracer sees it.  bench/ is only read.
+must also record a slices.diameter span and no polytope.vertices span: its
+family II slice is cut one vertex orbit at a time and never expanded into a
+vertex list.  bench/ is only read.
 """
 
 import json
@@ -58,8 +59,8 @@ def test_traced_child_records_case_spans_for_every_row(tmp_path):
     for main, n_rows in zip(mains, rows):
         assert per_report[main] >= n_rows
 
-    # The thm1 slice's DD runs inside the traced vertices call, which the
-    # tracer names by the slice that make_slice returned.
-    thm1_vertex_spans = [s["name"] for s in spans
-                         if s["name"].startswith("polytope.vertices.") and report_of(s) == mains[0]]
-    assert "polytope.vertices.slice" in thm1_vertex_spans
+    # The thm1 diameter reads the slice's vertex orbits, which no traced
+    # vertices call builds.
+    thm1_spans = {s["name"] for s in spans if report_of(s) == mains[0]}
+    assert "slices.diameter" in thm1_spans
+    assert not any(name.startswith("polytope.vertices.") for name in thm1_spans)

@@ -97,14 +97,74 @@ def test_thm1_case_at_n_8_meets_the_closed_form():
     assert row["vertex_count"] == 2 ** 9 and row["pass"]
 
 
+def test_thm1_at_n_40_takes_no_dd_step_and_expands_no_vertex_list(monkeypatch):
+    """The family II slice is cut one vertex orbit at a time from the
+    ball's levels: at N = 40, where the ball has 3 * 2^40 vertices, thm1
+    gives the closed-form value 2/15 and the exact count 2^41 with no
+    _orbit expansion, no DD cut and no cone, and neither the slice nor its
+    ball caches a vertex enumeration.  Counted, not timed."""
+    from polyslice import polytope
+
+    counts = dict.fromkeys(("orbit", "cut", "cone"), 0)
+    for name in counts:
+        fn = getattr(polytope, "_" + name)
+        monkeypatch.setattr(polytope, "_" + name,
+                            lambda *a, _n=name, _fn=fn: counts.__setitem__(_n, counts[_n] + 1)
+                            or _fn(*a))
+    row, parts = thm1_case(40, "1/5")
+    assert (row["exact_value"], row["vertex_count"], row["pass"]) == ("2/15", 2 ** 41, True)
+    assert counts == {"orbit": 0, "cut": 0, "cone": 0}
+    assert parts["slice"]._vcache is None and parts["slice"]._base._vcache is None
+
+
+def _n_bound_inputs(tmp_path, experiment, N):
+    """The ways an N reaches an experiment: the flag, a config file and,
+    where the experiment takes one, a space file of its family."""
+    cfg = tmp_path / ("%s-%d.json" % (experiment, N))
+    cfg.write_text(json.dumps({"experiment": experiment, "N": N}))
+    yield [experiment, "--n", str(N)]
+    yield ["--config", str(cfg)]
+    kinds = {"prop3": ("VII",), "verify-ext": ("II", "VII")}.get(experiment, ("II",))
+    for kind in kinds:
+        space = tmp_path / ("%s-%s-%d.json" % (experiment, kind, N))
+        space.write_text(json.dumps({"kind": kind, "N": N, "r": "1/10"} if kind == "II"
+                                    else {"kind": kind, "N": N}))
+        yield [experiment, "--space", str(space)]
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+def test_an_n_past_the_bound_is_a_usage_error_before_any_space_is_built(
+        experiment, tmp_path, capsys, monkeypatch):
+    """An N above spaces.MAX_N, from the flag, a config file or a space
+    file, exits 2 with one message line before any space is built or any
+    weight list drawn; an N past the index range once ended in an
+    OverflowError traceback (exit 1), or, for prop3, in default weights
+    drawn until memory ran out."""
+    from polyslice import spaces
+
+    calls = []
+    monkeypatch.setattr(spaces.PolyhedralNormSpace, "_check",
+                        lambda *a: calls.append("space"))
+    for module in (spaces, experiments):
+        monkeypatch.setattr(module, "check_omega",
+                            lambda *a: calls.append("omega") or (), raising=False)
+    for N in (spaces.MAX_N + 1, 99999999999999999999):
+        for argv in _n_bound_inputs(tmp_path, experiment, N):
+            message = assert_usage_error(argv, capsys)
+            assert message == "polyslice: error: N must be at most %d" % spaces.MAX_N
+    assert calls == []
+    assert ExperimentConfig(experiment=experiment, N=spaces.MAX_N).N == spaces.MAX_N
+
+
 # Per default grid: the ball orbit expansions (polytope._orbit) and the
 # dual-vertex computations (polytope._extreme_keys), one per space that
-# needs them.  thm1 and prop2 build a space per row and prop3 one per N;
-# prop2's N = 1 rows raise DimensionTooSmall before any slice is
-# enumerated.  The certificates of prop2 and verify-ext's audits take the
-# dual vertices, one per space.
+# needs them.  thm1 and prop2 build a space per row and prop3 one per N.
+# The family II slices of thm1 and prop2 are cut one vertex orbit at a
+# time from the ball's levels and neighbour lists, so no family II ball is
+# expanded; prop3's family VII balls are, one per N.  The certificates of
+# prop2 and verify-ext's audits take the dual vertices, one per space.
 DEFAULT_GRID_WORK = {
-    "thm1": (18, 0), "prop2": (10, 12), "prop3": (3, 0), "verify-ext": (0, 18), "sandwich": (0, 0),
+    "thm1": (0, 0), "prop2": (0, 12), "prop3": (3, 0), "verify-ext": (0, 18), "sandwich": (0, 0),
 }
 
 
@@ -113,8 +173,9 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     """On the default grids every ball comes from its vertex levels and
     every support value and coordinate bound from the closed form: DD's
     cone runs for no ball, and the only LPs are prop2's 14 certificate
-    probes (the walk over every support took 16); only the one cut of each
-    enumerated slice is a DD step.  Each ball is expanded, and each dual
+    probes (the walk over every support took 16).  The one cut of each
+    prop3 slice is a DD step; the family II slices of thm1 and prop2 take
+    none (polytope._orbit_cut).  Each ball is expanded, and each dual
     vertex set computed, once per space, and a second unit_ball or
     dual_ball_vertices call on a space returns the same object with no new
     work."""
@@ -154,7 +215,7 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     report = run_experiment(ExperimentConfig(experiment=experiment))
     assert report.all_pass
     diameters = sum(bool(row.get("exact_value")) for row in report.rows)
-    assert (counts["cone"], counts["cut"]) == (0, diameters)
+    assert (counts["cone"], counts["cut"]) == (0, diameters if experiment == "prop3" else 0)
     assert counts["lp"] == counts["probe_lp"] == (14 if experiment == "prop2" else 0)
     assert (counts["orbit"], counts["extreme"]) == DEFAULT_GRID_WORK[experiment]
     assert len(built) == (3 if experiment == "prop3" else len(report.rows))

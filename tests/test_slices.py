@@ -458,6 +458,24 @@ HEXAGON = _custom_space(2, ([1, 0], [0, 1], [1, 1]))
 SKEW = _custom_space(3, (["2/3", "1/5", 0], [0, "5/4", "-3/7"], ["1/6", 0, "7/9"], [1, 1, 1]))
 
 
+@pytest.mark.parametrize("space,f,alpha", [
+    (make_space_VII(3, ("53/54", "47/48")), Vec.unit(3, 0), "1/11"),
+    (make_space_VII(4), Vec([1, "1/2", 0, 0]), "1/9"),
+    (HEXAGON, Vec([1, 1]), "1/2"),
+    (SKEW, Vec([0, 1, "-1/2"]), "1/3"),
+])
+def test_diameter_of_a_dd_slice_builds_only_its_two_witness_vertices(space, f, alpha):
+    """A slice that takes DD's cut is measured on its integer vertex keys:
+    diameter builds no VPolytope for it, and its witness pair is two of the
+    vertices that vertices() builds later, with the value and count of the
+    rational loop."""
+    piece = make_slice(space, SliceSpec(f, alpha))
+    got = diameter(piece, space)
+    assert piece._vcache is not None and piece._vpoly is None
+    assert got == rational_diameter(piece, space)
+    assert all(v in vertices(piece).vertices for v in got.witness_pair)
+
+
 @pytest.mark.parametrize("space,f,alphas", [
     (make_space_II(1, R10), Vec([0, "11/10"]), ("1/40", "3/5")),
     (make_space_II(2, "3/7"), Vec([0, 0, "10/7"]), ("1/7",)),
