@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from math import lcm
-from operator import add, floordiv, gt, mul, or_
+from operator import add, gt, mul, or_
 from typing import Callable
 
 from .numeric import ONE, Scalar, Vec, ZERO, _abs_max, exact_int, rational, rational_str
@@ -512,21 +512,42 @@ def _verify_ext_rows(config: ExperimentConfig):
             yield verify_ext_case(N, r)
 
 
-def _sandwich_draw(bits, d: int) -> tuple:
-    """One sandwich trial's d numerators and d denominators, drawn a_i then
-    q_i per coordinate with bits = rng.getrandbits (see sandwich_case)."""
-    A = []
-    Q = []
-    for _ in range(d):
-        a = bits(7)
-        while a > 100:
-            a = bits(7)
-        q = bits(5)
-        while q > 19:
-            q = bits(5)
-        A.append(a - 50)
-        Q.append(q + 1)
-    return A, Q
+#: C = lcm(1..20), the one denominator of every sandwich trial, and
+#: _SANDWICH_SCALE[q - 1] = C // q.
+_SANDWICH_DEN = lcm(*range(1, 21))
+_SANDWICH_SCALE = tuple(_SANDWICH_DEN // q for q in range(1, 21))
+
+
+def _sandwich_numerators(bits, count: int) -> list:
+    """count sandwich coordinates a / q as the integers a * (C // q) over
+    C = _SANDWICH_DEN, in stream order, with bits = rng.getrandbits (see
+    sandwich_case).
+
+    The words are drawn a round at a time.  A coordinate takes at least two
+    32-bit words, one for a and one for q, so a round of 2 * (coordinates
+    missing) words, less one when an accepted a waits for its q, never reads
+    past the last word needed.  getrandbits(32 * k) holds its k words in
+    stream order from the low end, and getrandbits(7) and getrandbits(5)
+    would be the top 7 and 5 bits of the next word: the top byte b gives
+    a = (b >> 1) - 50, rejected when b >= 202, and q = (b >> 3) + 1,
+    rejected when b >= 160."""
+    scale = _SANDWICH_SCALE
+    out = []
+    append = out.append
+    head = b""  # the top byte of an accepted a still waiting for its q
+    while len(out) < count:
+        k = 2 * (count - len(out)) - len(head)
+        tops = iter(head + bits(32 * k).to_bytes(4 * k, "little")[3::4])
+        head = b""
+        for b in tops:
+            if b < 202:
+                for c in tops:
+                    if c < 160:
+                        append(((b >> 1) - 50) * scale[c >> 3])
+                        break
+                else:
+                    head = bytes((b,))
+    return out
 
 
 def _sandwich_block(space, N: int, r, bits, n: int, worst):
@@ -538,11 +559,9 @@ def _sandwich_block(space, N: int, r, bits, n: int, worst):
     den = space._int_rows[1]
     rden = r.denominator
     cap = rden + r.numerator
-    a_rows, q_rows = zip(*(_sandwich_draw(bits, space.dim) for _ in range(n)))
-    A = list(zip(*a_rows))  # A[i]: numerator i of every trial in the block
-    Q = list(zip(*q_rows))
-    L = list(map(lcm, *Q))
-    P = [list(map(mul, a, map(floordiv, L, q))) for a, q in zip(A, Q)]
+    d = space.dim
+    flat = _sandwich_numerators(bits, n * d)
+    P = [flat[j::d] for j in range(d)]  # P[j]: coordinate j of every trial
     low = list(map(mul, map(add, _abs_max(P[:N], n), map(abs, P[N])), repeat(den)))
     val = _norm_ints(space, P)
     failures = sum(map(or_, map(gt, low, val),
@@ -557,33 +576,38 @@ def sandwich_case(N: int, r, trials: int, rng: random.Random) -> dict:
     """Random vectors through the norm sandwich: the lifted norm lies between
     the product reference norm and (1+r) times it.
 
-    Each trial draws x_i = a_i / q_i and clears it once to P = L x over
-    L = lcm(q).  The reference norm max_{i<N} |P_i| + |P_N| and the kernel's
-    den * |||P||| are then integers, so both checks and the worst ratio are
-    integer comparisons; one Fraction is built per row.
+    Each trial draws x_i = a_i / q_i and holds it as P = C x over the one
+    denominator C = lcm(1..20) of every q_i.  The reference norm
+    max_{i<N} |P_i| + |P_N| and the kernel's den * |||P||| are then
+    integers, so both checks and the worst ratio are integer comparisons;
+    one Fraction is built per row.  Both sides scale by C, so the checks
+    and the reduced ratio are those of x.
 
-    The trials run in blocks of _SANDWICH_BLOCK.  A block's trials are
-    drawn one after another, so the stream order is that of one trial at a
-    time, and then evaluated column-wise: L, P, the reference norms and the
-    norms (spaces._norm_ints) of the whole block come from C-level passes
-    over columns, not from one loop step per trial.  failures is a count and
-    the worst ratio a max, so folding them across blocks gives the same
-    report for any block size; the block only bounds memory for large trial
-    counts.
+    The trials run in blocks of _SANDWICH_BLOCK.  A block's n * (N + 1)
+    coordinates are drawn in stream order (_sandwich_numerators), so the
+    stream is read as by one trial at a time, and then evaluated
+    column-wise: the reference norms and the norms (spaces._norm_ints) of
+    the whole block come from C-level passes over columns, not from one
+    loop step per trial.  failures is a count and the worst ratio a max, so
+    folding them across blocks gives the same report for any block size;
+    the block only bounds memory for large trial counts.
 
     Per coordinate, the numerator a_i is uniform on -50..50 and then the
-    denominator q_i uniform on 1..20, each drawn by rejection from
-    rng.getrandbits(7) or rng.getrandbits(5): a word above 100, or above 19,
-    is drawn again.  CPython 3.11's randint(-50, 50) and randint(1, 20)
-    follow the same rule, so the values and the rng state after each trial
-    equal theirs; the reports depend only on getrandbits, not on
-    random.randint.
+    denominator q_i uniform on 1..20, each drawn by rejection from the top
+    7 or 5 bits of one 32-bit word of the rng's stream: a value above 100,
+    or above 19, is drawn again from the next word.  That is
+    rng.getrandbits(7) and rng.getrandbits(5), word by word, and CPython
+    3.11's randint(-50, 50) and randint(1, 20) follow the same rule, so the
+    values equal theirs.  The words are read a round at a time, never past
+    the last one needed, so the rng ends each case in the state that those
+    per-coordinate calls would leave; the reports depend only on the
+    stream, not on random.randint.
     """
     r = rational(r)
     space = make_space_II(N, r)
     bits = rng.getrandbits
     failures = 0
-    worst = None  # (value, lower) with ratio value / lower, both over L * den
+    worst = None  # (value, lower) with ratio value / lower, both over C * den
     for start in range(0, trials, _SANDWICH_BLOCK):
         n = min(_SANDWICH_BLOCK, trials - start)
         block_failures, worst = _sandwich_block(space, N, r, bits, n, worst)

@@ -8,9 +8,10 @@ cleared denominators and build Fractions only at their boundaries.
 
 Rank, nullspace, solve and the start cone of vertex enumeration share one
 elimination kernel, _echelon: fraction-free Gauss-Jordan on integer rows.
-Norms, diameter widths and the extreme-point Gram matrix evaluate integer
-rows against a batch of integer points through one row kernel, _row_values,
-which takes the points column by column.
+Diameter widths and the extreme-point Gram matrix evaluate integer rows
+against a batch of integer points through one row kernel, _row_values,
+which takes the points column by column; norms take them the same way, on
+primitive rows (spaces._norm_ints).
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ are cleared once.  The norm, the unit ball's rows, the dual vertices and the
 certificates of slices all reuse these rows.  The norm keeps one row per
 +- pair: the set is symmetric, so the max of |phi.x| over half the rows is
 the max of phi.x over all of them, a max of integer dot products evaluated
-row by row over a batch of integer points (_norm_ints, through
-numeric._row_values); norm is a batch of one.
+over a batch of integer points (_norm_ints) on the rows' primitive parts,
+grouped by their gcd (_norm_groups); norm is a batch of one.
 
 Both families are unconditional: their generator sets, and so their unit
 balls, are closed under flipping the sign of any one coordinate.  The
@@ -41,11 +41,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-from operator import mul
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .linprog import OPTIMAL, ClearedRows, solve_lp
-from .numeric import (ONE, ZERO, Scalar, Vec, _abs_max, _int_rank, _reduced, _row_values,
+from .numeric import (ONE, ZERO, Scalar, Vec, _int_rank, _reduced,
                       clear_denominators, exact_int, rational, rational_str)
 from .polytope import HPolytope, VPolytope, _extreme_keys
 
@@ -70,9 +71,9 @@ __all__ = [
 ]
 
 #: The largest N the builders accept.  At N = 500 make_space_II takes about
-#: 0.26 s and 22 MB over the interpreter, make_space_VII about 5.2 s and
-#: 100 MB (its rank check grows as N^3); a far larger N would not fit an
-#: index.
+#: 0.17 s and 20 MB over the interpreter, make_space_VII about 1.0 s and
+#: 100 MB (neither runs a rank check, see PolyhedralNormSpace._check); a far
+#: larger N would not fit an index.
 MAX_N = 500
 
 
@@ -164,7 +165,11 @@ class PolyhedralNormSpace:
             if neg not in kept:
                 kept.add(row)
                 rows.append(row)
-        if _int_rank(rows, d) != d:
+        # Rows whose first nonzero coordinates are distinct are independent,
+        # so when those coordinates cover all d the rows span without an
+        # elimination; the family builders' rows always do.
+        leads = {next(j for j, c in enumerate(row) if c) for row in rows}
+        if len(leads) != d and _int_rank(rows, d) != d:
             raise ValueError("generators do not span the dual; the gauge is not a norm")
         ints = tuple(ints)
         object.__setattr__(self, "_gen_ints", ints)
@@ -199,6 +204,22 @@ class PolyhedralNormSpace:
         return clear_denominators([support_value(self, Vec.unit(d, j)) for j in range(d)])
 
     @cached_property
+    def _norm_groups(self):
+        """The norm's rows as ((g, rows), ...): each row of _int_rows is g
+        times a primitive row u, signed so that its first nonzero entry is
+        positive, and rows holds the u of one g, each as its nonzero
+        entries (j, u_j).  |row.p| = g |u.p|, so _norm_ints takes g times
+        the max over a group and multiplies once per group, not per row."""
+        groups = {}
+        for row in self._int_rows[0]:
+            g = gcd(*row)
+            if next(c for c in row if c) < 0:
+                g = -g
+            groups.setdefault(abs(g), []).append(
+                tuple((j, c // g) for j, c in enumerate(row) if c))
+        return tuple((g, tuple(rows)) for g, rows in groups.items())
+
+    @cached_property
     def _dual_vertices(self):
         return _extreme_keys(dict(zip(self._gen_ints, self.generators)), self._int_rows[1],
                              self.dim)
@@ -224,10 +245,31 @@ class FaceSet:
 def _norm_ints(space: PolyhedralNormSpace, cols) -> list:
     """den * |||p||| for each integer point p of a batch, den being
     space._int_rows' own.  The points are given column-wise: cols is the
-    list of the space.dim sequences of their coordinates (see
-    numeric._row_values).  Each value is the max of |row.p| over the rows."""
-    n = len(cols[0])
-    return _abs_max(_row_values(space._int_rows[0], cols, n), n)
+    list of the space.dim sequences of their coordinates, in point order
+    (zip(*points) gives them).  Each value is the max of |row.p| over the
+    rows, taken as the max over space._norm_groups of g times the group's
+    max |u.p|.  Every u.p is a chain of lazy maps over whole columns, so a
+    batch costs one C-level pass: a coefficient 1 reuses or adds its
+    column, -1 subtracts it, and any other multiplies it."""
+    terms = []
+    for g, rows in space._norm_groups:
+        values = []
+        for row in rows:
+            acc = None
+            for j, c in row:
+                col = cols[j]
+                if acc is None:
+                    acc = col if c == 1 else map(mul, col, repeat(c))
+                elif c == 1:
+                    acc = map(add, acc, col)
+                elif c == -1:
+                    acc = map(sub, acc, col)
+                else:
+                    acc = map(add, acc, map(mul, col, repeat(c)))
+            values.append(map(abs, acc))
+        top = map(max, *values) if len(values) > 1 else values[0]
+        terms.append(top if g == 1 else map(mul, top, repeat(g)))
+    return list(map(max, *terms) if len(terms) > 1 else terms[0])
 
 
 def norm(space: PolyhedralNormSpace, x) -> Scalar:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import random
 
 import pytest
@@ -302,16 +303,20 @@ def test_sandwich_case_matches_the_fraction_oracle(monkeypatch, N):
 
 
 def test_sandwich_draw_is_randint_on_the_same_stream():
-    """The getrandbits rejection draw of one trial gives the numbers of
-    randint(-50, 50), randint(1, 20) per coordinate and leaves the rng in
-    the same state, trial after trial on one stream."""
+    """The round draw gives the numbers of randint(-50, 50), randint(1, 20)
+    per coordinate, as numerators over C = lcm(1..20), and leaves the rng in
+    the state those calls leave, for each count and for two calls in a row
+    on one stream."""
+    C = experiments._SANDWICH_DEN
+    assert C == 232792560
     for seed in range(200):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        for d in range(1, 8):
-            A, Q = experiments._sandwich_draw(rng.getrandbits, d)
-            pairs = [(ref_rng.randint(-50, 50), ref_rng.randint(1, 20)) for _ in range(d)]
-            assert list(zip(A, Q)) == pairs
-            assert rng.getstate() == ref_rng.getstate()
+        for counts in ((1,), (2,), (7,), (250,), (1750,), (7, 250)):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for count in counts:
+                got = experiments._sandwich_numerators(rng.getrandbits, count)
+                pairs = [(ref_rng.randint(-50, 50), ref_rng.randint(1, 20)) for _ in range(count)]
+                assert got == [a * (C // q) for a, q in pairs]
+                assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("scale", ["1/2", "3"])
@@ -337,14 +342,36 @@ def test_sandwich_case_counts_failures_like_the_fraction_oracle(monkeypatch, sca
 
 def test_sandwich_case_on_zero_vectors_reports_no_ratio():
     """Every draw a zero numerator: lower and value are both 0, which passes
-    the sandwich and leaves no ratio to report."""
+    the sandwich and leaves no ratio to report.  Every 32-bit word of the
+    fake stream has top byte 100, so getrandbits(7) reads 50 (a = 0) and
+    getrandbits(5) reads 12 (q = 13), for a word at a time or many."""
     class ZeroNumerators(random.Random):
         def getrandbits(self, k):
-            return 50 if k == 7 else 0
+            words = -(-k // 32)
+            return int.from_bytes(bytes((0, 0, 0, 100)) * words, "little") >> (32 * words - k)
 
     row = sandwich_case(2, "1/10", 5, ZeroNumerators(0))
     assert (row["failures"], row["worst_ratio"], row["pass"]) == (0, "", True)
     assert oracles.sandwich_trials(oracles.gens_II(2, "1/10"), 2, "1/10", 5, ZeroNumerators(0)) == (0, None)
+
+
+def test_sandwich_draws_a_block_in_few_getrandbits_calls():
+    """Counted, not timed: a block of 1000 trials at N = 6 (7000
+    coordinates) reads its words in at most 2 * ceil(log2(7000)) + 8
+    getrandbits calls, where a call per coordinate word would make at least
+    14,000."""
+    class Counting(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            Counting.calls += 1
+            return super().getrandbits(k)
+
+    bound = 2 * math.ceil(math.log2(7000)) + 8
+    for seed in range(100):
+        Counting.calls = 0
+        sandwich_case(6, "1/10", 1000, Counting(seed))
+        assert 1 <= Counting.calls <= bound
 
 
 def test_reports_are_byte_identical_for_fixed_config():

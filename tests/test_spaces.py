@@ -3,13 +3,14 @@
 import dataclasses
 import gc
 import json
+import math
 import random
 from collections import Counter
 
 import pytest
 
 import oracles
-from polyslice import polytope, slices, spaces
+from polyslice import numeric, polytope, slices, spaces
 from polyslice.cli import main as cli_main
 from polyslice.numeric import ONE, Scalar, Vec, ZERO, rational
 from polyslice.polytope import HPolytope, VPolytope, contains, extreme_points, vertices
@@ -211,6 +212,81 @@ def test_norm_kernel_on_integer_points_and_the_zero_vector():
                                  for _ in range(30)]
         expected = [den * _generator_loop_norm(sp, Vec(p)) for p in pts]
         assert _norm_ints(sp, list(zip(*pts))) == expected
+
+
+def _plain_norm_ints(space, points):
+    """den * |||p||| per point by a plain loop: max |row.p| over the rows."""
+    rows = space._int_rows[0]
+    return [max(abs(sum(c * x for c, x in zip(row, p))) for row in rows) for p in points]
+
+
+# Custom spaces whose rows have negative leading entries, mixed gcds and
+# coefficients +-1 after the leading one.
+DEGENERATE_CUSTOM = [
+    [["-1/2", 1], [1, 0]],
+    [["2/3", "1/5", 0], [0, "5/4", "-3/7"], ["1/6", 0, "7/9"], [1, 1, 1]],
+    [[-3, 6, 0], [2, 0, 4], [0, 0, 1], [5, 5, 5], [0, -7, 0], [1, -1, 0], [-4, 1, -1]],
+    [[0, -2, 2, -2], [-6, 0, 3, 9], [1, 0, 0, 0], [0, 0, 0, -5], [3, -3, 0, 1]],
+]
+
+
+def _kernel_spaces():
+    out = [make_space_II(N, r) for N in range(1, 9) for r in ("1/20", "7/3", "1")]
+    out += [make_space_VII(N) for N in range(2, 7)]
+    out += [PolyhedralNormSpace(len(gens[0]), tuple(sorted(s * Vec(g) for g in gens for s in (1, -1))),
+                                "custom") for gens in DEGENERATE_CUSTOM]
+    return out
+
+
+def test_norm_groups_are_the_primitive_sign_normalized_rows():
+    """Each group's rows, times g, are the space's rows up to sign; each is
+    primitive with a positive first entry."""
+    kernel_spaces = _kernel_spaces()
+    for sp in kernel_spaces:
+        rebuilt = []
+        for g, rows in sp._norm_groups:
+            assert g > 0
+            for row in rows:
+                dense = [0] * sp.dim
+                for j, c in row:
+                    dense[j] = c
+                assert row[0][1] > 0 and math.gcd(*dense) == 1 and all(c for _, c in row)
+                rebuilt.append(tuple(g * c for c in dense))
+        assert sorted(rebuilt) == sorted(max(row, tuple(-c for c in row)) for row in sp._int_rows[0])
+    assert len(kernel_spaces[-2]._norm_groups) > 2  # DEGENERATE_CUSTOM[2]: mixed gcds
+
+
+def test_norm_kernel_equals_the_plain_row_loop():
+    """_norm_ints against max |row.p| on the family II and VII spaces and the
+    degenerate custom spaces, on batches of 0, 1 and 300 points."""
+    rng = random.Random(SEED + 13)
+    for sp in _kernel_spaces():
+        big = [tuple(rng.choice((0, 1, -1, rng.randint(-10**15, 10**15), rng.randint(-60, 60)))
+                     for _ in range(sp.dim)) for _ in range(300)]
+        for pts in ([], big[:1], big):
+            cols = [list(col) for col in zip(*pts)] or [[] for _ in range(sp.dim)]
+            assert _norm_ints(sp, cols) == _plain_norm_ints(sp, pts)
+
+
+def test_builders_span_without_elimination_and_custom_sets_still_eliminate(monkeypatch):
+    """The family rows' leading coordinates cover every coordinate, so the
+    builders run no elimination; a full-rank custom set whose rows all lead
+    on one coordinate is still accepted, by elimination."""
+    calls = []
+
+    def counting_rank(rows, width):
+        calls.append(width)
+        return numeric._int_rank(rows, width)
+
+    monkeypatch.setattr(spaces, "_int_rank", counting_rank)
+    for N in range(1, 9):
+        make_space_II(N, "1/10")
+    for N in range(2, 7):
+        make_space_VII(N)
+    assert calls == []
+    sp = PolyhedralNormSpace(2, tuple(Vec(g) for g in ([1, 1], [1, -1], [-1, 1], [-1, -1])), "custom")
+    assert calls == [2]
+    assert norm(sp, Vec([3, "-1/2"])) == rational("7/2")
 
 
 def test_integer_rows_stay_out_of_equality_and_the_ball_cache():
