@@ -23,7 +23,7 @@ from operator import add, gt, mul, or_
 from typing import Callable
 
 from .numeric import ONE, Scalar, Vec, ZERO, _abs_max, exact_int, rational, rational_str
-from .polytope import _enumeration
+from .polytope import _vertex_orbits
 from .slices import (
     DimensionTooSmall,
     SliceSpec,
@@ -441,8 +441,8 @@ def prop3_case(space: PolyhedralNormSpace, epsilon) -> tuple:
     s = support_value(space, f)
     slice_poly = _slice(space, SliceSpec(f, epsilon), s)
     result = diameter(slice_poly, space)
-    # The estimates read the vertex keys p / den that diameter enumerated.
-    keys, den = _enumeration(slice_poly)[:2]
+    # The estimates read diameter's orbits: |x_n| and x_1 are orbit constants.
+    keys, den = _vertex_orbits(slice_poly)[:2]
     tail_bound = 3 * epsilon
     max_tail = Scalar(max(max((abs(c) for c in p[1:]), default=0) for p in keys), den)
     min_head = Scalar(min(p[0] for p in keys), den)

@@ -24,26 +24,24 @@ integer numerators over a denominator t > 0 with gcd(p..., t) = 1.
 The enumeration stays in integers.  The polytope caches its vertices as
 sorted integer numerators over one common denominator den (the vertex keys),
 next to the final rays and zero sets; the duplicate check runs on those
-keys, and slices.diameter and the prop3 estimates read them directly.  The
-VPolytope of rationals is built only when vertices() is called on that
-polytope, once.  A polytope built on a base polytope, as a slice of a norm
-ball is by HPolytope(cut_rows, dim, _base=ball), adds only its own rows and
-costs one more DD step per own row, and its base gets the integer cache
-only: enumerating a slice builds no rationals for its ball.
+keys.  The VPolytope of rationals is built only when vertices() is called
+on that polytope, once.
 
 A family II or VII ball skips DD: its vertices are the sign patterns of a
 few levels that spaces.unit_ball hands it, and _orbit expands them and reads
-each zero set off the integer rows.  DD runs for every other polytope.
+each zero set off the integer rows.
 
-A family II ball also carries each level's ball neighbours (_edges), and
-its slices skip the expansion too.  The cut c.x <= b is fixed by the sign
-flips of the coordinates where c is 0, as the ball is, so the slice is kept
-as one vertex per orbit under those flips (_orbit_cut, after Bremner,
-Dutour Sikirić and Schürmann 2009): each level's sign patterns off the
-flips, feasible ones kept and violating ones joined to their feasible
-neighbours.  slices.diameter reads those orbits; the full vertex list is
-expanded from them only when a caller asks for it.  Other slices continue
-from their ball's rays by one DD step.
+A slice, HPolytope(cut_row, dim, _base=ball), is its ball's rows and one
+cut c.x <= b, and is cut from the ball's vertices along the ball's edges
+(_orbit_cut, after Bremner, Dutour Sikirić and Schürmann 2009): feasible
+vertices are kept and violating ones joined to their feasible neighbours.
+A family ball carries each level's neighbours (_edges) in closed form, and
+the cut is fixed by the sign flips of the coordinates where c is 0, as the
+ball is, so the slice is kept as one vertex per orbit under those flips.
+Any other ball is enumerated by DD once, each vertex its own orbit, and its
+neighbour lists are read off its zero sets once, by DD's adjacency test.
+slices.diameter and the prop3 estimates read the orbits; the full vertex
+list is expanded from them only when a caller asks for it.
 
 Emptiness and unboundedness are read off the rays exactly, without LPs: no
 ray with t > 0 means empty, a ray with t = 0 a recession direction.  When
@@ -110,12 +108,11 @@ class HPolytope:
     rebuilds the rows as HalfSpaces c.x <= b.  The vertex enumeration (an
     _Enumeration: vertex keys and final DD rays) is cached on first use,
     and the VPolytope of rationals when vertices() first asks for it.
-    HPolytope(rows, dim, _base=base) is base cut by rows: its rows are
-    base's followed by rows, and enumeration continues from base's rays.
-    _levels, the vertex levels of a sign-symmetric ball (see _orbit),
-    replace DD; _edges, each level's ball neighbours, let a one-row slice
-    of the ball be cut one orbit at a time (see _orbit_cut), and its
-    _Orbits are cached as _ocache.
+    HPolytope(rows, dim, _base=base) is base cut by its one row: its rows
+    are base's followed by that row, and its _Orbits (see _orbit_cut) are
+    cached as _ocache.  _levels, the vertex levels of a sign-symmetric ball
+    (see _orbit), replace DD, and come with _edges, each level's ball
+    neighbours; a ball without levels gets _edges on its first slice.
     """
 
     __slots__ = ("dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels", "_edges",
@@ -134,6 +131,8 @@ class HPolytope:
             if len(row) != dim + 1:
                 raise ValueError("normal of length %d in dimension %d" % (len(row) - 1, dim))
         if _base is not None:
+            if len(rows) != 1:
+                raise ValueError("a polytope on a base takes exactly one row, not %d" % len(rows))
             rows = ClearedRows(_base._int_rows + rows)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_vcache", None)
@@ -180,7 +179,8 @@ class VPolytope:
 
 class _Enumeration(NamedTuple):
     """A polytope's vertices as keys[i] / den, sorted and distinct, with the
-    final DD rays and zero-set masks that a slice's enumeration continues."""
+    final rays and zero-set masks that a ball's neighbour lists are read
+    from."""
 
     keys: tuple
     den: int
@@ -238,14 +238,26 @@ def _start(rows, picked, dim):
     return rays, [done ^ bit for bit in bits]
 
 
+def _is_edge(common, masks):
+    """Whether two of the rays with zero-set masks masks, whose zero sets
+    meet in common on at least dim - 1 rows, are adjacent: no third ray's
+    zero set contains common."""
+    holders = 0
+    for z in masks:
+        if z & common == common:
+            holders += 1
+            if holders > 2:
+                return False
+    return holders == 2
+
+
 def _cut(rays, masks, ints, bit, dim):
     """One double-description step: the extreme rays of the cone (rays,
     masks) cut by c.x <= b.t for the integer row ints = (c..., b), whose
     zero sets take bit.  Rays on the feasible side stay; each adjacent
-    pair of a violating ray p and a feasible ray q gives the ray
-    v_p r_q - v_q r_p on the new hyperplane.  Adjacency is combinatorial:
-    the zero sets of p and q share at least dim - 1 rows, and no third ray's
-    zero set contains that intersection."""
+    pair of a violating ray p and a feasible ray q, whose zero sets share
+    dim - 1 rows and pass _is_edge, gives the ray v_p r_q - v_q r_p on the
+    new hyperplane."""
     rhs = ints[dim]
     sparse = [(j, c) for j, c in enumerate(ints[:dim]) if c]
     vals = []
@@ -258,20 +270,11 @@ def _cut(rays, masks, ints, bit, dim):
     minus = [k for k, v in enumerate(vals) if v < 0]
     new_rays = [r for r, v in zip(rays, vals) if v <= 0]
     new_masks = [z | bit if v == 0 else z for z, v in zip(masks, vals) if v <= 0]
-    need = dim - 1
     for p in plus:
         zp, rp, vp = masks[p], rays[p], vals[p]
         for q in minus:
             common = zp & masks[q]
-            if common.bit_count() < need:
-                continue
-            holders = 0
-            for z in masks:
-                if z & common == common:
-                    holders += 1
-                    if holders > 2:
-                        break
-            if holders == 2:
+            if common.bit_count() >= dim - 1 and _is_edge(common, masks):
                 vq = vals[q]
                 new_rays.append(_reduced([vp * y - vq * x for x, y in zip(rp, rays[q])]))
                 new_masks.append(common | bit)
@@ -294,18 +297,22 @@ def _cone(rows, dim):
     return rays, masks
 
 
+def _signs(ray, coords):
+    """The sign patterns of the integer ray (p..., t) on coords: each nonzero
+    p_j there takes both signs, and every other entry keeps its one."""
+    return product(*[(c, -c) if c and j in coords else (c,) for j, c in enumerate(ray)])
+
+
 def _orbit(levels, rows, dim, flips=None):
     """Rays and zero-set masks of a bounded polytope whose vertices are the
     sign patterns of its levels on the coordinates flips (every coordinate
     when None): integer rays (p..., t), one per orbit under flipping the
-    sign of one of those coordinates, each with p_j >= 0 there.  A zero
-    coordinate keeps its one sign.  Bit i + 1 of a ray's mask is set when
-    row i = (c..., b) is tight there, c.p = b.t, as DD's masks would have
-    it; bit 0 (t >= 0) is never set, since t > 0."""
+    sign of one of those coordinates, each with p_j >= 0 there.  Bit i + 1
+    of a ray's mask is set when row i = (c..., b) is tight there,
+    c.p = b.t, as DD's masks would have it; bit 0 (t >= 0) is never set,
+    since t > 0."""
     flips = range(dim) if flips is None else set(flips)
-    rays = [p + (level[dim],) for level in levels
-            for p in product(*[(c, -c) if c and j in flips else (c,)
-                               for j, c in enumerate(level[:dim])])]
+    rays = [v for level in levels for v in _signs(level, flips)]
     n = len(rays)
     masks = [0] * n
     for i, vals in enumerate(_row_values(map(_homogenized, rows), zip(*rays), n)):
@@ -315,52 +322,57 @@ def _orbit(levels, rows, dim, flips=None):
     return rays, masks
 
 
-def _orbit_cut(levels, edges, ints, dim):
-    """The vertex orbits of a ball cut by c.x <= b.t, for the integer row
-    ints = (c..., b), under the flips of the coordinates where c is 0: the
-    set of their rays, with |.| on those coordinates, and the flips.
+def _mask_edges(rays, masks, dim):
+    """Each vertex ray's neighbours among rays, by _is_edge on their masks.
+    A third ray whose zero set holds zk & zq shares dim - 1 rows with zk
+    too, so the test for k scans only the rays that do."""
+    edges = []
+    for zk in masks:
+        near = [(q, zq) for q, zq in zip(rays, masks)
+                if zq != zk and (zk & zq).bit_count() >= dim - 1]
+        held = [zk, *(zq for _, zq in near)]
+        edges.append([q for q, zq in near if _is_edge(zk & zq, held)])
+    return tuple(edges)
 
-    The ball's vertices are the sign patterns of its levels, and edges[k]
-    lists the ball neighbours of levels[k]'s canonical vertex (p >= 0), so
-    the neighbours of its sign pattern s are s applied to that list.  The
+
+def _orbit_cut(levels, edges, ints, dim, sym):
+    """The vertex orbits of a ball cut by c.x <= b.t, for the integer row
+    ints = (c..., b), under the flips of the coordinates in sym where c is
+    0: the set of their rays, with |.| on those coordinates, and the flips.
+
+    The ball's vertices are the sign patterns of its levels on sym, and
+    edges[k] lists the ball neighbours of levels[k]'s canonical vertex up
+    to the flips that fix it, those of its zero coordinates in sym.  The
     flips fix the ball and the cut, so one vertex per orbit is walked: each
     level's sign patterns off the flips.  A feasible one (c.v <= b.t) is a
-    slice vertex.  A violating one p is joined to each feasible neighbour q
-    by v_p r_q - v_q r_p over its gcd, v being c.x - b.t, as _cut joins
-    them; every edge that the cut crosses is a flip of one found this way."""
+    slice vertex.  A violating one p is joined to each feasible neighbour
+    q, its pattern applied to the list and expanded over p's zero
+    coordinates where c is not 0, by v_p r_q - v_q r_p over its gcd, v
+    being c.x - b.t, as _cut joins them; every edge that the cut crosses
+    is a flip of one found this way."""
     rhs = ints[dim]
     cut = [(j, c) for j, c in enumerate(ints[:dim]) if c]
-    flips = tuple(j for j in range(dim) if not ints[j])
+    free = {j for j, _ in cut if j in sym}
+    flips = tuple(j for j in sym if not ints[j])
     found = set()
     for level, near in zip(levels, edges):
-        free = [j for j, _ in cut if level[j]]
-        choices = [(c, -c) if j in free else (c,) for j, c in enumerate(level)]
-        for v in product(*choices):
+        zero = [j for j in free if not level[j]]
+        near = [w for q in near for w in _signs(q, zero)]
+        for v in _signs(level, free):
             vp = sum(c * v[j] for j, c in cut) - rhs * v[dim]
             if vp <= 0:
                 found.add(v)
                 continue
-            flipped = [j for j in free if v[j] != level[j]]
+            flipped = {j for j in free if v[j] != level[j]}
             for q in near:
-                if flipped:
-                    q = list(q)
-                    for j in flipped:
-                        q[j] = -q[j]
-                vq = sum(c * q[j] for j, c in cut) - rhs * q[dim]
+                w = [-c if j in flipped else c for j, c in enumerate(q)] if flipped else q
+                vq = sum(c * w[j] for j, c in cut) - rhs * w[dim]
                 if vq < 0:
-                    ray = list(_reduced([vp * y - vq * x for x, y in zip(v, q)]))
+                    ray = list(_reduced([vp * y - vq * x for x, y in zip(v, w)]))
                     for j in flips:
                         ray[j] = abs(ray[j])
                     found.add(tuple(ray))
     return found, flips
-
-
-def _cuts_by_orbits(poly):
-    """Whether poly is its base ball cut by one row, and the ball carries
-    its levels' neighbour lists (see _orbit_cut)."""
-    base = poly._base
-    return (base is not None and base._edges is not None
-            and len(poly._int_rows) == len(base._int_rows) + 1)
 
 
 def _keys(rays, dim, count):
@@ -382,17 +394,22 @@ def _keys(rays, dim, count):
 
 
 def _vertex_orbits(poly: HPolytope) -> _Orbits:
-    """The polytope's vertex orbits: for a ball with neighbour lists cut by
-    one row, those of _orbit_cut, cached on first use; for any other
-    polytope its _enumeration's vertices, with no flips.  Raises what
+    """The polytope's vertex orbits.  For a ball cut by one row they are
+    _orbit_cut's, cached on first use: every coordinate is symmetric on a
+    ball with levels, and none on any other, whose vertices are its levels
+    and whose lists are read once off its masks.  For any other polytope
+    they are its _enumeration's vertices, with no flips.  Raises what
     vertices() documents."""
-    if not _cuts_by_orbits(poly):
+    base = poly._base
+    if base is None:
         enum = _enumeration(poly)
         return _Orbits(enum.keys, enum.den, (), len(enum.keys), enum.rays)
     if poly._ocache is None:
-        base = poly._base
         dim = poly.dim
-        rays, flips = _orbit_cut(base._levels, base._edges, poly._int_rows[-1], dim)
+        levels, sym = (base._levels, range(dim)) if base._levels else (_enumeration(base).rays, ())
+        if base._edges is None:
+            object.__setattr__(base, "_edges", _mask_edges(levels, _enumeration(base).masks, dim))
+        rays, flips = _orbit_cut(levels, base._edges, poly._int_rows[-1], dim, sym)
         rays = list(rays)
         count = sum(1 << sum(1 for j in flips if r[j]) for r in rays)
         object.__setattr__(poly, "_ocache", _Orbits(*_keys(rays, dim, count), flips, count, rays))
@@ -400,25 +417,18 @@ def _vertex_orbits(poly: HPolytope) -> _Orbits:
 
 
 def _enumeration(poly: HPolytope) -> _Enumeration:
-    """The polytope's cached _Enumeration, computed on first use: its
-    levels' sign patterns (_orbit), DD on its rows, the sign patterns of
-    its vertex orbits (_vertex_orbits) for a ball with neighbour lists cut
-    by one row, or one more DD step per appended row on its base's
-    enumeration.
+    """The polytope's cached _Enumeration, computed on first use: the sign
+    patterns of its vertex orbits (_vertex_orbits) for a ball cut by one
+    row, its levels' sign patterns (_orbit), or DD on its rows.
     The vertex keys are sorted, and checked distinct, as integer tuples.
     Raises what vertices() documents."""
     if poly._vcache is not None:
         return poly._vcache
     dim = poly.dim
     rows = poly._int_rows
-    base = poly._base
-    if _cuts_by_orbits(poly):
+    if poly._base is not None:
         orbits = _vertex_orbits(poly)
         rays, masks = _orbit(orbits.rays, rows, dim, orbits.flips)
-    elif base is not None:
-        _, _, rays, masks = _enumeration(base)
-        for i in range(len(base._int_rows), len(rows)):
-            rays, masks = _cut(rays, masks, rows[i], 2 << i, dim)
     elif poly._levels:
         rays, masks = _orbit(poly._levels, rows, dim)
     else:

@@ -113,11 +113,8 @@ class DimensionTooSmall(Exception):
 
 def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
     """Ball cut by f.x >= s - alpha, s = sup f over the ball, sharing the
-    ball's rows as a base.  The cut row is cleared once; the shared base
-    lets vertex enumeration of the slice continue from the ball's final
-    rays with one more step instead of starting from scratch, or, on a
-    family II ball, from its vertex levels and their neighbour lists one
-    vertex orbit at a time (see polytope._orbit_cut).
+    ball's rows as a base.  The cut row is cleared once, and the slice's
+    vertices are cut from the ball's along its edges (polytope._orbit_cut).
     """
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))
@@ -143,7 +140,7 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     polytope._vertex_orbits gives: integer keys k over one common
     denominator Q, one per orbit under the sign flips of the coordinates
     in G = flips, with k_j >= 0 on G (every vertex is its own orbit when G
-    is empty, as it is for any slice but a family II one).  Over k's orbit
+    is empty, as it is for a slice of a ball with no levels).  Over k's orbit
     the largest phi.v is M(phi, k) = sum_{j in G} |phi_j| k_j +
     sum_{j not in G} phi_j k_j and the smallest is -M(-phi, k), so each
     row's width is read off two rows of integers, phi with |phi_j| and with
@@ -155,9 +152,9 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
     Within an orbit the lex-least maximizer of phi takes the sign of phi_j
     where phi_j k_j != 0 and the negative sign where phi_j = 0, and the
     lex-least maximizer over the slice is the least of these over the keys
-    that reach the maximum (_witness).  Only the two witness vertices are
-    built as Vecs; vertex_count sums 2^(nonzero G coordinates) over the
-    keys (_Orbits.count).
+    that reach the maximum (_witness), taken for the widest rows only.
+    Only the two witness vertices are built as Vecs; vertex_count sums
+    2^(nonzero G coordinates) over the keys (_Orbits.count).
     """
     if poly.dim != space.dim:
         raise ValueError("polytope of dimension %d in a space of dimension %d"
@@ -174,19 +171,11 @@ def diameter(poly: HPolytope, space: PolyhedralNormSpace) -> DiameterResult:
                            for row in rows], cols, n)
     else:
         his = los = _row_values(rows, cols, n)
-    best_width = None
-    best_pair = None
-    for row, hs, ls in zip(rows, his, los):
-        hi = max(hs)
-        lo = min(ls)
-        width = hi - lo
-        if best_width is not None and width < best_width:
-            continue
-        pair = tuple(sorted((_witness(keys, hs, hi, row, flips, 1),
-                             _witness(keys, ls, lo, row, flips, -1))))
-        if best_width is None or width > best_width or pair < best_pair:
-            best_width = width
-            best_pair = pair
+    ends = [(max(hs), min(ls)) for hs, ls in zip(his, los)]
+    best_width = max(hi - lo for hi, lo in ends)
+    best_pair = min(tuple(sorted((_witness(keys, hs, hi, row, flips, 1),
+                                  _witness(keys, ls, lo, row, flips, -1))))
+                    for row, hs, ls, (hi, lo) in zip(rows, his, los, ends) if hi - lo == best_width)
     values = {c: Scalar(c, q) for c in set(chain(*best_pair))}
     return DiameterResult(value=Scalar(best_width, den * q),
                           witness_pair=tuple(tuple.__new__(Vec, [values[c] for c in p])

@@ -23,12 +23,12 @@ Both families are unconditional: their generator sets, and so their unit
 balls, are closed under flipping the sign of any one coordinate.  The
 builders attach the ball's vertex levels (_levels), one canonical integer
 ray (p..., t) with p >= 0 per orbit of vertices under those flips, in
-closed form.  The unit ball expands them into its vertices instead of
-running DD, and support_value reads sup f off them instead of solving an
-LP.  make_space_II also attaches each level's ball neighbours (_edges), so
-its slices are cut one vertex orbit at a time (see polytope._orbit_cut).
-A space built by the constructor has no levels, whatever its label, and
-takes DD and the LP.
+closed form, and each level's ball neighbours (_edges).  The unit ball
+expands the levels into its vertices instead of running DD, its slices are
+cut one vertex orbit at a time (see polytope._orbit_cut), and
+support_value reads sup f off the levels instead of solving an LP.  A
+space built by the constructor has no levels, whatever its label, and
+takes DD, slices along edges read off DD's masks, and the LP.
 
 A space builds its unit ball, the ball's columns, the coordinate bounds
 sup |x_j| over the ball and the extreme points of its generator set from
@@ -100,8 +100,8 @@ class PolyhedralNormSpace:
     order.  Negating phi changes neither |phi.x| nor a width
     max phi.v - min phi.v, so these rows serve every norm and width.
     _levels holds the ball's vertex levels, which only the builders attach
-    (None otherwise), and _edges their ball neighbours, which only
-    make_space_II attaches.  _unit_ball, _ball_columns, _coordinate_bounds and
+    (None otherwise), and _edges their ball neighbours, each level's up to
+    the flips that fix its canonical vertex.  _unit_ball, _ball_columns, _coordinate_bounds and
     _dual_vertices are built from the rows on first use and kept on the
     space.  None of these is a field, so equality, hashing and repr ignore
     them.
@@ -285,6 +285,11 @@ def norm(space: PolyhedralNormSpace, x) -> Scalar:
     return Scalar(_norm_ints(space, [(c,) for c in p])[0], space._int_rows[1] * q)
 
 
+def _flip(ray, n):
+    """The integer ray with the sign of its coordinate n flipped."""
+    return ray[:n] + (-ray[n],) + ray[n + 1:]
+
+
 def make_space_II(N: int, r) -> PolyhedralNormSpace:
     """Lifted sup-norm space on R^(N+1), beta coordinate last.
 
@@ -298,8 +303,8 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
     (r,..,r, 1)/(1+r).  With r = a/b the levels are A = (1,..,1, 0 | 1)
     and B = (a,..,a, b | a+b).  Their ball neighbours, the edges' other
     ends, are: for A, its N flips of one x coordinate when N >= 2 (at
-    N = 1 the ball is a hexagon and (-1, 0) is opposite A) and
-    (a,..,a, +-b | a+b); for B, its N flips of one x coordinate and A.
+    N = 1 the ball is a hexagon and (-1, 0) is opposite A) and B, whose
+    flip of beta fixes A; for B, its N flips of one x coordinate and A.
     """
     _check_N(N, 1)
     r = rational(r)
@@ -319,11 +324,7 @@ def make_space_II(N: int, r) -> PolyhedralNormSpace:
     values = {0: ZERO, den: ONE, -den: -ONE, top: 1 + r, -top: -1 - r}
     a = r.numerator
     A, B = (1,) * N + (0, 1), (a,) * N + (den, top)
-
-    def flips(level):
-        return [level[:n] + (-level[n],) + level[n + 1:] for n in range(N)]
-
-    edges = ((*(flips(A) if N >= 2 else ()), B, (a,) * N + (-den, top)), (*flips(B), A))
+    edges = ((*(_flip(A, n) for n in range(N) if N >= 2), B), (*(_flip(B, n) for n in range(N)), A))
     return PolyhedralNormSpace._from_ints(d, ints, den, values, "II", (("N", N), ("r", r)),
                                           (A, B), edges)
 
@@ -366,7 +367,11 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
     w_n < 1 (it is 1 when w_n = 1).  With the weights w_n = W_n / den each
     such u is den / Q for Q in {den} | {2 W_n} | {3 den - 2 W_n}, and the
     level is the integer ray (den, m_2, .., m_N | Q) with
-    m_n = min(Q, 3(Q - den), 2(Q - W_n)), over its gcd.
+    m_n = min(Q, 3(Q - den), 2(Q - W_n)), over its gcd.  By Q ascending, the
+    pole (1, 0, .., 0) lists level 1 once, for its every sign of x(2..N);
+    level k >= 1 lists level k - 1, level k + 1 (the last level: its flip of
+    x_1) and its flip of each x_n such that another x_j breaks at Q:
+    Q = 2 W_j, or Q = 3 den - 2 W_j, which past the pole means w_j < 1.
     """
     _check_N(N, 2)
     omega = check_omega(N, omega)
@@ -388,11 +393,16 @@ def make_space_VII(N: int, omega=None) -> PolyhedralNormSpace:
                     row[0] = s1 * a
                     row[j] = s2 * b
                     ints.append(tuple(row))
-    levels = []
-    for q in sorted({den, *(2 * w for w in weights), *(3 * den - 2 * w for w in weights)}):
-        levels.append(_reduced((den, *(min(q, 3 * (q - den), 2 * (q - w)) for w in weights), q)))
+    qs = sorted({den, *(2 * w for w in weights), *(3 * den - 2 * w for w in weights)})
+    levels = [_reduced((den, *(min(q, 3 * (q - den), 2 * (q - w)) for w in weights), q))
+              for q in qs]
+    edges = [(levels[1],)]
+    for k in range(1, len(qs)):
+        at = {j for j, w in enumerate(weights, 1) if qs[k] in (2 * w, 3 * den - 2 * w)}
+        edges.append((levels[k - 1], levels[k + 1] if k + 1 < len(qs) else _flip(levels[k], 0),
+                      *(_flip(levels[k], n) for n in range(1, N) if at - {n})))
     return PolyhedralNormSpace._from_ints(N, ints, den, values, "VII",
-                                          (("N", N), ("omega", omega)), tuple(levels))
+                                          (("N", N), ("omega", omega)), tuple(levels), tuple(edges))
 
 
 def reference_product_norm(x, split: int) -> Scalar:
@@ -409,10 +419,10 @@ def unit_ball(space: PolyhedralNormSpace) -> HPolytope:
     """H-polytope {x : phi.x <= 1 for every generator phi}.
 
     Its integer rows are the space's own, so nothing is cleared again.  A
-    family space's vertex levels go with the rows, so the ball's vertices
-    are their sign patterns and no DD runs (see polytope._orbit).  The ball
-    is built once per space and every call returns it, so its vertex
-    enumeration is shared by every slice of it.
+    family space's vertex levels and their neighbour lists go with the
+    rows, so the ball's vertices are their sign patterns and no DD runs
+    (see polytope._orbit).  The ball is built once per space and every call
+    returns it, so its vertices and edges serve every slice of it.
     """
     return space._unit_ball
 

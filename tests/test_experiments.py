@@ -118,6 +118,29 @@ def test_thm1_at_n_40_takes_no_dd_step_and_expands_no_vertex_list(monkeypatch):
     assert parts["slice"]._vcache is None and parts["slice"]._base._vcache is None
 
 
+def test_prop3_at_n_40_takes_no_dd_step_and_expands_no_vertex_list(monkeypatch):
+    """The family VII slices are cut one vertex orbit at a time from the
+    ball's levels and their closed-form neighbour lists: at N = 40 the
+    default epsilons give 6 epsilon exactly, with the exact vertex counts,
+    and no _orbit expansion, no DD cut and no cone runs.  Counted, not
+    timed."""
+    from polyslice import polytope
+
+    counts = dict.fromkeys(("orbit", "cut", "cone"), 0)
+    for name in counts:
+        fn = getattr(polytope, "_" + name)
+        monkeypatch.setattr(polytope, "_" + name,
+                            lambda *a, _n=name, _fn=fn: counts.__setitem__(_n, counts[_n] + 1)
+                            or _fn(*a))
+    report = run_experiment(ExperimentConfig(experiment="prop3", N=40))
+    assert report.all_pass
+    assert [(row["epsilon"], row["exact_value"], row["max_tail"], row["vertex_count"])
+            for row in report.rows] == [
+        ("1/10", "3/5", "3/10", 20890720927745), ("1/20", "3/10", "3/20", 19241453486081),
+        ("1/40", "3/20", "3/40", 15393162788865), ("1/80", "3/40", "3/80", 8246337208321)]
+    assert counts == {"orbit": 0, "cut": 0, "cone": 0}
+
+
 def _n_bound_inputs(tmp_path, experiment, N):
     """The ways an N reaches an experiment: the flag, a config file and,
     where the experiment takes one, a space file of its family."""
@@ -160,12 +183,12 @@ def test_an_n_past_the_bound_is_a_usage_error_before_any_space_is_built(
 # Per default grid: the ball orbit expansions (polytope._orbit) and the
 # dual-vertex computations (polytope._extreme_keys), one per space that
 # needs them.  thm1 and prop2 build a space per row and prop3 one per N.
-# The family II slices of thm1 and prop2 are cut one vertex orbit at a
-# time from the ball's levels and neighbour lists, so no family II ball is
-# expanded; prop3's family VII balls are, one per N.  The certificates of
-# prop2 and verify-ext's audits take the dual vertices, one per space.
+# The family II slices of thm1 and prop2 and the family VII slices of
+# prop3 are cut one vertex orbit at a time from the ball's levels and
+# neighbour lists, so no ball is expanded.  The certificates of prop2 and
+# verify-ext's audits take the dual vertices, one per space.
 DEFAULT_GRID_WORK = {
-    "thm1": (0, 0), "prop2": (0, 12), "prop3": (3, 0), "verify-ext": (0, 18), "sandwich": (0, 0),
+    "thm1": (0, 0), "prop2": (0, 12), "prop3": (0, 0), "verify-ext": (0, 18), "sandwich": (0, 0),
 }
 
 
@@ -174,10 +197,10 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     """On the default grids every ball comes from its vertex levels and
     every support value and coordinate bound from the closed form: DD's
     cone runs for no ball, and the only LPs are prop2's 14 certificate
-    probes (the walk over every support took 16).  The one cut of each
-    prop3 slice is a DD step; the family II slices of thm1 and prop2 take
-    none (polytope._orbit_cut).  Each ball is expanded, and each dual
-    vertex set computed, once per space, and a second unit_ball or
+    probes (the walk over every support took 16).  No slice takes a DD
+    step: those of thm1, prop2 and prop3 are all orbit cuts
+    (polytope._orbit_cut).  Each ball is expanded, and each dual vertex
+    set computed, at most once per space, and a second unit_ball or
     dual_ball_vertices call on a space returns the same object with no new
     work."""
     from polyslice import linprog, polytope, slices, spaces
@@ -216,7 +239,7 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     report = run_experiment(ExperimentConfig(experiment=experiment))
     assert report.all_pass
     diameters = sum(bool(row.get("exact_value")) for row in report.rows)
-    assert (counts["cone"], counts["cut"]) == (0, diameters if experiment == "prop3" else 0)
+    assert report.rows and (counts["cone"], counts["cut"]) == (0, 0)
     assert counts["lp"] == counts["probe_lp"] == (14 if experiment == "prop2" else 0)
     assert (counts["orbit"], counts["extreme"]) == DEFAULT_GRID_WORK[experiment]
     assert len(built) == (3 if experiment == "prop3" else len(report.rows))

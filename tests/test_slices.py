@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -465,13 +466,13 @@ SKEW = _custom_space(3, (["2/3", "1/5", 0], [0, "5/4", "-3/7"], ["1/6", 0, "7/9"
     (SKEW, Vec([0, 1, "-1/2"]), "1/3"),
 ])
 def test_diameter_of_a_dd_slice_builds_only_its_two_witness_vertices(space, f, alpha):
-    """A slice that takes DD's cut is measured on its integer vertex keys:
-    diameter builds no VPolytope for it, and its witness pair is two of the
-    vertices that vertices() builds later, with the value and count of the
-    rational loop."""
+    """A slice is measured on its integer vertex orbits: diameter builds
+    neither an enumeration nor a VPolytope for it, and its witness pair is
+    two of the vertices that vertices() builds later, with the value and
+    count of the rational loop."""
     piece = make_slice(space, SliceSpec(f, alpha))
     got = diameter(piece, space)
-    assert piece._vcache is not None and piece._vpoly is None
+    assert piece._vcache is None and piece._vpoly is None
     assert got == rational_diameter(piece, space)
     assert all(v in vertices(piece).vertices for v in got.witness_pair)
 
@@ -498,6 +499,26 @@ def test_diameter_witness_pair_matches_brute_force_over_every_generator(space, f
         value, pair = oracles.diam_witness(verts, gens)
         res = diameter(make_slice(space, SliceSpec(f, alpha)), space)
         assert (res.value, res.witness_pair, res.vertex_count) == (value, pair, len(verts))
+
+
+@pytest.mark.parametrize("space,f,alpha", [
+    (make_space_II(4, "1/20"), Vec.unit(5, 4) * rational("21/20"), "1/50"),
+    (make_space_VII(4), Vec.unit(4, 0), "1/20"),
+])
+def test_diameter_builds_witnesses_only_for_the_widest_rows(monkeypatch, space, f, alpha):
+    """diameter takes every row's width first and then builds the two
+    witness vertices of each row at the largest width only: on a thm1
+    slice and a prop3 slice, 2 _witness calls per widest row, one row per
+    +- generator pair, counted on the rational vertices."""
+    calls = []
+    witness = slices._witness
+    monkeypatch.setattr(slices, "_witness", lambda *a: calls.append(1) or witness(*a))
+    piece = make_slice(space, SliceSpec(f, alpha))
+    diameter(piece, space)
+    verts = vertices(piece).vertices
+    widths = [max(sum(map(mul, row, v)) for v in verts) - min(sum(map(mul, row, v)) for v in verts)
+              for row in space._int_rows[0]]
+    assert len(calls) == 2 * widths.count(max(widths))
 
 
 def _dense_g(rng, N):
