@@ -38,10 +38,10 @@ vertices are kept and violating ones joined to their feasible neighbours.
 A family ball carries each level's neighbours (_edges) in closed form, and
 the cut is fixed by the sign flips of the coordinates where c is 0, as the
 ball is, so the slice is kept as one vertex per orbit under those flips.
-Any other ball is enumerated by DD once, each vertex its own orbit, and its
-neighbour lists are read off its zero sets once, by DD's adjacency test.
 slices.diameter and the prop3 estimates read the orbits; the full vertex
-list is expanded from them only when a caller asks for it.
+list is expanded from them only when a caller asks for it.  A slice of any
+other ball is one DD step (_cut) on the ball's rays, each vertex its own
+orbit.
 
 Emptiness and unboundedness are read off the rays exactly, without LPs: no
 ray with t > 0 means empty, a ray with t = 0 a recession direction.  When
@@ -112,7 +112,7 @@ class HPolytope:
     are base's followed by that row, and its _Orbits (see _orbit_cut) are
     cached as _ocache.  _levels, the vertex levels of a sign-symmetric ball
     (see _orbit), replace DD, and come with _edges, each level's ball
-    neighbours; a ball without levels gets _edges on its first slice.
+    neighbours.
     """
 
     __slots__ = ("dim", "_vcache", "_vpoly", "_base", "_int_rows", "_levels", "_edges",
@@ -179,8 +179,7 @@ class VPolytope:
 
 class _Enumeration(NamedTuple):
     """A polytope's vertices as keys[i] / den, sorted and distinct, with the
-    final rays and zero-set masks that a ball's neighbour lists are read
-    from."""
+    final rays and zero-set masks that a slice's DD step continues."""
 
     keys: tuple
     den: int
@@ -238,26 +237,14 @@ def _start(rows, picked, dim):
     return rays, [done ^ bit for bit in bits]
 
 
-def _is_edge(common, masks):
-    """Whether two of the rays with zero-set masks masks, whose zero sets
-    meet in common on at least dim - 1 rows, are adjacent: no third ray's
-    zero set contains common."""
-    holders = 0
-    for z in masks:
-        if z & common == common:
-            holders += 1
-            if holders > 2:
-                return False
-    return holders == 2
-
-
 def _cut(rays, masks, ints, bit, dim):
     """One double-description step: the extreme rays of the cone (rays,
     masks) cut by c.x <= b.t for the integer row ints = (c..., b), whose
     zero sets take bit.  Rays on the feasible side stay; each adjacent
-    pair of a violating ray p and a feasible ray q, whose zero sets share
-    dim - 1 rows and pass _is_edge, gives the ray v_p r_q - v_q r_p on the
-    new hyperplane."""
+    pair of a violating ray p and a feasible ray q gives the ray
+    v_p r_q - v_q r_p on the new hyperplane.  Adjacency is combinatorial:
+    the zero sets of p and q share at least dim - 1 rows, and no third ray's
+    zero set contains that intersection."""
     rhs = ints[dim]
     sparse = [(j, c) for j, c in enumerate(ints[:dim]) if c]
     vals = []
@@ -270,11 +257,20 @@ def _cut(rays, masks, ints, bit, dim):
     minus = [k for k, v in enumerate(vals) if v < 0]
     new_rays = [r for r, v in zip(rays, vals) if v <= 0]
     new_masks = [z | bit if v == 0 else z for z, v in zip(masks, vals) if v <= 0]
+    need = dim - 1
     for p in plus:
         zp, rp, vp = masks[p], rays[p], vals[p]
         for q in minus:
             common = zp & masks[q]
-            if common.bit_count() >= dim - 1 and _is_edge(common, masks):
+            if common.bit_count() < need:
+                continue
+            holders = 0
+            for z in masks:
+                if z & common == common:
+                    holders += 1
+                    if holders > 2:
+                        break
+            if holders == 2:
                 vq = vals[q]
                 new_rays.append(_reduced([vp * y - vq * x for x, y in zip(rp, rays[q])]))
                 new_masks.append(common | bit)
@@ -322,27 +318,14 @@ def _orbit(levels, rows, dim, flips=None):
     return rays, masks
 
 
-def _mask_edges(rays, masks, dim):
-    """Each vertex ray's neighbours among rays, by _is_edge on their masks.
-    A third ray whose zero set holds zk & zq shares dim - 1 rows with zk
-    too, so the test for k scans only the rays that do."""
-    edges = []
-    for zk in masks:
-        near = [(q, zq) for q, zq in zip(rays, masks)
-                if zq != zk and (zk & zq).bit_count() >= dim - 1]
-        held = [zk, *(zq for _, zq in near)]
-        edges.append([q for q, zq in near if _is_edge(zk & zq, held)])
-    return tuple(edges)
-
-
-def _orbit_cut(levels, edges, ints, dim, sym):
+def _orbit_cut(levels, edges, ints, dim):
     """The vertex orbits of a ball cut by c.x <= b.t, for the integer row
-    ints = (c..., b), under the flips of the coordinates in sym where c is
-    0: the set of their rays, with |.| on those coordinates, and the flips.
+    ints = (c..., b), under the flips of the coordinates where c is 0: the
+    set of their rays, with |.| on those coordinates, and the flips.
 
-    The ball's vertices are the sign patterns of its levels on sym, and
-    edges[k] lists the ball neighbours of levels[k]'s canonical vertex up
-    to the flips that fix it, those of its zero coordinates in sym.  The
+    The ball's vertices are the sign patterns of its levels, and edges[k]
+    lists the ball neighbours of levels[k]'s canonical vertex (p >= 0) up
+    to the flips that fix it, those of its zero coordinates.  The
     flips fix the ball and the cut, so one vertex per orbit is walked: each
     level's sign patterns off the flips.  A feasible one (c.v <= b.t) is a
     slice vertex.  A violating one p is joined to each feasible neighbour
@@ -352,8 +335,8 @@ def _orbit_cut(levels, edges, ints, dim, sym):
     is a flip of one found this way."""
     rhs = ints[dim]
     cut = [(j, c) for j, c in enumerate(ints[:dim]) if c]
-    free = {j for j, _ in cut if j in sym}
-    flips = tuple(j for j in sym if not ints[j])
+    free = {j for j, _ in cut}
+    flips = tuple(j for j in range(dim) if not ints[j])
     found = set()
     for level, near in zip(levels, edges):
         zero = [j for j in free if not level[j]]
@@ -394,23 +377,25 @@ def _keys(rays, dim, count):
 
 
 def _vertex_orbits(poly: HPolytope) -> _Orbits:
-    """The polytope's vertex orbits.  For a ball cut by one row they are
-    _orbit_cut's, cached on first use: every coordinate is symmetric on a
-    ball with levels, and none on any other, whose vertices are its levels
-    and whose lists are read once off its masks.  For any other polytope
-    they are its _enumeration's vertices, with no flips.  Raises what
-    vertices() documents."""
+    """The polytope's vertex orbits, cached on first use for a ball cut by
+    one row: _orbit_cut's for a ball with levels, and for any other ball
+    the vertices of one DD step on its rays, with no flips.  For any other
+    polytope they are its _enumeration's vertices, with no flips.  Raises
+    what vertices() documents."""
     base = poly._base
     if base is None:
         enum = _enumeration(poly)
         return _Orbits(enum.keys, enum.den, (), len(enum.keys), enum.rays)
     if poly._ocache is None:
         dim = poly.dim
-        levels, sym = (base._levels, range(dim)) if base._levels else (_enumeration(base).rays, ())
-        if base._edges is None:
-            object.__setattr__(base, "_edges", _mask_edges(levels, _enumeration(base).masks, dim))
-        rays, flips = _orbit_cut(levels, base._edges, poly._int_rows[-1], dim, sym)
-        rays = list(rays)
+        row = poly._int_rows[-1]
+        if base._levels:
+            rays, flips = _orbit_cut(base._levels, base._edges, row, dim)
+            rays = list(rays)
+        else:
+            _, _, rays, masks = _enumeration(base)
+            rays = _cut(rays, masks, row, 2 << len(base._int_rows), dim)[0]
+            flips = ()
         count = sum(1 << sum(1 for j in flips if r[j]) for r in rays)
         object.__setattr__(poly, "_ocache", _Orbits(*_keys(rays, dim, count), flips, count, rays))
     return poly._ocache

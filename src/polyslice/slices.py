@@ -114,7 +114,7 @@ class DimensionTooSmall(Exception):
 def make_slice(space: PolyhedralNormSpace, spec: SliceSpec) -> HPolytope:
     """Ball cut by f.x >= s - alpha, s = sup f over the ball, sharing the
     ball's rows as a base.  The cut row is cleared once, and the slice's
-    vertices are cut from the ball's along its edges (polytope._orbit_cut).
+    vertices are cut from the ball's (polytope._vertex_orbits).
     """
     if len(spec.f) != space.dim:
         raise ValueError("functional of length %d in dimension %d" % (len(spec.f), space.dim))

@@ -28,7 +28,7 @@ expands the levels into its vertices instead of running DD, its slices are
 cut one vertex orbit at a time (see polytope._orbit_cut), and
 support_value reads sup f off the levels instead of solving an LP.  A
 space built by the constructor has no levels, whatever its label, and
-takes DD, slices along edges read off DD's masks, and the LP.
+takes DD, one DD step per slice, and the LP.
 
 A space builds its unit ball, the ball's columns, the coordinate bounds
 sup |x_j| over the ball and the extreme points of its generator set from

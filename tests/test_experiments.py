@@ -238,7 +238,6 @@ def test_default_grids_enumerate_no_ball_by_dd_and_solve_no_lp(monkeypatch, expe
     monkeypatch.setattr(experiments, "make_space_VII", recording(experiments.make_space_VII))
     report = run_experiment(ExperimentConfig(experiment=experiment))
     assert report.all_pass
-    diameters = sum(bool(row.get("exact_value")) for row in report.rows)
     assert report.rows and (counts["cone"], counts["cut"]) == (0, 0)
     assert counts["lp"] == counts["probe_lp"] == (14 if experiment == "prop2" else 0)
     assert (counts["orbit"], counts["extreme"]) == DEFAULT_GRID_WORK[experiment]

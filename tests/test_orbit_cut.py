@@ -2,8 +2,8 @@
 
 make_space_II and make_space_VII attach each vertex level's ball
 neighbours in closed form, up to the sign flips that fix the level's
-canonical vertex; any other ball reads its neighbour lists off its DD
-masks.  These tests hold the closed-form lists against the adjacency test
+canonical vertex; a slice of any other ball is one DD step from the
+ball's rays.  These tests hold the closed-form lists against the adjacency test
 that DD's _cut applies to the expanded ball, and hold the orbit slices of
 the family spaces and of constructor-built copies of them, which carry no
 levels, against DD run from scratch on the slice's full rows.
@@ -111,8 +111,7 @@ _COPIES = {}
 
 def _dd_copy(space):
     """The space through the constructor: the same generators, no levels,
-    so its ball is enumerated by DD and its slices walk every vertex along
-    neighbour lists read off the DD masks."""
+    so its ball is enumerated by DD and each slice is one more DD step."""
     key = (space.label, space.params)
     if key not in _COPIES:
         _COPIES[key] = PolyhedralNormSpace(space.dim, space.generators, space.label, space.params)
@@ -163,8 +162,8 @@ def _slice_cases():
 
 
 def _assert_orbit_slices_equal_dd(space, f, alpha):
-    """The orbit slice of the space and that of its constructor copy give
-    the diameter, witness pair and vertex count of DD run on the slice's
+    """The orbit slice of the space and the DD-step slice of its
+    constructor copy give the diameter, witness pair and vertex count of DD run on the slice's
     full rows with no base, and their vertices(), expanded from the
     orbits, and their enumerations' keys, den, rays and masks equal DD's.
     Returns the orbit slice."""
@@ -216,27 +215,30 @@ def test_orbit_slices_of_VII_balls_equal_dd(N, omega, f, alpha):
     assert piece._ocache.flips == tuple(j for j in range(N) if not f[j])
 
 
-def test_a_custom_ball_reads_its_lists_once_for_every_slice(monkeypatch):
-    """A ball with no levels gets its neighbour lists from its DD masks on
-    the first slice that needs them, once: later slices of the same ball,
-    at other depths and along other functionals, reuse them, take no DD
-    step, and keep every vertex its own orbit."""
+def test_a_custom_ball_takes_one_dd_step_per_slice(monkeypatch):
+    """A ball with no levels is enumerated by DD once, and each of its
+    slices, at other depths and along other functionals, is one more DD
+    step from the ball's rays, every vertex its own orbit, with no orbit
+    walk."""
     calls = []
-    mask_edges, cut = polytope._mask_edges, polytope._cut
-    monkeypatch.setattr(polytope, "_mask_edges", lambda *a: calls.append("lists") or mask_edges(*a))
+    cut, orbit_cut = polytope._cut, polytope._orbit_cut
     monkeypatch.setattr(polytope, "_cut", lambda *a: calls.append("cut") or cut(*a))
+    monkeypatch.setattr(polytope, "_orbit_cut",
+                        lambda *a: calls.append("walk") or orbit_cut(*a))
     family = make_space_VII(4, ["11/12", "1", "7/8"])
     space = PolyhedralNormSpace(family.dim, family.generators, family.label, family.params)
     ball = unit_ball(space)
+    _enumeration(ball)
+    assert calls.count("cut") == len(ball._int_rows) - space.dim
     for f in (Vec.unit(4, 0), Vec([1, "1/2", 0, 0]), Vec([0, 1, -1, "1/3"])):
         for alpha in ("1/10", "1/3", "5/4"):
+            want = diameter(make_slice(family, SliceSpec(f, alpha)), family)
+            del calls[:]
             piece = make_slice(space, SliceSpec(f, alpha))
-            assert diameter(piece, space) == diameter(make_slice(family, SliceSpec(f, alpha)),
-                                                      family)
+            assert diameter(piece, space) == want and calls == ["cut"]
             assert piece._base is ball and piece._ocache.flips == ()
             assert piece._ocache.count == len(piece._ocache.keys)
-    assert calls.count("lists") == 1 and len(ball._edges) == len(_enumeration(ball).keys)
-    assert calls.count("cut") == len(ball._int_rows) - space.dim
+    assert ball._edges is None
 
 
 def test_a_polytope_on_a_base_takes_exactly_one_row():
